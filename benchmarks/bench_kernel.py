@@ -1,24 +1,21 @@
-"""K: the flat kernel backend vs the object-graph engine (PR 10).
+"""K: the flat kernel vs the object oracle.
 
-Three gates over N=7 concurrent workloads (seven parallel tasks with
+Two gates over N=7 concurrent workloads (seven parallel tasks with
 order constraints — 7! interleavings before pruning):
 
 * **K1 — speedup:** the kernel answers the verify-side query
-  (``count_traces`` over the compiled goal, two constraints) and the
-  scheduling-side queries (``viable_events`` + ``run``, three
-  constraints) at least 5x faster than the object engine. The object
-  engine shuffles every interleaving the Apply-transformed goal denotes
-  before filtering; the kernel's pruned integer-table search never
-  materializes a prefix the constraints already killed — each added
+  (``count_traces`` over the compiled goal, two constraints) at least 5x
+  faster than the object trace semantics of :mod:`repro.ctr.traces`. The
+  object enumeration shuffles every interleaving the Apply-transformed
+  goal denotes before filtering; the kernel's pruned integer-table search
+  never materializes a prefix the constraints already killed — each added
   constraint *slows* the object enumeration and *speeds* the kernel.
-* **K2 — zero divergence:** traces (N=6 keeps the object engine's
-  enumeration CI-sized), schedule enumeration in order, witness
-  extraction, and batched ``verify_properties`` at ``jobs=2`` are
-  bit-identical across backends.
-* **K3 — dispatch overhead:** shipping the goal to a worker pool via a
-  shared-memory handle (export once + tiny handle pickle per task +
-  one attach per worker) costs less than pickling the goal into every
-  task, at 16 tasks / 4 workers.
+* **K2 — zero divergence:** against the oracle (N=6 keeps the object
+  enumeration CI-sized): kernel traces equal ``ctr.traces.traces``; the
+  scheduler's enumeration is exactly the sorted trace set and its default
+  run the lexicographically smallest trace; every verification witness
+  is a legal trace violating its property; batched
+  ``verify_properties`` at ``jobs=2`` equals ``jobs=1``.
 
 The sweep is saved machine-readably as ``results/BENCH_kernel.json``.
 """
@@ -26,19 +23,18 @@ The sweep is saved machine-readably as ``results/BENCH_kernel.json``.
 from __future__ import annotations
 
 import json
-import pickle
 import time
 
 from conftest import RESULTS_DIR, save_table, time_best_of
 
 from repro.analysis.metrics import render_table
 from repro.constraints.algebra import must, order
-from repro.core import kernel_backend
+from repro.constraints.satisfy import satisfies
 from repro.core.compiler import compile_workflow
 from repro.core.scheduler import Scheduler
 from repro.core.verify import verify_properties, verify_property
 from repro.ctr.formulas import event_names
-from repro.ctr.kernel import KernelScheduler, lower_goal
+from repro.ctr.kernel import lower_goal
 from repro.ctr.traces import count_traces, traces
 from repro.graph.generators import parallel_chains
 
@@ -71,167 +67,64 @@ def _measure() -> dict:
     )
     ker_count_s = time_best_of(lambda: program_v.count_traces(ENUM_LIMIT))
 
-    # Scheduling-side workload: three constraints; viability analysis
-    # plus one schedule extraction, both from a cold scheduler.
-    goal_s, _, cons_s = _workload(ncons=3)
-    compiled_s = compile_workflow(goal_s, cons_s)
-    assert compiled_s.consistent
-    program_s = lower_goal(compiled_s.goal)
-    obj_viable_s = time_best_of(lambda: Scheduler(compiled_s.goal).viable_events())
-    ker_viable_s = time_best_of(lambda: KernelScheduler(program_s).viable_events())
-    obj_run_s = time_best_of(lambda: Scheduler(compiled_s.goal).run())
-    ker_run_s = time_best_of(lambda: KernelScheduler(program_s).run())
-
-    # Full enumeration rides along in the table (its speedup is smaller:
-    # both engines must materialize every one of the legal schedules).
-    obj_enum_s = time_best_of(
-        lambda: list(Scheduler(compiled_s.goal).enumerate_schedules(ENUM_LIMIT)),
-        repeats=1,
-    )
-    ker_enum_s = time_best_of(
-        lambda: list(KernelScheduler(program_s).enumerate_schedules(ENUM_LIMIT))
-    )
-
-    obj_sched_s = obj_viable_s + obj_run_s
-    ker_sched_s = ker_viable_s + ker_run_s
     _cache.update({
         "n": N,
         "verify_constraints": len(cons_v),
-        "scheduling_constraints": len(cons_s),
-        "legal_schedules": int(program_s.count_traces(ENUM_LIMIT)),
+        "legal_traces": int(program_v.count_traces(ENUM_LIMIT)),
         "lower_ms": lower_s * 1e3,
         "verify": {
             "object_s": obj_count_s,
             "kernel_s": ker_count_s,
             "speedup": obj_count_s / ker_count_s,
         },
-        "scheduling": {
-            "object_s": obj_sched_s,
-            "kernel_s": ker_sched_s,
-            "speedup": obj_sched_s / ker_sched_s,
-        },
-        "enumerate": {
-            "object_s": obj_enum_s,
-            "kernel_s": ker_enum_s,
-            "speedup": obj_enum_s / ker_enum_s,
-        },
-        "run": {
-            "object_s": obj_run_s,
-            "kernel_s": ker_run_s,
-            "speedup": obj_run_s / max(ker_run_s, 1e-9),
-        },
     })
     return _cache
 
 
-def test_k1_kernel_5x_on_verify_and_scheduling():
+def test_k1_kernel_5x_on_verify():
     results = _measure()
-    rows = [
-        [name, results[name]["object_s"] * 1e3, results[name]["kernel_s"] * 1e3,
-         results[name]["speedup"]]
-        for name in ("verify", "scheduling", "enumerate", "run")
-    ]
+    verify = results["verify"]
     save_table(
         "K1_kernel",
         render_table(
-            f"K1: flat kernel vs object engine at N={results['n']} "
-            f"(verify: {results['verify_constraints']} constraints; "
-            f"scheduling: {results['scheduling_constraints']} constraints, "
-            f"{results['legal_schedules']} legal schedules)",
+            f"K1: flat kernel vs object trace semantics at N={results['n']} "
+            f"({results['verify_constraints']} constraints, "
+            f"{results['legal_traces']} legal traces)",
             ["query", "object ms", "kernel ms", "speedup"],
-            rows,
+            [["count_traces", verify["object_s"] * 1e3,
+              verify["kernel_s"] * 1e3, verify["speedup"]]],
             note=f"one-time lowering {results['lower_ms']:.2f}ms; the "
-            "object engine shuffles every interleaving of the "
+            "object semantics shuffles every interleaving of the "
             "Apply-transformed goal, the kernel's integer-table search "
             "prunes constraint-dead prefixes as it walks.",
         ),
     )
-    assert results["verify"]["speedup"] >= 5.0, (
-        f"verify-side speedup {results['verify']['speedup']:.1f}x < 5x"
-    )
-    assert results["scheduling"]["speedup"] >= 5.0, (
-        f"scheduling-side speedup {results['scheduling']['speedup']:.1f}x < 5x"
+    assert verify["speedup"] >= 5.0, (
+        f"verify-side speedup {verify['speedup']:.1f}x < 5x"
     )
 
 
 def test_k2_zero_divergence():
-    # Full trace equality on an instance whose object-side enumeration
-    # stays CI-sized.
-    goal6, _, cons6 = _workload(n=6, ncons=2)
+    goal6, names, cons6 = _workload(n=6, ncons=2)
     compiled6 = compile_workflow(goal6, cons6)
-    program6 = lower_goal(compiled6.goal)
-    assert program6.traces(ENUM_LIMIT) == traces(compiled6.goal, ENUM_LIMIT)
-
-    goal, names, constraints = _workload(ncons=3)
-    compiled = compile_workflow(goal, constraints)
-    program = lower_goal(compiled.goal)
-    assert list(KernelScheduler(program).enumerate_schedules(ENUM_LIMIT)) == \
-        list(Scheduler(compiled.goal).enumerate_schedules(ENUM_LIMIT))
-    assert KernelScheduler(program).run() == Scheduler(compiled.goal).run()
+    expected = traces(compiled6.goal, ENUM_LIMIT)
+    assert lower_goal(compiled6.goal).traces(ENUM_LIMIT) == expected
+    assert list(Scheduler(compiled6.goal).enumerate_schedules(ENUM_LIMIT)) == \
+        sorted(expected)
+    assert Scheduler(compiled6.goal).run() == min(expected)
 
     props = [must(names[0]), order(names[1], names[0]), must("never_happens")]
+    legal = [t for t in traces(goal6, ENUM_LIMIT)
+             if all(satisfies(t, c) for c in cons6)]
     for prop in props:
-        obj = verify_property(goal6, cons6, prop, backend="object")
-        ker = verify_property(goal6, cons6, prop, backend="kernel")
-        assert (obj.holds, obj.witness) == (ker.holds, ker.witness)
-    batch_obj = verify_properties(goal6, cons6, props, jobs=2,
-                                  backend="object")
-    batch_ker = verify_properties(goal6, cons6, props, jobs=2,
-                                  backend="kernel")
-    assert [(r.holds, r.witness) for r in batch_obj] == \
-        [(r.holds, r.witness) for r in batch_ker]
+        result = verify_property(goal6, cons6, prop)
+        assert result.holds == all(satisfies(t, prop) for t in legal)
+        if not result.holds:
+            assert result.witness in legal
+            assert not satisfies(result.witness, prop)
+    assert verify_properties(goal6, cons6, props, jobs=2) == \
+        verify_properties(goal6, cons6, props, jobs=1)
     _cache.setdefault("divergence", 0)
-
-
-def test_k3_shm_dispatch_beats_pickle():
-    tasks, workers = 16, 4
-    goal, _, constraints = _workload(ncons=2)
-    compiled = compile_workflow(goal, constraints)
-    expanded = compiled.goal
-
-    probe = kernel_backend.export_goal(expanded)
-    if probe is None:  # pragma: no cover - diskless runner
-        import pytest
-
-        pytest.skip("shared memory unavailable on this runner")
-    kernel_backend.release_goal(probe)
-
-    def pickle_dispatch():
-        # What the pool's queue feeder does with the goal in every task,
-        # plus the worker-side decode.
-        for _ in range(tasks):
-            pickle.loads(pickle.dumps(expanded))
-
-    def shm_dispatch():
-        handle = kernel_backend.export_goal(expanded)
-        try:
-            for _ in range(tasks):
-                pickle.loads(pickle.dumps(handle))
-            for _ in range(workers):
-                # Each worker attaches (and decodes) once, then serves
-                # every further task from its cache.
-                kernel_backend._attached_goals.clear()
-                kernel_backend.attach_goal(handle)
-        finally:
-            kernel_backend.release_goal(handle)
-
-    pickle_s = time_best_of(pickle_dispatch)
-    shm_s = time_best_of(shm_dispatch)
-    goal_bytes = len(pickle.dumps(expanded))
-    handle_bytes = len(pickle.dumps(probe))
-    _cache["dispatch"] = {
-        "tasks": tasks,
-        "workers": workers,
-        "goal_pickle_bytes": goal_bytes,
-        "handle_pickle_bytes": handle_bytes,
-        "pickle_s": pickle_s,
-        "shm_s": shm_s,
-    }
-    assert shm_s < pickle_s, (
-        f"shm dispatch {shm_s * 1e3:.2f}ms should undercut per-task goal "
-        f"pickling {pickle_s * 1e3:.2f}ms at {tasks} tasks"
-    )
-    assert handle_bytes < goal_bytes
 
 
 def test_k4_emit_json():

@@ -75,16 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
             "--no-cache", action="store_true",
             help="compile from scratch, ignoring any cache directory",
         )
-        if name != "run":
-            # Live execution stays on the object engine: the engine's
-            # failover needs the scheduler's mark/rewind snapshots.
-            command.add_argument(
-                "--backend", choices=["object", "kernel"], default=None,
-                help="query engine over the compiled goal: 'object' (the "
-                     "reference interpreters) or 'kernel' (flat integer "
-                     "tables, several times faster; identical answers). "
-                     "Default: $REPRO_BACKEND if set, else 'object'.",
-            )
         if name == "schedules":
             command.add_argument(
                 "--limit", type=int, default=100, help="maximum schedules to print"
@@ -292,16 +282,15 @@ def _cache_from_args(args):
     return CompileCache(directory)
 
 
-def _cmd_check(spec: Specification, out, cache=None, backend=None) -> int:
-    compiled = spec.compile(cache=cache, backend=backend)
+def _cmd_check(spec: Specification, out, cache=None) -> int:
+    compiled = spec.compile(cache=cache)
     report = analyze(compiled)
     print(report.describe(), file=out)
     return 0 if compiled.consistent else 1
 
 
-def _cmd_schedules(spec: Specification, out, limit: int, cache=None,
-                   backend=None) -> int:
-    compiled = spec.compile(cache=cache, backend=backend)
+def _cmd_schedules(spec: Specification, out, limit: int, cache=None) -> int:
+    compiled = spec.compile(cache=cache)
     if not compiled.consistent:
         print("inconsistent: no allowed executions", file=out)
         return 1
@@ -315,8 +304,8 @@ def _cmd_schedules(spec: Specification, out, limit: int, cache=None,
     return 0
 
 
-def _cmd_verify(spec: Specification, out, cache=None, jobs=None, seed=None,
-                backend=None) -> int:
+def _cmd_verify(spec: Specification, out, cache=None, jobs=None,
+                seed=None) -> int:
     if not spec.properties:
         print("specification declares no properties", file=out)
         return 0
@@ -325,7 +314,7 @@ def _cmd_verify(spec: Specification, out, cache=None, jobs=None, seed=None,
     results = verify_properties(
         spec.goal, list(spec.constraints),
         [prop for _, prop in spec.properties], rules=spec.rules,
-        cache=cache, jobs=jobs, seed=seed, backend=backend,
+        cache=cache, jobs=jobs, seed=seed,
     )
     failures = 0
     for (name, prop), result in zip(spec.properties, results):
@@ -661,19 +650,19 @@ def _cmd_cluster(args, out) -> int:
     return 0
 
 
-def _cmd_dot(spec: Specification, out, cache=None, backend=None) -> int:
+def _cmd_dot(spec: Specification, out, cache=None) -> int:
     from .graph.dot import goal_to_dot
 
-    compiled = spec.compile(cache=cache, backend=backend)
+    compiled = spec.compile(cache=cache)
     print(goal_to_dot(compiled.goal if compiled.consistent else compiled.source),
           file=out)
     return 0 if compiled.consistent else 1
 
 
-def _cmd_show(spec: Specification, out, cache=None, backend=None) -> int:
+def _cmd_show(spec: Specification, out, cache=None) -> int:
     from .ctr.formulas import goal_size
 
-    compiled = spec.compile(cache=cache, backend=backend)
+    compiled = spec.compile(cache=cache)
     print("source:  ", pretty(compiled.source), file=out)
     print("compiled:", pretty(compiled.goal), file=out)
     print(
@@ -708,20 +697,18 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
                            iterations=args.iterations, out=out)
         spec = load_specification(args.spec)
         cache = _cache_from_args(args)
-        backend = getattr(args, "backend", None)
         if args.command == "check":
-            return _cmd_check(spec, out, cache=cache, backend=backend)
+            return _cmd_check(spec, out, cache=cache)
         if args.command == "schedules":
-            return _cmd_schedules(spec, out, args.limit, cache=cache,
-                                  backend=backend)
+            return _cmd_schedules(spec, out, args.limit, cache=cache)
         if args.command == "verify":
             return _cmd_verify(spec, out, cache=cache, jobs=args.jobs,
-                               seed=args.witness_seed, backend=backend)
+                               seed=args.witness_seed)
         if args.command == "run":
             return _cmd_run(spec, out, args)
         if args.command == "dot":
-            return _cmd_dot(spec, out, cache=cache, backend=backend)
-        return _cmd_show(spec, out, cache=cache, backend=backend)
+            return _cmd_dot(spec, out, cache=cache)
+        return _cmd_show(spec, out, cache=cache)
     except FileNotFoundError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -33,7 +33,7 @@ import hashlib
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from ..constraints.algebra import Constraint
@@ -42,11 +42,15 @@ from ..ctr.rules import RuleBase
 from ..ctr.simplify import is_failure, simplify
 from ..ctr.unique import check_unique_events
 from ..errors import InconsistentWorkflowError
+from ..obs.tracer import NullTracer
 from .apply import apply_all
-from .excise import excise
+from .excise import ExciseStats, excise
+from .scheduler import Scheduler
 from .sync import TokenFactory
 
 __all__ = ["CompiledWorkflow", "CompileCache", "compile_workflow"]
+
+_NO_TRACER = NullTracer()
 
 
 @dataclass(frozen=True)
@@ -65,19 +69,12 @@ class CompiledWorkflow:
     goal:
         ``Excise(Apply(C, G))`` — the executable compiled goal, or
         ``¬path`` when the specification is inconsistent.
-    backend:
-        Which engine answers queries over the compiled goal: ``"object"``
-        (the original interpreters, the semantic oracle) or ``"kernel"``
-        (the flat-table programs of :mod:`repro.ctr.kernel`). A runtime
-        preference, not part of the compiled value — excluded from
-        equality and never persisted to the cache.
     """
 
     source: Goal
     constraints: tuple[Constraint, ...]
     applied: Goal
     goal: Goal
-    backend: str = field(default="object", compare=False)
 
     @property
     def consistent(self) -> bool:
@@ -117,29 +114,20 @@ class CompiledWorkflow:
             raise InconsistentWorkflowError(culprit=self.source)
         return self
 
-    def scheduler(self, test_hook=None):
+    def scheduler(self, test_hook=None) -> Scheduler:
         """A pro-active scheduler over the compiled goal.
 
-        On the ``kernel`` backend this is a
-        :class:`~repro.ctr.kernel.KernelScheduler` over the flat tables —
-        same eligible sets, same schedules, several times faster. A
-        ``test_hook`` (run-time transition conditions) always selects the
-        object :class:`~repro.core.scheduler.Scheduler`.
+        ``test_hook`` decides transition conditions at run time (see
+        :class:`~repro.core.scheduler.Scheduler`).
         """
-        from .kernel_backend import scheduler_for
-
         self.require_consistent()
-        return scheduler_for(self.goal, backend=self.backend,
-                             test_hook=test_hook)
+        return Scheduler(self.goal, test_hook=test_hook)
 
     def schedules(self, limit: int = 200_000):
         """Iterate over all allowed event sequences (linear time per path)."""
-        from .kernel_backend import scheduler_for
-
         if not self.consistent:
             return iter(())
-        return scheduler_for(self.goal, backend=self.backend) \
-            .enumerate_schedules(limit=limit)
+        return Scheduler(self.goal).enumerate_schedules(limit=limit)
 
 
 # -- the persistent compile cache ---------------------------------------------
@@ -309,7 +297,6 @@ def compile_workflow(
     obs=None,
     cache: CompileCache | str | os.PathLike | None = None,
     jobs: int | None = 1,
-    backend: str | None = None,
 ) -> CompiledWorkflow:
     """Compile a workflow specification ``G ∧ C`` into executable form.
 
@@ -320,9 +307,10 @@ def compile_workflow(
 
     ``obs`` (an :class:`~repro.obs.config.Observability`) times each phase
     of the pipeline as a span (``compile`` → ``expand``/``apply``/
-    ``excise``) and records the size accounting of Theorem 5.11 — goal
-    size before and after Apply and Excise (tree *and* DAG measures, plus
-    the sharing ratio), knots excised, the constraint count ``N`` and
+    ``excise``, the ``apply`` and ``excise`` spans annotated with the goal
+    size they produced) and records the size accounting of Theorem 5.11 —
+    goal size before and after Apply and Excise (tree *and* DAG measures,
+    plus the sharing ratio), knots excised, the constraint count ``N`` and
     arity ``d``, and the measured ``|Apply(C,G)| / (d^N·|G|)`` ratio —
     into the metrics registry on every compile.
 
@@ -338,25 +326,15 @@ def compile_workflow(
     The assembled workflow is trace-equivalent to (but not structurally
     identical with) the sequential compile; the default ``jobs=1`` is the
     sequential pipeline, bit for bit.
-
-    ``backend`` (``"object"`` | ``"kernel"``, default ``$REPRO_BACKEND``
-    then ``"object"``) selects the query engine the returned workflow's
-    :meth:`~CompiledWorkflow.scheduler`/:meth:`~CompiledWorkflow.schedules`
-    use. ``"kernel"`` additionally lowers the compiled goal to its flat
-    tables eagerly, so lowering errors surface here rather than at first
-    query and the (memoized) program is warm for every later one. The
-    compiled *value* is backend-independent.
     """
-    from .kernel_backend import resolve_backend
-
-    backend = resolve_backend(backend)
     if jobs != 1:
         from .parallel import compile_parallel, resolve_jobs
 
         if resolve_jobs(jobs) > 1:
-            result = compile_parallel(goal, constraints, rules=rules,
-                                      jobs=jobs, cache=cache, obs=obs)
-            return _with_backend(result, backend)
+            return compile_parallel(goal, constraints, rules=rules,
+                                    jobs=jobs, cache=cache, obs=obs)
+    active = obs is not None and obs.active
+    metrics = obs.metrics if active else None
     cache = CompileCache.coerce(cache)
     key = None
     if cache is not None:
@@ -366,51 +344,15 @@ def compile_workflow(
         if key is not None:
             hit = cache.load(key)
             if hit is not None:
-                if obs is not None and obs.active and obs.metrics is not None:
-                    obs.metrics.inc("compile.cache_hits")
-                    _record_compile_metrics(obs.metrics, hit, None)
-                return _with_backend(hit, backend)
-        if obs is not None and obs.active and obs.metrics is not None:
-            obs.metrics.inc("compile.cache_misses")
+                if metrics is not None:
+                    metrics.inc("compile.cache_hits")
+                    _record_compile_metrics(metrics, hit, None)
+                return hit
+        if metrics is not None:
+            metrics.inc("compile.cache_misses")
 
-    if obs is not None and obs.active:
-        result = _compile_observed(goal, constraints, rules, obs)
-    else:
-        expanded = rules.expand(goal) if rules is not None else goal
-        expanded = simplify(expanded)
-        check_unique_events(expanded)
-        tokens = TokenFactory()
-        applied = apply_all(list(constraints), expanded, tokens)
-        compiled = excise(applied)
-        result = CompiledWorkflow(
-            source=expanded,
-            constraints=tuple(constraints),
-            applied=applied,
-            goal=compiled,
-        )
-    if cache is not None and key is not None:
-        cache.store(key, result)
-    return _with_backend(result, backend)
-
-
-def _with_backend(result: CompiledWorkflow, backend: str) -> CompiledWorkflow:
-    """Stamp the resolved backend, pre-lowering the goal for ``kernel``."""
-    if backend == "kernel" and result.consistent:
-        from .kernel_backend import kernel_for
-
-        kernel_for(result.goal)
-    if result.backend == backend:
-        return result
-    return replace(result, backend=backend)
-
-
-def _compile_observed(goal, constraints, rules, obs) -> CompiledWorkflow:
-    """The instrumented pipeline (identical semantics, plus accounting)."""
-    from ..obs.config import Observability  # noqa: F401 - documents the contract
-    from .excise import ExciseStats
-
-    tracer = obs.tracer
-    metrics = obs.metrics
+    tracer = obs.tracer if active else _NO_TRACER
+    traced = tracer.enabled
     stats = ExciseStats() if metrics is not None else None
     with tracer.span("compile", constraints=len(constraints)):
         with tracer.span("expand"):
@@ -420,11 +362,13 @@ def _compile_observed(goal, constraints, rules, obs) -> CompiledWorkflow:
         tokens = TokenFactory()
         with tracer.span("apply") as apply_span:
             applied = apply_all(list(constraints), expanded, tokens,
-                                tracer=tracer if tracer.enabled else None)
-            apply_span.annotate(size=goal_size(applied))
+                                tracer=tracer if traced else None)
+            if traced:  # goal_size walks the whole DAG: only when recorded
+                apply_span.annotate(size=goal_size(applied))
         with tracer.span("excise") as excise_span:
             compiled = excise(applied, stats=stats)
-            excise_span.annotate(size=goal_size(compiled))
+            if traced:
+                excise_span.annotate(size=goal_size(compiled))
     result = CompiledWorkflow(
         source=expanded,
         constraints=tuple(constraints),
@@ -433,6 +377,8 @@ def _compile_observed(goal, constraints, rules, obs) -> CompiledWorkflow:
     )
     if metrics is not None:
         _record_compile_metrics(metrics, result, stats)
+    if cache is not None and key is not None:
+        cache.store(key, result)
     return result
 
 

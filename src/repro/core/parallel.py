@@ -58,11 +58,11 @@ import time
 import warnings
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from ..constraints.algebra import Constraint
 from ..constraints.normalize import ConstraintSplit, negate, split_disjuncts
-from ..ctr.formulas import NEG_PATH, Goal, alt
+from ..ctr.formulas import NEG_PATH, Goal, alt, event_names
 from ..ctr.rules import RuleBase
 from ..ctr.simplify import simplify
 from ..ctr.unique import check_unique_events
@@ -229,19 +229,11 @@ class ConsistencyOutcome:
 
 
 # -- worker entry points (module-level: they cross the pickle boundary) --------
-#
-# Each accepts the goal either directly (pickle fallback) or as a
-# SharedGoalHandle into the parent's shared-memory segment; resolve_shared_goal
-# attaches and decodes once per worker process, so a fan-out of N tasks ships
-# the goal DAG zero times per task instead of N.
 
 
 def _probe_chunk(goal, items, cache_spec):
     """Compile each ``(index, branch)``; stop at the first consistent one."""
-    from .kernel_backend import resolve_shared_goal
-
     started = time.perf_counter()
-    goal = resolve_shared_goal(goal)
     cache = _worker_cache(cache_spec)
     examined = 0
     hit = None
@@ -258,28 +250,26 @@ def _probe_chunk(goal, items, cache_spec):
     }
 
 
-def _verify_one(goal, constraints, prop, cache_spec, seed, backend="object"):
+def _verify_one(goal, constraints, prop, cache_spec, seed):
     """One property's full sequential verification (bit-identical to jobs=1)."""
-    from .kernel_backend import resolve_shared_goal
     from .verify import verify_property
 
     started = time.perf_counter()
     result = verify_property(
-        resolve_shared_goal(goal), list(constraints), prop,
-        cache=_worker_cache(cache_spec), seed=seed, backend=backend,
+        goal, list(constraints), prop,
+        cache=_worker_cache(cache_spec), seed=seed,
     )
     return result, time.perf_counter() - started, os.getpid()
 
 
 def _redundant_one(goal, constraints, position, cache_spec, seed):
     """Theorem 5.10 for the constraint at ``position`` (sequential semantics)."""
-    from .kernel_backend import resolve_shared_goal
     from .verify import is_redundant
 
     started = time.perf_counter()
     phi = constraints[position]
     flag = is_redundant(
-        resolve_shared_goal(goal), list(constraints), phi,
+        goal, list(constraints), phi,
         cache=_worker_cache(cache_spec), seed=seed,
     )
     return flag, time.perf_counter() - started, os.getpid()
@@ -287,10 +277,7 @@ def _redundant_one(goal, constraints, position, cache_spec, seed):
 
 def _compile_chunk(goal, items, cache_spec):
     """Fully compile each ``(index, branch)`` (no early exit — all needed)."""
-    from .kernel_backend import resolve_shared_goal
-
     started = time.perf_counter()
-    goal = resolve_shared_goal(goal)
     cache = _worker_cache(cache_spec)
     out = [
         (index, compile_workflow(goal, list(branch), cache=cache))
@@ -428,20 +415,6 @@ def _probe_sequential(
     return ConsistencyOutcome(False, None, stats)
 
 
-def _share_goal(expanded: Goal):
-    """Publish ``expanded`` for a fan-out: ``(task payload, owned handle)``.
-
-    The payload is a :class:`~repro.core.kernel_backend.SharedGoalHandle`
-    when shared memory is available (workers attach; the goal is pickled
-    into zero tasks) and the goal itself otherwise (the pickle fallback).
-    The caller must ``release_goal(handle)`` when the fan-out is over.
-    """
-    from .kernel_backend import export_goal
-
-    handle = export_goal(expanded)
-    return (expanded if handle is None else handle), handle
-
-
 def _probe_parallel(
     expanded: Goal,
     split: ConstraintSplit,
@@ -450,44 +423,36 @@ def _probe_parallel(
     stats: FanoutStats,
     chunk_size: int | None,
 ) -> ConsistencyOutcome:
-    from .kernel_backend import release_goal
-
     pool = _get_pool(jobs)
     spec = _cache_spec(cache)
     size = _chunk_size(split.total, jobs, chunk_size)
-    payload, handle = _share_goal(expanded)
-    try:
-        futures = [
-            pool.submit(_probe_chunk, payload, chunk, spec)
-            for chunk in split.chunks(size)
-        ]
-        stats.chunks = len(futures)
-        consumed: set[Future] = set()
-        workers: set[int] = set()
-        hit: int | None = None
-        remaining = set(futures)
-        while remaining:
-            done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
-            for future in done:
-                consumed.add(future)
-                result = future.result()
-                stats.examined += result["examined"]
-                stats.busy_s += result["elapsed"]
-                workers.add(result["pid"])
-                if result["hit"] is not None:
-                    hit = result["hit"] if hit is None else min(hit, result["hit"])
-            if hit is not None:
-                break
-        stats.workers = tuple(sorted(workers))
+    futures = [
+        pool.submit(_probe_chunk, expanded, chunk, spec)
+        for chunk in split.chunks(size)
+    ]
+    stats.chunks = len(futures)
+    consumed: set[Future] = set()
+    workers: set[int] = set()
+    hit: int | None = None
+    remaining = set(futures)
+    while remaining:
+        done, remaining = wait(remaining, return_when=FIRST_COMPLETED)
+        for future in done:
+            consumed.add(future)
+            result = future.result()
+            stats.examined += result["examined"]
+            stats.busy_s += result["elapsed"]
+            workers.add(result["pid"])
+            if result["hit"] is not None:
+                hit = result["hit"] if hit is None else min(hit, result["hit"])
         if hit is not None:
-            stats.early_exit = stats.examined < split.total
-            _drain_after_hit(futures, consumed, stats)
-            return ConsistencyOutcome(True, hit, stats)
-        return ConsistencyOutcome(False, None, stats)
-    finally:
-        # Unconditional: a broken pool or a worker crash must not leak the
-        # segment (unlink-while-attached is safe for still-running tasks).
-        release_goal(handle)
+            break
+    stats.workers = tuple(sorted(workers))
+    if hit is not None:
+        stats.early_exit = stats.examined < split.total
+        _drain_after_hit(futures, consumed, stats)
+        return ConsistencyOutcome(True, hit, stats)
+    return ConsistencyOutcome(False, None, stats)
 
 
 def verify_properties(
@@ -499,7 +464,6 @@ def verify_properties(
     cache: CompileCache | str | os.PathLike | None = None,
     seed: int | None = None,
     obs=None,
-    backend: str | None = None,
 ) -> list:
     """Theorem 5.9 for a batch of properties, one worker per property.
 
@@ -507,19 +471,17 @@ def verify_properties(
     order. Each worker runs the *full sequential* ``verify_property`` —
     same code, same ``seed``, same cache keys — so the results are
     bit-for-bit identical to ``jobs=1``, including counterexample goals
-    (re-interned on the way back) and witness schedules. The goal crosses
-    the process boundary once, via shared memory, not once per property.
+    (re-interned on the way back) and witness schedules, whose event names
+    are mapped back onto the goal's own strings.
     """
-    from .kernel_backend import release_goal, resolve_backend
     from .verify import verify_property
 
     jobs = resolve_jobs(jobs)
-    backend = resolve_backend(backend)
     props = list(props)
     if jobs == 1 or len(props) <= 1:
         return [
             verify_property(goal, list(constraints), prop, rules=rules,
-                            cache=cache, seed=seed, backend=backend)
+                            cache=cache, seed=seed)
             for prop in props
         ]
     expanded = _expand(goal, rules)
@@ -528,11 +490,10 @@ def verify_properties(
                         chunks=len(props))
     started = time.perf_counter()
     pool = _get_pool(jobs)
-    payload, handle = _share_goal(expanded)
     try:
         futures = [
-            pool.submit(_verify_one, payload, tuple(constraints), prop, spec,
-                        seed, backend)
+            pool.submit(_verify_one, expanded, tuple(constraints), prop, spec,
+                        seed)
             for prop in props
         ]
         harvested = [future.result() for future in futures]
@@ -540,14 +501,18 @@ def verify_properties(
         _reset_pool()
         return [
             verify_property(goal, list(constraints), prop, rules=rules,
-                            cache=cache, seed=seed, backend=backend)
+                            cache=cache, seed=seed)
             for prop in props
         ]
-    finally:
-        release_goal(handle)
+    # Unpickled witnesses hold private copies of every event name; share
+    # the goal's strings instead, as a jobs=1 witness does.
+    names = {name: name for name in event_names(expanded)}
     results = []
     workers: set[int] = set()
     for result, elapsed, pid in harvested:
+        if result.witness is not None:
+            result = replace(result, witness=tuple(
+                names.get(event, event) for event in result.witness))
         results.append(result)
         stats.examined += 1
         stats.busy_s += elapsed
@@ -589,10 +554,9 @@ def redundant_constraints(
                         chunks=len(constraints))
     started = time.perf_counter()
     pool = _get_pool(jobs)
-    payload, handle = _share_goal(expanded)
     try:
         futures = [
-            pool.submit(_redundant_one, payload, tuple(constraints), position,
+            pool.submit(_redundant_one, expanded, tuple(constraints), position,
                         spec, seed)
             for position in range(len(constraints))
         ]
@@ -604,10 +568,6 @@ def redundant_constraints(
             if is_redundant(goal, constraints, phi, rules=rules, cache=cache,
                             seed=seed)
         ]
-    finally:
-        from .kernel_backend import release_goal
-
-        release_goal(handle)
     flags = []
     workers: set[int] = set()
     for flag, elapsed, pid in harvested:
@@ -652,10 +612,9 @@ def compile_parallel(
     pool = _get_pool(jobs)
     spec = _cache_spec(cache)
     size = _chunk_size(split.total, jobs, chunk_size)
-    payload, handle = _share_goal(expanded)
     try:
         futures = [
-            pool.submit(_compile_chunk, payload, chunk, spec)
+            pool.submit(_compile_chunk, expanded, chunk, spec)
             for chunk in split.chunks(size)
         ]
         stats.chunks = len(futures)
@@ -664,10 +623,6 @@ def compile_parallel(
         _reset_pool()
         return compile_workflow(goal, list(constraints), rules=rules,
                                 cache=cache, obs=obs)
-    finally:
-        from .kernel_backend import release_goal
-
-        release_goal(handle)
     compiled: list[tuple[int, CompiledWorkflow]] = []
     workers: set[int] = set()
     for chunk_result, elapsed, pid in harvested:
@@ -701,7 +656,6 @@ def verify_property_parallel(
     cache: CompileCache | str | os.PathLike | None = None,
     seed: int | None = None,
     obs=None,
-    backend: str | None = None,
 ):
     """Theorem 5.9 for one property, deciding ``holds`` by disjunct fan-out.
 
@@ -723,4 +677,4 @@ def verify_property_parallel(
     if not outcome.consistent:
         return VerificationResult(property=prop, holds=True)
     return verify_property(goal, list(constraints), prop, rules=rules,
-                           cache=cache, seed=seed, backend=backend)
+                           cache=cache, seed=seed)

@@ -8,13 +8,22 @@ advances the residual goal. Every sequence the scheduler can produce is an
 allowed execution, and every allowed execution can be produced — soundness
 and completeness are property-tested against the trace semantics.
 
-Implementation: a lazy subset construction over the non-deterministic
-:class:`~repro.ctr.machine.Machine`. The scheduler state is the set of
-machine configurations compatible with the events fired so far; silent
-``send``/``receive``/``◇`` steps are closed over on demand. On compiled
-(excised) goals, whose choices are token-free or already hoisted, the
-configuration set stays small and a full path costs time linear in the
-original graph — the paper's scheduling bound.
+Implementation: a lazy subset construction over the flat kernel of
+:mod:`repro.ctr.kernel`. Each scheduler lowers its goal once into integer
+tables; its state is the set of kernel states ``(residual, token_mask)``
+compatible with the events fired so far, built from plain ints and
+tuples, and silent ``send``/``receive``/``◇``/test steps are closed over
+on demand. On compiled (excised) goals, whose choices are token-free or
+already hoisted, the state set stays small and a full path costs time
+linear in the original graph — the paper's scheduling bound (Thm 5.11).
+
+Every cache — the successor table and the viability memo — belongs to the
+scheduler and dies with it. Transition conditions
+(:class:`~repro.ctr.formulas.Test` nodes) go to ``test_hook`` as the
+kernel steps them; the hook reads a live database that may change between
+calls, so with a hook on a goal that has conditions no successor is
+reused from one call to the next, exactly as
+:class:`~repro.ctr.machine.Machine` recomputes every step.
 """
 
 from __future__ import annotations
@@ -23,11 +32,15 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from ..ctr.formulas import Goal
-from ..ctr.machine import Config, Machine
-from ..errors import IneligibleEventError, SchedulingError
+from ..ctr.kernel import lower_goal
 from ..ctr.traces import TooManyTracesError
+from ..errors import IneligibleEventError, SchedulingError, SpecificationError
 
 __all__ = ["Scheduler", "SchedulerMark", "SchedulerStats", "seeded_strategy"]
+
+#: Entries of the successor table before it is cleared (bounds memory on
+#: exhaustive enumerations of large schedule spaces).
+_SUCC_CACHE_MAX = 65536
 
 
 def seeded_strategy(seed: int) -> Callable[[frozenset[str]], str]:
@@ -49,8 +62,8 @@ class SchedulerStats:
     """Run-time accounting of one scheduler's work, fed to the metrics
     registry by the engine at the end of a run.
 
-    ``configs_expanded`` counts machine configurations whose successors
-    were computed in :meth:`Scheduler.eligible` — the quantity the paper's
+    ``configs_expanded`` counts kernel states whose successors were asked
+    for in :meth:`Scheduler.eligible` — the quantity the paper's
     linear-scheduling bound is about; ``viability_nodes`` counts memo
     entries decided by the failover query, the price of each reroute.
     """
@@ -67,46 +80,31 @@ class SchedulerStats:
 class SchedulerMark:
     """An O(1) mid-run checkpoint of a :class:`Scheduler`.
 
-    Captures the (immutable) configuration set by reference plus the
-    history depth; :meth:`Scheduler.rewind` restores both. Unlike
+    Captures the (immutable) state set by reference plus the history
+    depth; :meth:`Scheduler.rewind` restores both. Unlike
     :meth:`Scheduler.snapshot` this is not serializable — it is the cheap
     in-memory restore point the engine journals at every choice point for
     choice-branch failover.
     """
 
-    state: frozenset[Config]
+    state: frozenset
     depth: int
 
 
-def _externalize(goal: Goal) -> Goal:
-    """Rewrite machine-internal residual nodes into plain CTR structure.
-
-    ``Tail`` suffixes become explicit serial goals and ``Running`` markers
-    become ``Isolated`` regions (re-entering isolation on resume only
-    *narrows* interleaving back to what the original goal allowed).
-    """
-    from ..ctr.formulas import Choice, Concurrent, Isolated, Serial, alt, par, seq
-    from ..ctr.machine import Running, Tail
-
-    if isinstance(goal, Tail):
-        return seq(*(_externalize(p) for p in goal.parts[goal.start:]))
-    if isinstance(goal, Running):
-        # Keep the marker: the remaining region must still complete
-        # without interleaving (serialized natively by ctr.serialize).
-        return Running(_externalize(goal.body))
-    if isinstance(goal, Serial):
-        return seq(*(_externalize(p) for p in goal.parts))
-    if isinstance(goal, Concurrent):
-        return par(*(_externalize(p) for p in goal.parts))
-    if isinstance(goal, Choice):
-        return alt(*(_externalize(p) for p in goal.parts))
-    if isinstance(goal, Isolated):
-        return Isolated(_externalize(goal.body))
-    return goal
+def _thaw(residual):
+    """A JSON-decoded residual back to its tuple form."""
+    if isinstance(residual, list):
+        return tuple(_thaw(part) for part in residual)
+    return residual
 
 
 class Scheduler:
     """Step-by-step executor of a compiled workflow goal.
+
+    ``test_hook`` decides transition conditions at run time (the engine
+    passes one that evaluates each :class:`~repro.ctr.formulas.Test`
+    against its database); without one every condition passes, the
+    static reading.
 
     >>> from repro.ctr.formulas import atoms
     >>> a, b = atoms("a b")
@@ -118,13 +116,36 @@ class Scheduler:
     """
 
     def __init__(self, goal: Goal, test_hook=None):
-        self._machine = Machine(goal, test_hook=test_hook)
-        self._initial: frozenset[Config] = frozenset((self._machine.initial(),))
+        program = lower_goal(goal)
+        self._program = program
+        self._test = test_hook
+        self._live = test_hook is not None and bool(program.tests)
+        self._succ: dict = {}
+        self._initial = frozenset((program.initial(),))
         self._state = self._initial
         self._history: list[str] = []
-        self._viability_key: frozenset[str] | None = None
-        self._viability_memo: dict[Config, bool] = {}
+        self._viability_key: frozenset[int] | None = None
+        self._viability_memo: dict = {}
         self.stats = SchedulerStats()
+
+    def _successors(self, state) -> dict:
+        """``state``'s event-id-labelled successors, through the table."""
+        succ = self._succ.get(state)
+        if succ is None:
+            succ = self._program.successors(state, self._test)
+            if len(self._succ) >= _SUCC_CACHE_MAX:
+                self._succ.clear()
+            self._succ[state] = succ
+        return succ
+
+    def _begin(self) -> None:
+        """Start a query: with live conditions, forget earlier successors."""
+        if self._live:
+            self._succ.clear()
+
+    def _names(self, ids) -> frozenset[str]:
+        names = self._program.events
+        return frozenset(names[e] for e in ids)
 
     # -- introspection -------------------------------------------------------
 
@@ -135,17 +156,19 @@ class Scheduler:
 
     def eligible(self) -> frozenset[str]:
         """Events that may start now (the paper's "events eligible to start")."""
+        self._begin()
         stats = self.stats
         stats.eligible_calls += 1
         stats.configs_expanded += len(self._state)
-        events: set[str] = set()
-        for config in self._state:
-            events.update(self._machine.successors(config))
-        return frozenset(events)
+        events: set[int] = set()
+        for state in self._state:
+            events.update(self._successors(state))
+        return self._names(events)
 
     def can_finish(self) -> bool:
         """May the workflow terminate successfully right now?"""
-        return any(self._machine.is_final(config) for config in self._state)
+        program, test = self._program, self._test
+        return any(program.is_final(state, test) for state in self._state)
 
     @property
     def finished(self) -> bool:
@@ -161,9 +184,12 @@ class Scheduler:
 
     def fire(self, event: str) -> None:
         """Record that ``event`` has started/occurred, advancing the state."""
-        next_state: set[Config] = set()
-        for config in self._state:
-            next_state.update(self._machine.successors(config).get(event, ()))
+        self._begin()
+        event_id = self._program.event_ids.get(event)
+        next_state: set = set()
+        if event_id is not None:
+            for state in self._state:
+                next_state.update(self._successors(state).get(event_id, ()))
         if not next_state:
             raise IneligibleEventError(event, self.eligible())
         self._state = frozenset(next_state)
@@ -199,28 +225,39 @@ class Scheduler:
         nodes) the answer is evaluated against the *current* database, so
         it is exact for static goals and a sound approximation otherwise.
         """
-        memo = self._viability(avoid)
-        return any(self._config_viable(c, avoid, memo) for c in self._state)
+        self._begin()
+        avoid_ids = self._event_ids(avoid)
+        memo = self._viability(avoid_ids)
+        return any(
+            self._state_viable(s, avoid_ids, memo) for s in self._state
+        )
 
     def viable_events(self, avoid: frozenset[str] = frozenset()) -> frozenset[str]:
         """Eligible events that keep completion possible while avoiding ``avoid``.
 
         A subset of :meth:`eligible`: events in ``avoid`` are excluded, and
-        so is any event all of whose successor configurations dead-end
-        against the avoided set. Firing only returned events can therefore
-        never strand the run on a branch that needs a dead activity.
+        so is any event all of whose successor states dead-end against the
+        avoided set. Firing only returned events can therefore never strand
+        the run on a branch that needs a dead activity.
         """
-        memo = self._viability(avoid)
-        out: set[str] = set()
-        for config in self._state:
-            for event, targets in self._machine.successors(config).items():
-                if event in avoid or event in out:
+        self._begin()
+        avoid_ids = self._event_ids(avoid)
+        memo = self._viability(avoid_ids)
+        out: set[int] = set()
+        for state in self._state:
+            for event, targets in self._successors(state).items():
+                if event in avoid_ids or event in out:
                     continue
-                if any(self._config_viable(t, avoid, memo) for t in targets):
+                if any(self._state_viable(t, avoid_ids, memo) for t in targets):
                     out.add(event)
-        return frozenset(out)
+        return self._names(out)
 
-    def _viability(self, avoid: frozenset[str]) -> dict[Config, bool]:
+    def _event_ids(self, names: frozenset[str]) -> frozenset[int]:
+        ids = self._program.event_ids
+        # Events the goal never fires can be avoided for free.
+        return frozenset(ids[n] for n in names if n in ids)
+
+    def _viability(self, avoid: frozenset[int]) -> dict:
         """The memo table for ``avoid`` (reset whenever the avoided set changes)."""
         self.stats.viability_checks += 1
         if self._viability_key != avoid:
@@ -228,16 +265,16 @@ class Scheduler:
             self._viability_memo = {}
         return self._viability_memo
 
-    def _config_viable(self, config: Config, avoid: frozenset[str],
-                       memo: dict[Config, bool]) -> bool:
-        cached = memo.get(config)
+    def _state_viable(self, state, avoid: frozenset[int], memo: dict) -> bool:
+        cached = memo.get(state)
         if cached is not None:
             return cached
         # Iterative memoized post-order DFS: schedules can be thousands of
         # events deep, well past the recursion limit.
-        children: dict[Config, list[Config]] = {}
-        expanding: set[Config] = set()
-        stack: list[Config] = [config]
+        program, test = self._program, self._test
+        children: dict = {}
+        expanding: set = set()
+        stack = [state]
         while stack:
             current = stack[-1]
             if current in memo:
@@ -245,13 +282,13 @@ class Scheduler:
                 continue
             if current not in expanding:
                 expanding.add(current)
-                if self._machine.is_final(current):
+                if program.is_final(current, test):
                     memo[current] = True
                     stack.pop()
                     continue
                 kids = [
                     target
-                    for event, targets in self._machine.successors(current).items()
+                    for event, targets in self._successors(current).items()
                     if event not in avoid
                     for target in targets
                 ]
@@ -265,36 +302,35 @@ class Scheduler:
             memo[current] = any(memo.get(k, False) for k in children[current])
             self.stats.viability_nodes += 1
             stack.pop()
-        return memo[config]
+        return memo[state]
 
     # -- persistence -----------------------------------------------------------
 
     def snapshot(self) -> dict:
         """A JSON-serializable checkpoint of the run (for crash recovery).
 
-        Captures the residual goals, sent tokens, and event history. The
-        machine's internal suffix sharing is flattened on save, so a
-        restored scheduler is behaviourally identical though its residual
-        goals may be structurally rebuilt.
+        Captures the event history and the kernel states — plain
+        ``(residual, token_mask)`` pairs of ints and tuples, which JSON
+        stores as nested lists — plus the goal's event alphabet. Residuals
+        name the lowered goal's node ids, so only a scheduler over the same
+        goal can resume from it; the alphabet lets :meth:`restore` refuse a
+        snapshot from another workflow.
         """
-        from ..ctr.serialize import goal_to_dict
-
         return {
+            "events": list(self._program.events),
             "history": list(self._history),
-            "configs": [
-                {"goal": goal_to_dict(_externalize(c.goal)), "tokens": sorted(c.tokens)}
-                for c in sorted(self._state, key=repr)
-            ],
+            "states": [list(state) for state in sorted(self._state, key=repr)],
         }
 
     def restore(self, snapshot: dict) -> None:
         """Resume from a :meth:`snapshot` taken on an equivalent scheduler."""
-        from ..ctr.serialize import goal_from_dict
-
+        if snapshot["events"] != list(self._program.events):
+            raise SpecificationError(
+                "snapshot was taken on a different workflow"
+            )
         self._history = list(snapshot["history"])
         self._state = frozenset(
-            Config(goal_from_dict(entry["goal"]), frozenset(entry["tokens"]))
-            for entry in snapshot["configs"]
+            (_thaw(residual), mask) for residual, mask in snapshot["states"]
         )
 
     def run(
@@ -324,28 +360,35 @@ class Scheduler:
     # -- exhaustive enumeration ------------------------------------------------
 
     def enumerate_schedules(self, limit: int = 200_000) -> Iterator[tuple[str, ...]]:
-        """Yield every allowed complete event sequence (depth-first).
+        """Yield every allowed complete event sequence (depth-first, sorted).
 
         Enumeration is linear in the path length per schedule; the *number*
-        of schedules can of course be exponential, hence ``limit``.
+        of schedules can of course be exponential, hence ``limit``. The
+        walk keeps an explicit stack, so schedules of any length enumerate
+        without recursion.
         """
+        self._begin()
+        program, test = self._program, self._test
+        names = program.events
         produced = 0
         seen_outputs: set[tuple[str, ...]] = set()
-
-        def dfs(state: frozenset[Config], prefix: tuple[str, ...]) -> Iterator[tuple[str, ...]]:
-            nonlocal produced
-            if any(self._machine.is_final(config) for config in state):
+        # (state set, prefix) frames; children are pushed in reverse-sorted
+        # order so schedules come out in lexicographic event order.
+        stack = [(self._state, tuple(self._history))]
+        while stack:
+            state, prefix = stack.pop()
+            if any(program.is_final(s, test) for s in state):
                 if prefix not in seen_outputs:
                     seen_outputs.add(prefix)
                     produced += 1
                     if produced > limit:
                         raise TooManyTracesError(limit)
                     yield prefix
-            events: dict[str, set[Config]] = {}
-            for config in state:
-                for event, targets in self._machine.successors(config).items():
+            events: dict[int, set] = {}
+            for s in state:
+                for event, targets in self._successors(s).items():
                     events.setdefault(event, set()).update(targets)
-            for event in sorted(events):
-                yield from dfs(frozenset(events[event]), prefix + (event,))
-
-        yield from dfs(self._state, tuple(self._history))
+            for event in sorted(events, key=lambda e: names[e], reverse=True):
+                stack.append(
+                    (frozenset(events[event]), prefix + (names[event],))
+                )

@@ -99,7 +99,6 @@ def verify_property(
     cache=None,
     jobs: int | None = 1,
     seed: int | None = None,
-    backend: str | None = None,
 ) -> VerificationResult:
     """Theorem 5.9: check that every legal execution satisfies ``prop``.
 
@@ -117,10 +116,6 @@ def verify_property(
     ``C ∧ ¬Φ`` with first-counterexample early exit; a failing property
     then materializes the canonical counterexample sequentially so the
     returned result is bit-for-bit the ``jobs=1`` one.
-
-    ``backend`` selects the witness-extraction engine (``"object"`` |
-    ``"kernel"``, default ``$REPRO_BACKEND``); the kernel scheduler walks
-    the same eligible sets, so the witness is identical either way.
     """
     if jobs != 1:
         from .parallel import resolve_jobs, verify_property_parallel
@@ -128,12 +123,11 @@ def verify_property(
         if resolve_jobs(jobs) > 1:
             return verify_property_parallel(
                 goal, constraints, prop, rules=rules, jobs=jobs, cache=cache,
-                seed=seed, backend=backend,
+                seed=seed,
             )
     negated = negate(prop)
     violating: CompiledWorkflow = compile_workflow(
-        goal, list(constraints) + [negated], rules=rules, cache=cache,
-        backend=backend,
+        goal, list(constraints) + [negated], rules=rules, cache=cache
     )
     if violating.consistent:
         strategy = None
@@ -160,19 +154,18 @@ def verify_properties(
     jobs: int | None = 1,
     seed: int | None = None,
     obs=None,
-    backend: str | None = None,
 ) -> list[VerificationResult]:
     """Theorem 5.9 for a batch of properties (results in ``props`` order).
 
     With ``jobs>1`` each property verifies on its own worker process (the
     batch analogue of ``verify --jobs N``); every worker runs the exact
     sequential :func:`verify_property`, so the batch is bit-for-bit the
-    sequential list at any ``jobs`` and any ``backend``.
+    sequential list at any ``jobs``.
     """
     from .parallel import verify_properties as fanout
 
     return fanout(goal, constraints, props, rules=rules, jobs=jobs,
-                  cache=cache, seed=seed, obs=obs, backend=backend)
+                  cache=cache, seed=seed, obs=obs)
 
 
 def is_redundant(

@@ -1,13 +1,12 @@
-"""Flat automata kernel: goals lowered to integer tables, executed without objects.
+"""Flat kernel: goals lowered to integer tables, executed without objects.
 
 Section 6 of the paper contrasts CONSTR compilation with the "standard
 toolkit": turn the property into a finite automaton and model-check the
 product with the system. :mod:`repro.baselines.automata` builds that
-toolkit over Python objects; this module is the *production* version of the
-same idea, applied to the goals themselves. A compiled (knot-free) goal is
-**lowered** once into a :class:`KernelProgram` — a handful of flat integer
-tables — and every hot query (trace enumeration, executability, counting,
-scheduling, constraint acceptance) then runs over those tables with
+toolkit over Python objects; this module applies the same idea to the
+goals themselves. A goal is **lowered** into a :class:`KernelProgram` — a
+handful of flat, immutable tables — and the step semantics of
+:class:`~repro.ctr.machine.Machine` then runs over those tables with
 
 * the event alphabet interned to dense integer ids,
 * the goal structure as a post-order node table (the same shared-DAG
@@ -15,49 +14,35 @@ scheduling, constraint acceptance) then runs over those tables with
   ``kinds``/``args``/``lens`` arrays plus one flat ``children`` array),
 * synchronization tokens as bits of one integer mask instead of
   ``frozenset`` objects,
-* constraint checking as :class:`ConstraintKernel` integer step tables —
-  the :class:`~repro.baselines.automata.ConstraintAutomaton` DFA, but over
-  event ids with a per-leaf ``alphabet → position`` table and a postfix
-  acceptance bytecode — instead of formula re-walks,
+* transition conditions as the original
+  :class:`~repro.ctr.formulas.Test` objects, kept in ``tests`` and handed
+  to the caller's ``test`` callback whenever a ``K_TEST`` node steps (no
+  callback reads every condition as passable, the static reading the
+  trace semantics uses),
 * and every traversal iterative (explicit work stacks, saturating
   budgets), so deep goals neither recurse past the interpreter limit nor
   do unbounded work past their budget.
 
 Execution states are ``(residual, token_mask)`` pairs where the residual
 term is built from plain ints (node ids) and small tuples; structurally
-equal residuals hash in O(size of the *changed* spine), which is what makes
-the kernel machine several times faster than the object
-:class:`~repro.ctr.machine.Machine` on wide concurrent goals. Candidate
+equal residuals hash in O(size of the *changed* spine). Candidate
 interleavings that violate send-before-receive are pruned *during* the
 search (a ``receive`` simply has no step until its token bit is set), not
 generated and filtered afterwards — on heavily synchronized compiled goals
-this is an exponential reduction in work, which is what lets the
-``test_minimize`` property run inside its trace budget.
+this is an exponential reduction in work.
 
-The kernel is the *fast path*, not the semantics: :mod:`repro.ctr.traces`
-and :mod:`repro.core.scheduler` remain the oracle, and the differential
-suite in ``tests/ctr/test_kernel.py`` asserts bit-identical answers. The
-lowering is static — :class:`~repro.ctr.formulas.Test` predicates are
-treated as passable (the same sound-not-complete reading the trace
-semantics uses); run-time execution with live transition conditions stays
-on the object backend.
-
-Programs are frozen after lowering and safely shareable: the tables
-serialize to one contiguous buffer (:meth:`KernelProgram.to_bytes`) and
-rebuild zero-copy from any buffer (:meth:`KernelProgram.from_buffer`,
-used by :mod:`repro.core.kernel_backend` to hand one
-``multiprocessing.shared_memory`` segment to a whole worker pool).
+This is the engine under :class:`repro.core.scheduler.Scheduler`, which
+owns every cache; a program holds nothing but its tables. The object
+interpreters — :mod:`repro.ctr.traces` and :mod:`repro.ctr.machine` —
+remain the semantic oracle, and ``tests/ctr/test_kernel.py`` asserts the
+kernel agrees with them.
 """
 
 from __future__ import annotations
 
-import json
-from array import array
-from typing import Callable, Iterator
+from typing import Callable
 
-from ..constraints.algebra import And, Constraint, Or, Primitive, SerialConstraint
-from ..constraints.normalize import normalize
-from ..errors import IneligibleEventError, SchedulingError, SpecificationError
+from ..errors import SpecificationError
 from .formulas import (
     Atom,
     Choice,
@@ -77,8 +62,6 @@ from .traces import TooManyTracesError, TraceCount
 
 __all__ = [
     "KernelProgram",
-    "KernelScheduler",
-    "ConstraintKernel",
     "lower_goal",
     "K_EMPTY",
     "K_ATOM",
@@ -94,9 +77,9 @@ __all__ = [
 ]
 
 
-# Node kind codes of the flat table. Leaves carry their event/token id in
-# ``args``; composites carry the offset of their child block in ``children``
-# (``lens`` holds the block length).
+# Node kind codes of the flat table. Leaves carry their event/token/test id
+# in ``args``; composites carry the offset of their child block in
+# ``children`` (``lens`` holds the block length).
 K_EMPTY = 0
 K_ATOM = 1
 K_SEND = 2
@@ -109,13 +92,6 @@ K_CHOICE = 8
 K_ISOLATED = 9
 K_POSSIBILITY = 10
 
-_KIND_NAMES = {
-    K_EMPTY: "empty", K_ATOM: "atom", K_SEND: "send", K_RECV: "receive",
-    K_TEST: "test", K_NEGPATH: "neg_path", K_SERIAL: "serial",
-    K_CONCURRENT: "concurrent", K_CHOICE: "choice", K_ISOLATED: "isolated",
-    K_POSSIBILITY: "possibility",
-}
-
 # Residual-term sentinels. A residual is one of:
 #   an ``int >= 0``          — an unstarted node (index into the tables);
 #   ``DONE``                 — a completed term;
@@ -125,34 +101,35 @@ _KIND_NAMES = {
 #   ``("!", body)``          — a running isolated region (no interleaving).
 DONE = -1
 
-_SERIAL_FORMAT = 2  # bump when the to_bytes() layout changes
+#: Decides a transition condition at run time (``True`` = passable).
+TestCallback = Callable[[Test], bool]
 
 
 class KernelProgram:
     """A goal lowered to flat integer tables, plus its machine ops.
 
-    Build with :func:`lower_goal` (or :meth:`from_buffer` to attach to a
-    serialized program, e.g. one living in shared memory). All tables are
-    immutable after construction; the only mutable state is a bounded
-    successor cache, so one program may serve many concurrent queries.
+    Build with :func:`lower_goal`. The tables are immutable and the ops
+    are pure functions of them (and of the optional ``test`` callback), so
+    a program carries no state between queries.
     """
 
     __slots__ = (
-        "events", "tokens", "kinds", "args", "lens", "children", "root",
-        "nullable", "event_ids", "_succ_cache",
+        "events", "tokens", "tests", "kinds", "args", "lens", "children",
+        "root", "nullable", "event_ids",
     )
 
-    def __init__(self, events, tokens, kinds, args, lens, children, root):
+    def __init__(self, events, tokens, tests, kinds, args, lens, children,
+                 root):
         self.events = tuple(events)
         self.tokens = tuple(tokens)
-        self.kinds = kinds
-        self.args = args
-        self.lens = lens
-        self.children = children
+        self.tests = tuple(tests)
+        self.kinds = tuple(kinds)
+        self.args = tuple(args)
+        self.lens = tuple(lens)
+        self.children = tuple(children)
         self.root = root
         self.event_ids = {name: i for i, name in enumerate(self.events)}
         self.nullable = self._compute_nullable()
-        self._succ_cache: dict = {}
 
     # -- lowering --------------------------------------------------------------
 
@@ -163,10 +140,11 @@ class KernelProgram:
 
         events: dict[str, int] = {}
         tokens: dict[str, int] = {}
-        kinds = array("b")
-        args = array("q")
-        lens = array("q")
-        children = array("q")
+        tests: list[Test] = []
+        kinds: list[int] = []
+        args: list[int] = []
+        lens: list[int] = []
+        children: list[int] = []
         index: dict[int, int] = {}
 
         def leaf_code(node: Goal) -> tuple[int, int] | None:
@@ -177,7 +155,8 @@ class KernelProgram:
             if isinstance(node, Receive):
                 return K_RECV, tokens.setdefault(node.token, len(tokens))
             if isinstance(node, Test):
-                return K_TEST, 0
+                tests.append(node)
+                return K_TEST, len(tests) - 1
             if isinstance(node, Empty):
                 return K_EMPTY, 0
             if isinstance(node, NegPath):
@@ -237,10 +216,8 @@ class KernelProgram:
                 children.extend(index[id(c)] for c in kids)
             index[id(node)] = len(kinds) - 1
 
-        return cls(
-            tuple(events), tuple(tokens), kinds, args, lens, children,
-            index[id(goal)],
-        )
+        return cls(events, tokens, tests, kinds, args, lens, children,
+                   index[id(goal)])
 
     def _compute_nullable(self) -> bytes:
         """Per-node "can complete without any step" bit (post-order pass)."""
@@ -262,63 +239,8 @@ class KernelProgram:
             elif kind == K_ISOLATED:
                 out[i] = out[self.children[self.args[i]]]
             # K_TEST is a silent *step* (length-1 path), matching the
-            # machine: not nullable, but always passable.
+            # machine: not nullable, though usually passable.
         return bytes(out)
-
-    # -- serialization (the shareable frozen-table form) -----------------------
-
-    def to_bytes(self) -> bytes:
-        """One contiguous buffer: header JSON + 8-byte-aligned tables."""
-        header = json.dumps({
-            "format": _SERIAL_FORMAT,
-            "events": list(self.events),
-            "tokens": list(self.tokens),
-            "root": self.root,
-            "nodes": len(self.kinds),
-            "children": len(self.children),
-        }, separators=(",", ":")).encode("utf-8")
-        parts = [len(header).to_bytes(8, "little"), header]
-        pad = (-(8 + len(header))) % 8
-        parts.append(b"\x00" * pad)
-        parts.append(bytes(self.kinds))
-        parts.append(b"\x00" * ((-len(self.kinds)) % 8))
-        for table in (self.args, self.lens, self.children):
-            parts.append(
-                table.tobytes() if isinstance(table, array)
-                else bytes(table)  # memoryview-backed program
-            )
-        return b"".join(parts)
-
-    @classmethod
-    def from_buffer(cls, buffer) -> "KernelProgram":
-        """Rebuild a program *zero-copy* over ``buffer`` (e.g. shared memory).
-
-        The big tables become ``memoryview.cast`` views into the buffer —
-        nothing is copied but the small header — so any number of
-        processes can execute one shared segment.
-        """
-        view = memoryview(buffer)
-        header_len = int.from_bytes(bytes(view[:8]), "little")
-        header = json.loads(bytes(view[8:8 + header_len]).decode("utf-8"))
-        if header.get("format") != _SERIAL_FORMAT:
-            raise SpecificationError(
-                f"unsupported kernel program format {header.get('format')!r}"
-            )
-        offset = 8 + header_len
-        offset += (-offset) % 8
-        n = header["nodes"]
-        kinds = view[offset:offset + n]
-        offset += n + ((-n) % 8)
-        args = view[offset:offset + 8 * n].cast("q")
-        offset += 8 * n
-        lens = view[offset:offset + 8 * n].cast("q")
-        offset += 8 * n
-        m = header["children"]
-        children = view[offset:offset + 8 * m].cast("q")
-        return cls(
-            tuple(header["events"]), tuple(header["tokens"]),
-            kinds, args, lens, children, header["root"],
-        )
 
     # -- residual structure ----------------------------------------------------
 
@@ -360,22 +282,24 @@ class KernelProgram:
 
     def rem_nullable(self, rem) -> bool:
         """Can this residual complete without taking any step?"""
+        nullable = self.nullable
         stack = [rem]
         while stack:
             current = stack.pop()
-            if current == DONE:
-                continue
             if isinstance(current, int):
-                if not self.nullable[current]:
+                if current != DONE and not nullable[current]:
                     return False
                 continue
             tag = current[0]
             if tag == "*":
                 _, head, node, position = current
-                stack.append(head)
+                # The unstarted tail first: on a long serial spine the
+                # first non-nullable child settles it in O(1).
                 off = self.args[node]
                 for j in range(position, self.lens[node]):
-                    stack.append(self.children[off + j])
+                    if not nullable[self.children[off + j]]:
+                        return False
+                stack.append(head)
             elif tag == "|":
                 stack.extend(current[1])
             else:  # "!"
@@ -399,7 +323,7 @@ class KernelProgram:
 
     # -- step derivation (iterative, memoized per call) ------------------------
 
-    def _steps(self, rem, tok: int, memo: dict | None = None):
+    def _steps(self, rem, tok: int, test: TestCallback | None = None):
         """All single steps of ``(rem, tok)`` as ``(label, rem', tok')``.
 
         ``label`` is an event id, or ``None`` for silent steps
@@ -408,24 +332,23 @@ class KernelProgram:
         with a per-call memo (the token mask is fixed during one
         derivation: sends change it only in *result* states).
         """
-        if memo is None:
-            memo = {}
+        memo: dict = {}
         stack = [rem]
         while stack:
             current = stack[-1]
             if current in memo:
                 stack.pop()
                 continue
-            deps = self._step_deps(current, tok)
+            deps = self._step_deps(current)
             pending = [d for d in deps if d not in memo]
             if pending:
                 stack.extend(pending)
                 continue
-            memo[current] = self._combine_steps(current, tok, memo)
+            memo[current] = self._combine_steps(current, tok, memo, test)
             stack.pop()
         return memo[rem]
 
-    def _step_deps(self, rem, tok: int) -> tuple:
+    def _step_deps(self, rem) -> tuple:
         """Sub-residuals whose steps ``rem``'s own steps are built from."""
         if rem == DONE:
             return ()
@@ -437,11 +360,7 @@ class KernelProgram:
                 if self.nullable[head]:
                     deps.append(self._serial_tail(rem, 1))
                 return tuple(d for d in deps if d != DONE)
-            if kind == K_CONCURRENT:
-                return tuple(
-                    self._child(rem, j) for j in range(self.lens[rem])
-                )
-            if kind == K_CHOICE:
+            if kind in (K_CONCURRENT, K_CHOICE):
                 return tuple(
                     self._child(rem, j) for j in range(self.lens[rem])
                 )
@@ -463,7 +382,8 @@ class KernelProgram:
             return tuple(running) if running else parts
         return (rem[1],)  # "!"
 
-    def _combine_steps(self, rem, tok: int, memo: dict) -> tuple:
+    def _combine_steps(self, rem, tok: int, memo: dict,
+                       test: TestCallback | None) -> tuple:
         if rem == DONE:
             return ()
         if isinstance(rem, int):
@@ -477,11 +397,13 @@ class KernelProgram:
                     return ((None, DONE, tok),)
                 return ()
             if kind == K_TEST:
-                return ((None, DONE, tok),)
+                if test is None or test(self.tests[self.args[rem]]):
+                    return ((None, DONE, tok),)
+                return ()
             if kind in (K_EMPTY, K_NEGPATH):
                 return ()
             if kind == K_POSSIBILITY:
-                if self.can_complete(self._child(rem, 0), tok):
+                if self.can_complete(self._child(rem, 0), tok, test=test):
                     return ((None, DONE, tok),)
                 return ()
             if kind == K_SERIAL:
@@ -543,19 +465,21 @@ class KernelProgram:
     def _concurrent_steps(self, parts: tuple, memo: dict,
                           only: tuple | None = None) -> tuple:
         out = []
-        active = only if only is not None else parts
         for i, part in enumerate(parts):
             if only is not None and part not in only:
                 continue
             for label, nxt, t2 in memo[part]:
                 replaced = parts[:i] + (nxt,) + parts[i + 1:]
                 out.append((label, self._mk_concurrent(replaced), t2))
-        del active
         return tuple(out)
 
-    # -- reachability ----------------------------------------------------------
+    # -- state queries ---------------------------------------------------------
 
-    def can_complete(self, rem, tok: int, budget: int | None = None) -> bool:
+    def initial(self):
+        return (self.root, 0)
+
+    def can_complete(self, rem, tok: int, budget: int | None = None,
+                     test: TestCallback | None = None) -> bool:
         """Is there *any* full execution from ``(rem, tok)``? (state search)"""
         seen = {(rem, tok)}
         stack = [(rem, tok)]
@@ -565,24 +489,22 @@ class KernelProgram:
                 return True
             if budget is not None and len(seen) > budget:
                 raise TooManyTracesError(budget)
-            for _label, nxt, t2 in self._steps(r, t):
+            for _label, nxt, t2 in self._steps(r, t, test):
                 state = (nxt, t2)
                 if state not in seen:
                     seen.add(state)
                     stack.append(state)
         return False
 
-    def successors(self, state) -> dict[int, frozenset]:
+    def successors(self, state,
+                   test: TestCallback | None = None) -> dict[int, frozenset]:
         """Event-id-labelled successor states, silent steps closed over."""
-        cached = self._succ_cache.get(state)
-        if cached is not None:
-            return cached
         seen = {state}
         frontier = [state]
         result: dict[int, set] = {}
         while frontier:
             r, t = frontier.pop()
-            for label, nxt, t2 in self._steps(r, t):
+            for label, nxt, t2 in self._steps(r, t, test):
                 if label is None:
                     silent = (nxt, t2)
                     if silent not in seen:
@@ -590,13 +512,9 @@ class KernelProgram:
                         frontier.append(silent)
                 else:
                     result.setdefault(label, set()).add((nxt, t2))
-        frozen = {label: frozenset(states) for label, states in result.items()}
-        if len(self._succ_cache) >= 65536:
-            self._succ_cache.clear()
-        self._succ_cache[state] = frozen
-        return frozen
+        return {label: frozenset(states) for label, states in result.items()}
 
-    def is_final(self, state) -> bool:
+    def is_final(self, state, test: TestCallback | None = None) -> bool:
         """Can ``state`` complete using silent steps only?"""
         seen = {state}
         frontier = [state]
@@ -604,7 +522,7 @@ class KernelProgram:
             r, t = frontier.pop()
             if self.rem_nullable(r):
                 return True
-            for label, nxt, t2 in self._steps(r, t):
+            for label, nxt, t2 in self._steps(r, t, test):
                 if label is None:
                     silent = (nxt, t2)
                     if silent not in seen:
@@ -612,18 +530,16 @@ class KernelProgram:
                         frontier.append(silent)
         return False
 
-    def initial(self):
-        return (self.root, 0)
+    # -- budgeted trace queries (static reading: every test passes) -----------
 
-    # -- budgeted trace queries ------------------------------------------------
-
-    def traces(self, max_traces: int = 200_000) -> frozenset[tuple[str, ...]]:
-        """All valid event sequences (names), by pruned machine search.
+    def _complete_prefixes(self, max_traces: int):
+        """Distinct complete event-id sequences, and whether the search
+        finished within ``max_traces`` reached ``(prefix, state)`` pairs.
 
         Invalid interleavings are never generated (a ``receive`` without
-        its token has no step), so the budget bounds *reached states*, and
-        heavily synchronized goals enumerate in time proportional to their
-        valid executions — not to the raw interleaving space.
+        its token has no step), so heavily synchronized goals enumerate in
+        time proportional to their valid executions — not to the raw
+        interleaving space.
         """
         out: set[tuple[int, ...]] = set()
         seen: set = set()
@@ -635,13 +551,20 @@ class KernelProgram:
                 continue
             seen.add(key)
             if len(seen) > max_traces:
-                raise TooManyTracesError(max_traces)
+                return out, False
             r, t = state
             if self.rem_nullable(r):
                 out.add(prefix)
             for label, nxt, t2 in self._steps(r, t):
                 new_prefix = prefix if label is None else prefix + (label,)
                 stack.append((new_prefix, (nxt, t2)))
+        return out, True
+
+    def traces(self, max_traces: int = 200_000) -> frozenset[tuple[str, ...]]:
+        """All valid event sequences (names), by pruned machine search."""
+        out, exact = self._complete_prefixes(max_traces)
+        if not exact:
+            raise TooManyTracesError(max_traces)
         names = self.events
         return frozenset(tuple(names[e] for e in prefix) for prefix in out)
 
@@ -657,415 +580,18 @@ class KernelProgram:
     def count_traces(self, max_traces: int = 200_000) -> TraceCount:
         """Number of distinct valid event sequences, saturating at budget.
 
-        The counter saturates rather than raising: past ``max_traces``
-        explored prefixes the count so far is returned as a lower bound
-        (``TraceCount(n, exact=False)``), so the budget bounds *work*
-        while still answering the question.
-
-        Exact counts are bit-identical to
-        :func:`repro.ctr.traces.count_traces`; *saturated* lower bounds
-        need not match it, because the pruned kernel search and the
-        object-level shuffle enumeration explore (and spend budget) in
-        different orders. The kernel may also report an exact count where
-        the object engine saturates — its pruning skips intermediate
-        interleavings the object engine must materialize.
+        Past ``max_traces`` explored prefixes the count so far is returned
+        as a lower bound (``TraceCount(n, exact=False)``), so the budget
+        bounds *work* while still answering the question. Exact counts
+        equal :func:`repro.ctr.traces.count_traces`; saturated lower
+        bounds need not, and the kernel may count exactly where the
+        object enumeration saturates — its pruning skips interleavings
+        the object engine must materialize.
         """
-        out: set[tuple[int, ...]] = set()
-        seen: set = set()
-        stack = [((), self.initial())]
-        while stack:
-            prefix, state = stack.pop()
-            key = (prefix, state)
-            if key in seen:
-                continue
-            seen.add(key)
-            if len(seen) > max_traces:
-                return TraceCount(len(out), exact=False)
-            r, t = state
-            if self.rem_nullable(r):
-                out.add(prefix)
-            for label, nxt, t2 in self._steps(r, t):
-                new_prefix = prefix if label is None else prefix + (label,)
-                stack.append((new_prefix, (nxt, t2)))
-        return TraceCount(len(out), exact=True)
-
-    def iter_traces(self, max_traces: int = 200_000) -> Iterator[tuple[str, ...]]:
-        """Lazily yield distinct valid event sequences (search order)."""
-        out: set[tuple[int, ...]] = set()
-        seen: set = set()
-        stack = [((), self.initial())]
-        names = self.events
-        while stack:
-            prefix, state = stack.pop()
-            key = (prefix, state)
-            if key in seen:
-                continue
-            seen.add(key)
-            if len(seen) > max_traces:
-                raise TooManyTracesError(max_traces)
-            r, t = state
-            if self.rem_nullable(r) and prefix not in out:
-                out.add(prefix)
-                yield tuple(names[e] for e in prefix)
-            for label, nxt, t2 in self._steps(r, t):
-                new_prefix = prefix if label is None else prefix + (label,)
-                stack.append((new_prefix, (nxt, t2)))
+        out, exact = self._complete_prefixes(max_traces)
+        return TraceCount(len(out), exact=exact)
 
 
 def lower_goal(goal: Goal) -> KernelProgram:
     """Lower ``goal`` to its flat kernel program."""
     return KernelProgram.from_goal(goal)
-
-
-class KernelScheduler:
-    """The pro-active scheduler of Section 4, over kernel states.
-
-    API-compatible with the object
-    :class:`~repro.core.scheduler.Scheduler` for the static subset
-    (``eligible``/``fire``/``run``/``viable``/``viable_events``/
-    ``enumerate_schedules``); eligible sets and produced schedules are
-    identical, so witness extraction is backend-independent bit for bit.
-    Transition-condition hooks are not supported — run-time execution
-    against a live database stays on the object backend.
-    """
-
-    def __init__(self, program: KernelProgram):
-        self.program = program
-        self._initial = frozenset((program.initial(),))
-        self._state = self._initial
-        self._history: list[str] = []
-        self._viability_key: frozenset[int] | None = None
-        self._viability_memo: dict = {}
-
-    @property
-    def history(self) -> tuple[str, ...]:
-        return tuple(self._history)
-
-    def _event_ids(self, names: frozenset[str]) -> frozenset[int]:
-        ids = self.program.event_ids
-        # Events the program never fires can be avoided for free.
-        return frozenset(ids[n] for n in names if n in ids)
-
-    def eligible(self) -> frozenset[str]:
-        events: set[int] = set()
-        for state in self._state:
-            events.update(self.program.successors(state))
-        names = self.program.events
-        return frozenset(names[e] for e in events)
-
-    def can_finish(self) -> bool:
-        return any(self.program.is_final(state) for state in self._state)
-
-    @property
-    def finished(self) -> bool:
-        return not self.eligible()
-
-    def fire(self, event: str) -> None:
-        event_id = self.program.event_ids.get(event)
-        next_state: set = set()
-        if event_id is not None:
-            for state in self._state:
-                next_state.update(
-                    self.program.successors(state).get(event_id, ())
-                )
-        if not next_state:
-            raise IneligibleEventError(event, self.eligible())
-        self._state = frozenset(next_state)
-        self._history.append(event)
-
-    def reset(self) -> None:
-        self._state = self._initial
-        self._history = []
-
-    # -- branch viability ------------------------------------------------------
-
-    def viable(self, avoid: frozenset[str] = frozenset()) -> bool:
-        """Can the workflow still complete without ever firing ``avoid``?"""
-        avoid_ids = self._event_ids(avoid)
-        memo = self._viability(avoid_ids)
-        return any(
-            self._state_viable(s, avoid_ids, memo) for s in self._state
-        )
-
-    def viable_events(self, avoid: frozenset[str] = frozenset()) -> frozenset[str]:
-        """Eligible events that keep completion possible avoiding ``avoid``."""
-        avoid_ids = self._event_ids(avoid)
-        memo = self._viability(avoid_ids)
-        out: set[int] = set()
-        for state in self._state:
-            for event, targets in self.program.successors(state).items():
-                if event in avoid_ids or event in out:
-                    continue
-                if any(self._state_viable(t, avoid_ids, memo) for t in targets):
-                    out.add(event)
-        names = self.program.events
-        return frozenset(names[e] for e in out)
-
-    def _viability(self, avoid: frozenset[int]) -> dict:
-        if self._viability_key != avoid:
-            self._viability_key = avoid
-            self._viability_memo = {}
-        return self._viability_memo
-
-    def _state_viable(self, state, avoid: frozenset[int], memo: dict) -> bool:
-        cached = memo.get(state)
-        if cached is not None:
-            return cached
-        children: dict = {}
-        expanding: set = set()
-        stack = [state]
-        program = self.program
-        while stack:
-            current = stack[-1]
-            if current in memo:
-                stack.pop()
-                continue
-            if current not in expanding:
-                expanding.add(current)
-                if program.is_final(current):
-                    memo[current] = True
-                    stack.pop()
-                    continue
-                kids = [
-                    target
-                    for event, targets in program.successors(current).items()
-                    if event not in avoid
-                    for target in targets
-                ]
-                children[current] = kids
-                pending = [
-                    k for k in kids if k not in memo and k not in expanding
-                ]
-                if pending:
-                    stack.extend(pending)
-                    continue
-            memo[current] = any(memo.get(k, False) for k in children[current])
-            stack.pop()
-        return memo[state]
-
-    # -- driving ---------------------------------------------------------------
-
-    def run(
-        self,
-        strategy: Callable[[frozenset[str]], str] | None = None,
-        max_steps: int = 100_000,
-    ) -> tuple[str, ...]:
-        """Drive to completion; identical schedules to the object scheduler."""
-        pick = strategy or (lambda events: min(events))
-        for _ in range(max_steps):
-            events = self.eligible()
-            if not events:
-                if self.can_finish():
-                    return self.history
-                raise SchedulingError(
-                    "workflow is stuck: no eligible event and cannot finish "
-                    "(was the goal excised?)"
-                )
-            self.fire(pick(events))
-        raise SchedulingError(f"workflow did not finish within {max_steps} steps")
-
-    def enumerate_schedules(self, limit: int = 200_000) -> Iterator[tuple[str, ...]]:
-        """Every allowed complete event sequence, depth-first, sorted order."""
-        program = self.program
-        names = program.events
-        produced = 0
-        seen_outputs: set[tuple[str, ...]] = set()
-        # Explicit DFS: (state-set, prefix) frames, children pushed in
-        # reverse-sorted order so output order matches the object
-        # scheduler's recursive generator.
-        stack = [(self._state, tuple(self._history))]
-        while stack:
-            state, prefix = stack.pop()
-            if any(program.is_final(s) for s in state):
-                if prefix not in seen_outputs:
-                    seen_outputs.add(prefix)
-                    produced += 1
-                    if produced > limit:
-                        raise TooManyTracesError(limit)
-                    yield prefix
-            events: dict[int, set] = {}
-            for s in state:
-                for event, targets in program.successors(s).items():
-                    events.setdefault(event, set()).update(targets)
-            for event in sorted(events, key=lambda e: names[e], reverse=True):
-                stack.append(
-                    (frozenset(events[event]), prefix + (names[event],))
-                )
-
-
-# -- constraint step tables ----------------------------------------------------
-
-
-_VIOLATED = -1
-_OP_LEAF = 0
-_OP_AND = 1
-_OP_OR = 2
-
-
-class ConstraintKernel:
-    """CONSTR constraints as integer step tables over an event-id alphabet.
-
-    The :class:`~repro.baselines.automata.ConstraintAutomaton` DFA with
-    the object walk compiled away: leaf states are ints in one flat tuple,
-    each serial leaf steps through a precomputed ``alphabet → position``
-    table, and acceptance evaluates a postfix bytecode over leaf verdicts
-    (memoized per state). Verdicts are identical to the automaton baseline
-    and to :func:`repro.constraints.satisfy.satisfies` — asserted by the
-    differential suite.
-    """
-
-    __slots__ = (
-        "constraints", "alphabet", "event_ids", "_leaves", "_bytecode",
-        "_accept_cache",
-    )
-
-    def __init__(self, constraints, alphabet):
-        self.constraints = tuple(constraints)
-        self.alphabet = tuple(alphabet)
-        self.event_ids = {name: i for i, name in enumerate(self.alphabet)}
-        self._leaves: list[tuple] = []
-        self._bytecode: list[tuple[int, int]] = []
-        self._accept_cache: dict[tuple[int, ...], bool] = {}
-        for constraint in self.constraints:
-            # Validate the *raw* constraint: normalize's pairwise
-            # decomposition rewrites duplicate-event serials into
-            # innocuous orders before _compile's leaf check could fire.
-            self._check_unique(constraint)
-            self._compile(normalize(constraint))
-
-    @staticmethod
-    def _check_unique(constraint) -> None:
-        if isinstance(constraint, SerialConstraint):
-            if len(set(constraint.events)) != len(constraint.events):
-                raise SpecificationError(
-                    "serial constraint repeats an event, violating the "
-                    "unique-event assumption; its step table would mis-step"
-                )
-        elif not isinstance(constraint, Primitive):
-            for part in constraint.parts:
-                ConstraintKernel._check_unique(part)
-
-    @classmethod
-    def build(cls, constraints, extra_events=()) -> "ConstraintKernel":
-        """Build over the union of constraint events and ``extra_events``.
-
-        ``extra_events`` is typically a :class:`KernelProgram`'s alphabet,
-        so program event ids and table ids agree on shared events.
-        """
-        from ..constraints.algebra import constraint_events
-
-        alphabet: dict[str, None] = dict.fromkeys(extra_events)
-        for constraint in constraints:
-            for event in sorted(constraint_events(constraint)):
-                alphabet.setdefault(event, None)
-        return cls(tuple(constraints), tuple(alphabet))
-
-    def _compile(self, constraint) -> None:
-        """Flatten one constraint into leaf tables + postfix acceptance ops."""
-        if isinstance(constraint, Primitive):
-            event = self.event_ids[constraint.event]
-            self._bytecode.append((_OP_LEAF, len(self._leaves)))
-            self._leaves.append(("p", event, constraint.positive))
-            return
-        if isinstance(constraint, SerialConstraint):
-            if len(set(constraint.events)) != len(constraint.events):
-                raise SpecificationError(
-                    "serial constraint repeats an event, violating the "
-                    "unique-event assumption; its automaton would mis-step"
-                )
-            table = array("q", [-2] * len(self.alphabet))
-            for position, event in enumerate(constraint.events):
-                table[self.event_ids[event]] = position
-            self._bytecode.append((_OP_LEAF, len(self._leaves)))
-            self._leaves.append(("s", table, len(constraint.events)))
-            return
-        if isinstance(constraint, (And, Or)):
-            for part in constraint.parts:
-                self._compile(part)
-            op = _OP_AND if isinstance(constraint, And) else _OP_OR
-            self._bytecode.append((op, len(constraint.parts)))
-            return
-        raise SpecificationError(  # pragma: no cover - future constraint kinds
-            f"cannot lower {type(constraint).__name__}"
-        )
-
-    def initial(self) -> tuple[int, ...]:
-        return (0,) * len(self._leaves)
-
-    def step(self, state: tuple[int, ...], event_id: int) -> tuple[int, ...]:
-        """Advance every leaf by one event (ids outside the alphabet inert)."""
-        out = list(state)
-        for i, leaf in enumerate(self._leaves):
-            kind = leaf[0]
-            if kind == "p":
-                if event_id == leaf[1]:
-                    out[i] = 1
-            else:
-                position = leaf[1][event_id] if event_id < len(leaf[1]) else -2
-                if position == -2 or out[i] == _VIOLATED:
-                    continue
-                if out[i] == position:
-                    out[i] = position + 1
-                else:
-                    out[i] = _VIOLATED
-        return tuple(out)
-
-    def accepting(self, state: tuple[int, ...]) -> bool:
-        """Evaluate the postfix acceptance bytecode over leaf verdicts."""
-        cached = self._accept_cache.get(state)
-        if cached is not None:
-            return cached
-        stack: list[bool] = []
-        for op, arg in self._bytecode:
-            if op == _OP_LEAF:
-                leaf = self._leaves[arg]
-                if leaf[0] == "p":
-                    seen = state[arg] == 1
-                    stack.append(seen if leaf[2] else not seen)
-                else:
-                    stack.append(state[arg] == leaf[2])
-            else:
-                picked = stack[-arg:]
-                del stack[-arg:]
-                stack.append(all(picked) if op == _OP_AND else any(picked))
-        verdict = all(stack)
-        if len(self._accept_cache) >= 65536:
-            self._accept_cache.clear()
-        self._accept_cache[state] = verdict
-        return verdict
-
-    def accepts(self, sequence: tuple[str, ...]) -> bool:
-        """Does the (complete) named event sequence satisfy every constraint?"""
-        state = self.initial()
-        ids = self.event_ids
-        for event in sequence:
-            event_id = ids.get(event)
-            if event_id is None:
-                continue  # events outside every constraint are inert
-            state = self.step(state, event_id)
-        return self.accepting(state)
-
-    def accepts_ids(self, sequence) -> bool:
-        """``accepts`` over event ids already in this kernel's alphabet."""
-        state = self.initial()
-        for event_id in sequence:
-            state = self.step(state, event_id)
-        return self.accepting(state)
-
-
-def legal_traces_kernel(
-    program: KernelProgram,
-    constraints,
-    max_traces: int = 200_000,
-) -> frozenset[tuple[str, ...]]:
-    """``{t ∈ traces(program) : t ⊨ constraints}`` via step tables.
-
-    The filtering analogue of ``traces(Apply(C, G))``: enumerate the
-    program's valid executions (pruned search) and keep those the
-    constraint tables accept — no formula re-walk per trace.
-    """
-    tables = ConstraintKernel.build(constraints, extra_events=program.events)
-    return frozenset(
-        trace for trace in program.iter_traces(max_traces=max_traces)
-        if tables.accepts(trace)
-    )

@@ -19,9 +19,11 @@ exists inside a concurrent composition, only steps from within it are
 offered, which is precisely "execute without interleaving".
 
 The machine is deliberately *non-deterministic*: :meth:`Machine.successors`
-returns every option. Deterministic execution strategies (the pro-active
-scheduler, the run-time engine) and exhaustive search (trace enumeration,
-``◇`` evaluation, the model-checking baseline) are all built on top of it.
+returns every option. It is the reference interpreter: the pro-active
+scheduler runs the same step rules over the flat tables of
+:mod:`repro.ctr.kernel` and is tested against it, while the paper's
+comparator baselines (passive validation, model checking, the automaton
+scheduler) and Excise's ``◇`` check run on it directly.
 """
 
 from __future__ import annotations

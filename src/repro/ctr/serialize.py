@@ -108,12 +108,6 @@ def goal_to_dict(goal: Goal) -> dict[str, Any]:
         return {"kind": "isolated", "body": goal_to_dict(goal.body)}
     if isinstance(goal, Possibility):
         return {"kind": "possibility", "body": goal_to_dict(goal.body)}
-    from .machine import Running
-
-    if isinstance(goal, Running):
-        # Machine-internal marker: an isolated region already in progress
-        # (appears in scheduler checkpoints).
-        return {"kind": "running", "body": goal_to_dict(goal.body)}
     raise SpecificationError(f"cannot serialize {type(goal).__name__}")
 
 
@@ -144,10 +138,6 @@ def goal_from_dict(data: dict[str, Any]) -> Goal:
         return Isolated(goal_from_dict(data["body"]))
     if kind == "possibility":
         return Possibility(goal_from_dict(data["body"]))
-    if kind == "running":
-        from .machine import Running
-
-        return Running(goal_from_dict(data["body"]))
     raise SpecificationError(f"unknown goal kind {kind!r}")
 
 

@@ -19,7 +19,8 @@ Enumeration is exponential in the parallel width of the goal. That is by
 design: this module is the *semantic oracle* used by the test-suite to
 validate the Apply/Excise compiler (``traces(Apply(C,G)) == {t ∈ traces(G) :
 t ⊨ C}``) and by the brute-force baselines. Scalable execution goes through
-:mod:`repro.ctr.machine` and :mod:`repro.core.scheduler` instead.
+:mod:`repro.core.scheduler` (on the flat tables of :mod:`repro.ctr.kernel`)
+instead.
 """
 
 from __future__ import annotations

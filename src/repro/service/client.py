@@ -33,6 +33,7 @@ import random
 import time
 from typing import Any
 
+from ..core.resilience import RetryPolicy
 from ..errors import ReproError
 from ..obs.context import (
     TRACE_HEADER,
@@ -74,8 +75,8 @@ class ServiceClient:
 
     ``retries`` bounds reconnect attempts *after* the first try;
     ``backoff`` is the base delay between them, doubled per attempt and
-    jittered by the seeded ``rng`` (pass ``backoff=0`` in tests for
-    instant retries).
+    jittered by the seeded ``rng`` into ``[0.5, 1.0]`` of each step (pass
+    ``backoff=0`` in tests for instant retries).
     """
 
     def __init__(self, host: str, port: int, timeout: float = 30.0,
@@ -92,6 +93,11 @@ class ServiceClient:
         self.tenant = tenant
         self.retries = retries
         self.backoff = backoff
+        # 0.75 * step * (1 ± 1/3): full jitter over [0.5, 1.0] of the step,
+        # so concurrent clients spread out instead of retrying in lockstep.
+        self._policy = RetryPolicy(max_attempts=retries + 1,
+                                   base_delay=0.75 * backoff, multiplier=2.0,
+                                   jitter=1 / 3)
         #: With an IdSource the client *originates* traces: every request
         #: carries an ``X-Repro-Trace`` header (fresh trace id per call,
         #: unless an ambient context is already installed) and the last
@@ -178,12 +184,8 @@ class ServiceClient:
         return data
 
     def _backoff_sleep(self, attempt: int) -> None:
-        if self.backoff <= 0:
-            return
-        # Exponential with full jitter in [0.5, 1.0] of the step, so
-        # concurrent clients spread out instead of retrying in lockstep.
-        delay = self.backoff * (2 ** (attempt - 1))
-        self._sleep(delay * (0.5 + 0.5 * self._rng.random()))
+        if self.backoff > 0:
+            self._sleep(self._policy.delay(attempt, self._rng))
 
     def close(self) -> None:
         if self._conn is not None:

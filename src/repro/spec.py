@@ -44,20 +44,17 @@ class Specification:
     rules: RuleBase | None = None
     properties: tuple[tuple[str, Constraint], ...] = field(default=())
 
-    def compile(self, obs=None, cache=None, backend=None):
+    def compile(self, obs=None, cache=None):
         """Compile via :func:`repro.core.compiler.compile_workflow`.
 
         ``cache`` is a :class:`~repro.core.compiler.CompileCache` (or a
         cache directory path); repeated compiles of an unchanged
-        specification are then served from disk. ``backend`` selects the
-        query engine of the compiled workflow (``"object"`` | ``"kernel"``,
-        default ``$REPRO_BACKEND``).
+        specification are then served from disk.
         """
         from .core.compiler import compile_workflow
 
         return compile_workflow(self.goal, list(self.constraints),
-                                rules=self.rules, obs=obs, cache=cache,
-                                backend=backend)
+                                rules=self.rules, obs=obs, cache=cache)
 
 
 def parse_specification(text: str) -> Specification:

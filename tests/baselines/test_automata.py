@@ -2,12 +2,22 @@
 
 import itertools
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.automata import ConstraintAutomaton, ProductAutomaton
-from repro.constraints.algebra import absent, conj, disj, must, order, serial
+from repro.constraints.algebra import (
+    SerialConstraint,
+    absent,
+    conj,
+    disj,
+    must,
+    order,
+    serial,
+)
 from repro.constraints.satisfy import satisfies
+from repro.errors import SpecificationError
 from tests.conftest import constraints_over
 
 EVENTS = ("a", "b", "c", "d")
@@ -56,6 +66,15 @@ class TestConstraintAutomaton:
         dfa = ConstraintAutomaton.build(serial("a", "b", "c"))
         assert dfa.accepts(("a", "b", "c"))
         assert not dfa.accepts(("a", "c", "b"))
+
+    def test_duplicate_serial_rejected(self):
+        # algebra.SerialConstraint refuses duplicates at construction; the
+        # automaton re-validates as defense in depth against constraints
+        # deserialized or built around __post_init__.
+        dup = SerialConstraint.__new__(SerialConstraint)
+        object.__setattr__(dup, "events", ("a", "b", "a"))
+        with pytest.raises(SpecificationError):
+            ConstraintAutomaton.build(dup)
 
     @settings(max_examples=80, deadline=None)
     @given(constraints_over(EVENTS))

@@ -30,7 +30,7 @@ from repro.core.verify import (
     verify_properties,
     verify_property,
 )
-from repro.ctr.formulas import alt, atoms, seq
+from repro.ctr.formulas import Atom, alt, atoms, par, seq, walk
 from repro.ctr.traces import traces
 from repro.workflows.figure1 import figure1_constraints, figure1_goal
 from tests.conftest import constraints_over, unique_event_goals
@@ -194,6 +194,17 @@ class TestVerificationParity:
         fanned = verify_properties(goal, [], self.PROPS, jobs=2)
         assert sequential == fanned
         assert [r.property for r in fanned] == self.PROPS
+
+    def test_batch_witness_names_are_the_goal_strings(self):
+        # Witnesses come back pickled; their names must be mapped onto the
+        # goal's own strings, as a jobs=1 witness's are, not kept as copies.
+        goal = par(*(Atom(f"task_{i}") for i in range(4))) >> Atom("task_end")
+        names = {a.name: a.name for a in walk(goal) if isinstance(a, Atom)}
+        props = [order("task_1", "task_0"), order("task_3", "task_2")]
+        fanned = verify_properties(goal, [], props, jobs=2)
+        assert all(not r.holds for r in fanned)
+        for result in fanned:
+            assert all(event is names[event] for event in result.witness)
 
     def test_batch_on_figure1(self):
         goal = figure1_goal()

@@ -10,6 +10,7 @@ from repro.core.scheduler import Scheduler
 from repro.constraints.algebra import order
 from repro.ctr.formulas import Atom, Isolated, atoms, event_names
 from repro.ctr.traces import traces
+from repro.graph.generators import serial_chain
 from repro.errors import IneligibleEventError
 from tests.conftest import constraints_over, unique_event_goals
 
@@ -185,6 +186,15 @@ class TestEnumeration:
     def test_scheduler_sound_and_complete(self, goal):
         got = set(Scheduler(goal).enumerate_schedules())
         assert got == set(traces(goal))
+
+
+class TestLongWorkflows:
+    def test_schedules_of_a_1500_event_serial_workflow(self):
+        # Enumeration walks an explicit stack: one frame per event would
+        # exceed the interpreter's recursion limit here.
+        compiled = compile_workflow(serial_chain(1500), [])
+        expected = tuple(f"e{i}" for i in range(1, 1501))
+        assert list(compiled.schedules(limit=2)) == [expected]
 
 
 class TestCompiledNeverStuck:

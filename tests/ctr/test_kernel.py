@@ -1,32 +1,38 @@
-"""Differential tests for the flat kernel backend.
+"""Differential tests for the flat kernel and the scheduler built on it.
 
-Every query the kernel answers — traces, executability, counting,
-scheduling, verification witnesses — is checked bit-for-bit against the
-object-graph implementation it replaces, over randomly generated goals
-and constraint sets. The shared-memory plumbing gets its own lifecycle
-tests: refcounted segments, unlink-after-fan-out, and no leak when a
-worker crashes mid-flight.
+Every query the kernel answers — traces, executability, counting, and,
+through :class:`~repro.core.scheduler.Scheduler`, eligible sets, runs,
+schedule enumeration, viability and verification witnesses — is checked
+against the object oracle: the trace semantics of :mod:`repro.ctr.traces`
+and the step semantics of :class:`~repro.ctr.machine.Machine`, over
+randomly generated goals, constraint sets and transition conditions.
 """
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.baselines.automata import ConstraintAutomaton
-from repro.constraints.algebra import SerialConstraint, must, order
+from repro.constraints.algebra import must, order
 from repro.constraints.satisfy import satisfies
-from repro.core import kernel_backend, parallel
-from repro.core.compiler import compile_workflow
+from repro.core import parallel
 from repro.core.scheduler import Scheduler, seeded_strategy
 from repro.core.verify import verify_properties, verify_property
-from repro.ctr.formulas import PATH, atoms, event_names
-from repro.ctr.kernel import (
-    ConstraintKernel,
-    KernelProgram,
-    KernelScheduler,
-    legal_traces_kernel,
-    lower_goal,
+from repro.ctr.formulas import (
+    PATH,
+    Atom,
+    Choice,
+    Concurrent,
+    Isolated,
+    Serial,
+    Test,
+    alt,
+    atoms,
+    event_names,
+    par,
+    seq,
 )
+from repro.ctr.kernel import lower_goal
+from repro.ctr.machine import Machine
 from repro.ctr.traces import TooManyTracesError, count_traces, is_executable, traces
 from repro.errors import IneligibleEventError, SchedulingError, SpecificationError
 from tests.conftest import constraints_over, unique_event_goals
@@ -42,11 +48,59 @@ def _crash_worker(*argv, **kw):  # pragma: no cover - runs in the worker
     os._exit(1)
 
 
-def _object_traces(goal):
+def _oracle_traces(goal):
     try:
         return traces(goal, max_traces=MAX)
     except TooManyTracesError:
         assume(False)
+
+
+# -- the Machine subset construction (what the scheduler must agree with) -----
+
+
+def _machine_eligible(machine, configs) -> frozenset[str]:
+    events: set[str] = set()
+    for config in configs:
+        events.update(machine.successors(config))
+    return frozenset(events)
+
+
+def _machine_fire(machine, configs, event):
+    return frozenset(
+        target
+        for config in configs
+        for target in machine.successors(config).get(event, ())
+    )
+
+
+def _machine_run(goal, pick=min) -> tuple[str, ...]:
+    machine = Machine(goal)
+    configs = frozenset((machine.initial(),))
+    history: list[str] = []
+    while True:
+        events = _machine_eligible(machine, configs)
+        if not events:
+            if any(machine.is_final(c) for c in configs):
+                return tuple(history)
+            raise SchedulingError("stuck")
+        event = pick(events)
+        configs = _machine_fire(machine, configs, event)
+        history.append(event)
+
+
+def _guarded(goal, names):
+    """``goal`` with every atom in ``names`` preceded by a condition."""
+    if isinstance(goal, Atom):
+        return seq(Test(f"t_{goal.name}"), goal) if goal.name in names else goal
+    if isinstance(goal, Serial):
+        return seq(*(_guarded(p, names) for p in goal.parts))
+    if isinstance(goal, Concurrent):
+        return par(*(_guarded(p, names) for p in goal.parts))
+    if isinstance(goal, Choice):
+        return alt(*(_guarded(p, names) for p in goal.parts))
+    if isinstance(goal, Isolated):
+        return Isolated(_guarded(goal.body, names))
+    return goal
 
 
 class TestLowering:
@@ -54,27 +108,17 @@ class TestLowering:
         with pytest.raises(SpecificationError):
             lower_goal(A >> PATH)
 
-    def test_roundtrip_bytes(self):
-        program = lower_goal((A | B) >> C)
-        clone = KernelProgram.from_buffer(program.to_bytes())
-        assert clone.events == program.events
-        assert clone.traces() == program.traces()
-
-    @settings(max_examples=40, deadline=None)
-    @given(unique_event_goals(max_events=4))
-    def test_roundtrip_preserves_queries(self, goal):
-        program = lower_goal(goal)
-        clone = KernelProgram.from_buffer(program.to_bytes())
-        expected = _object_traces(goal)
-        assert program.traces(max_traces=MAX) == expected
-        assert clone.traces(max_traces=MAX) == expected
+    def test_conditions_are_kept(self):
+        guard = Test("ready")
+        program = lower_goal(seq(A, guard, B))
+        assert program.tests == (guard,)
 
 
 class TestDifferentialQueries:
     @settings(max_examples=60, deadline=None)
     @given(unique_event_goals(max_events=4))
     def test_traces_identical(self, goal):
-        expected = _object_traces(goal)
+        expected = _oracle_traces(goal)
         assert lower_goal(goal).traces(max_traces=MAX) == expected
 
     @settings(max_examples=60, deadline=None)
@@ -105,206 +149,126 @@ class TestDifferentialScheduling:
     @settings(max_examples=60, deadline=None)
     @given(unique_event_goals(max_events=4))
     def test_eligible_and_run(self, goal):
-        obj = Scheduler(goal)
-        ker = KernelScheduler(lower_goal(goal))
-        assert ker.eligible() == obj.eligible()
-        assert ker.can_finish() == obj.can_finish()
+        machine = Machine(goal)
+        initial = frozenset((machine.initial(),))
+        scheduler = Scheduler(goal)
+        assert scheduler.eligible() == _machine_eligible(machine, initial)
+        assert scheduler.can_finish() == any(
+            machine.is_final(c) for c in initial
+        )
         try:
-            expected = obj.run()
+            expected = _machine_run(goal)
         except SchedulingError:
             with pytest.raises(SchedulingError):
-                ker.run()
+                scheduler.run()
             return
-        assert ker.run() == expected
+        assert scheduler.run() == expected
+        assert expected in _oracle_traces(goal)
 
     @settings(max_examples=40, deadline=None)
     @given(unique_event_goals(max_events=4), st.integers(0, 2**16))
     def test_seeded_run_identical(self, goal, seed):
-        obj = Scheduler(goal)
-        ker = KernelScheduler(lower_goal(goal))
         try:
-            expected = obj.run(strategy=seeded_strategy(seed))
+            expected = _machine_run(goal, seeded_strategy(seed))
         except SchedulingError:
             assume(False)
-        assert ker.run(strategy=seeded_strategy(seed)) == expected
+        assert Scheduler(goal).run(strategy=seeded_strategy(seed)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(unique_event_goals(max_events=4))
     def test_enumerate_schedules_in_order(self, goal):
-        obj = Scheduler(goal)
-        ker = KernelScheduler(lower_goal(goal))
-        try:
-            expected = list(obj.enumerate_schedules(limit=MAX))
-        except TooManyTracesError:
-            assume(False)
-        assert list(ker.enumerate_schedules(limit=MAX)) == expected
+        # Depth-first in sorted event order is lexicographic tuple order.
+        expected = sorted(_oracle_traces(goal))
+        assert list(Scheduler(goal).enumerate_schedules(limit=MAX)) == expected
 
     @settings(max_examples=40, deadline=None)
     @given(unique_event_goals(max_events=4))
     def test_viable_events_identical(self, goal):
-        obj = Scheduler(goal)
-        ker = KernelScheduler(lower_goal(goal))
-        assert ker.viable_events() == obj.viable_events()
-        for avoid in (frozenset({"a"}), frozenset({"a", "b"})):
-            assert ker.viable(avoid) == obj.viable(avoid)
+        scheduler = Scheduler(goal)
+        full = _oracle_traces(goal)
+        for avoid in (frozenset(), frozenset({"e1"}), frozenset({"e1", "e2"})):
+            avoiding = [t for t in full if not set(t) & avoid]
+            assert scheduler.viable(avoid) == bool(avoiding)
+            assert scheduler.viable_events(avoid) == {t[0] for t in avoiding if t}
 
     def test_fire_rejects_ineligible(self):
-        ker = KernelScheduler(lower_goal(A >> B))
+        scheduler = Scheduler(A >> B)
         with pytest.raises(IneligibleEventError):
-            ker.fire("b")
-        ker.fire("a")
-        ker.fire("b")
-        assert ker.finished
-        assert ker.history == ("a", "b")
+            scheduler.fire("b")
+        scheduler.fire("a")
+        scheduler.fire("b")
+        assert scheduler.finished
+        assert scheduler.history == ("a", "b")
 
 
-class TestConstraintKernel:
-    @settings(max_examples=50, deadline=None)
-    @given(constraints_over(("a", "b", "c", "d")))
-    def test_agrees_with_automaton(self, constraint):
-        import itertools
+class TestLiveConditions:
+    @settings(max_examples=60, deadline=None)
+    @given(unique_event_goals(max_events=4), st.data())
+    def test_eligible_sets_match_machine_while_predicates_flip(self, goal, data):
+        names = sorted(event_names(goal))
+        guarded = _guarded(goal, data.draw(st.sets(st.sampled_from(names))))
+        conditions = [f"t_{name}" for name in names]
+        passing: set[str] = set()
 
-        kernel = ConstraintKernel.build([constraint])
-        dfa = ConstraintAutomaton.build(constraint)
-        for size in range(4):
-            for seq in itertools.permutations(("a", "b", "c", "d"), size):
-                assert kernel.accepts(seq) == dfa.accepts(seq)
-                assert kernel.accepts(seq) == satisfies(seq, constraint)
+        def hook(test):
+            return test.name in passing
 
-    @settings(max_examples=30, deadline=None)
-    @given(unique_event_goals(min_events=2, max_events=4), st.data())
-    def test_legal_traces_identical(self, goal, data):
-        events = tuple(sorted(event_names(goal)))
-        assume(len(events) >= 2)
-        constraints = [data.draw(constraints_over(events)) for _ in range(2)]
-        program = lower_goal(goal)
-        expected = frozenset(
-            t for t in _object_traces(goal)
-            if all(satisfies(t, c) for c in constraints)
-        )
-        assert legal_traces_kernel(program, constraints, max_traces=MAX) == expected
+        scheduler = Scheduler(guarded, test_hook=hook)
+        machine = Machine(guarded, test_hook=hook)
+        configs = frozenset((machine.initial(),))
+        for _ in range(len(names) + 1):
+            passing.clear()
+            passing.update(data.draw(st.sets(st.sampled_from(conditions))))
+            eligible = scheduler.eligible()
+            assert eligible == _machine_eligible(machine, configs)
+            assert scheduler.can_finish() == any(
+                machine.is_final(c) for c in configs
+            )
+            if not eligible:
+                break
+            event = data.draw(st.sampled_from(sorted(eligible)))
+            scheduler.fire(event)
+            configs = _machine_fire(machine, configs, event)
 
-    def test_duplicate_serial_rejected(self):
-        # algebra.SerialConstraint refuses duplicates at construction; the
-        # kernel (like automata.build) re-validates as defense in depth
-        # against constraints deserialized or built around __post_init__.
-        dup = SerialConstraint.__new__(SerialConstraint)
-        object.__setattr__(dup, "events", ("a", "b", "a"))
-        with pytest.raises(SpecificationError):
-            ConstraintKernel.build([dup])
-        with pytest.raises(SpecificationError):
-            ConstraintAutomaton.build(dup)
+    def test_condition_blocks_until_it_holds(self):
+        ready = {"flag": False}
+        goal = seq(A, Test("ready"), B)
+        scheduler = Scheduler(goal, test_hook=lambda test: ready["flag"])
+        scheduler.fire("a")
+        assert scheduler.eligible() == frozenset()
+        ready["flag"] = True
+        assert scheduler.eligible() == {"b"}
 
 
-class TestBackendKnob:
-    def test_invalid_backend_rejected(self):
-        with pytest.raises(SpecificationError):
-            compile_workflow(A >> B, [], backend="vectorized")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "kernel")
-        assert kernel_backend.resolve_backend(None) == "kernel"
-        monkeypatch.setenv("REPRO_BACKEND", "object")
-        assert kernel_backend.resolve_backend(None) == "object"
-
-    def test_compiled_workflow_equality_ignores_backend(self):
-        obj = compile_workflow(A >> B, [], backend="object")
-        ker = compile_workflow(A >> B, [], backend="kernel")
-        assert obj == ker
-        assert type(obj.scheduler()).__name__ == "Scheduler"
-        assert type(ker.scheduler()).__name__ == "KernelScheduler"
-
-    def test_test_hook_forces_object_scheduler(self):
-        ker = compile_workflow(A >> B, [], backend="kernel")
-        sched = ker.scheduler(test_hook=lambda event: True)
-        assert type(sched).__name__ == "Scheduler"
-
+class TestDifferentialVerification:
     @settings(max_examples=25, deadline=None)
     @given(unique_event_goals(min_events=2, max_events=4), st.data())
-    def test_verify_property_identical(self, goal, data):
+    def test_witness_is_a_violating_trace(self, goal, data):
         events = tuple(sorted(event_names(goal)))
         assume(len(events) >= 2)
         constraints = [data.draw(constraints_over(events))]
         prop = data.draw(constraints_over(events))
-        obj = verify_property(goal, constraints, prop, backend="object")
-        ker = verify_property(goal, constraints, prop, backend="kernel")
-        assert obj.holds == ker.holds
-        assert obj.witness == ker.witness
-        assert obj.counterexample is ker.counterexample
+        legal = [t for t in _oracle_traces(goal)
+                 if all(satisfies(t, c) for c in constraints)]
+        result = verify_property(goal, constraints, prop)
+        assert result.holds == all(satisfies(t, prop) for t in legal)
+        if not result.holds:
+            assert result.witness in legal
+            assert not satisfies(result.witness, prop)
 
-    def test_verify_properties_jobs4_identical(self):
+    def test_verify_properties_jobs2_identical(self):
         goal = (A | B) >> C
         constraints = [order("a", "b")]
         props = [must("c"), order("b", "a"), must("z"), order("a", "c")]
-        sequential = verify_properties(goal, constraints, props, jobs=1,
-                                       backend="kernel")
-        fanned = verify_properties(goal, constraints, props, jobs=4,
-                                   backend="kernel")
-        assert [(r.holds, r.witness) for r in fanned] == [
-            (r.holds, r.witness) for r in sequential
-        ]
-        crossed = verify_properties(goal, constraints, props, jobs=4,
-                                    backend="object")
-        assert [(r.holds, r.witness) for r in crossed] == [
-            (r.holds, r.witness) for r in sequential
-        ]
+        sequential = verify_properties(goal, constraints, props, jobs=1)
+        fanned = verify_properties(goal, constraints, props, jobs=2)
+        assert fanned == sequential
 
-
-class TestSharedMemoryLifecycle:
-    def test_export_attach_release(self):
-        goal = (A | B) >> C
-        handle = kernel_backend.export_goal(goal)
-        if handle is None:
-            pytest.skip("shared memory unavailable")
-        try:
-            assert handle.name in kernel_backend.live_segments()
-            assert kernel_backend.attach_goal(handle) is goal
-        finally:
-            kernel_backend.release_goal(handle)
-        assert handle.name not in kernel_backend.live_segments()
-
-    def test_refcounted_reexport(self):
-        goal = A >> (B | C)
-        first = kernel_backend.export_goal(goal)
-        if first is None:
-            pytest.skip("shared memory unavailable")
-        second = kernel_backend.export_goal(goal)
-        assert second == first
-        kernel_backend.release_goal(first)
-        # Still live: the second export holds a reference.
-        assert first.name in kernel_backend.live_segments()
-        kernel_backend.release_goal(second)
-        assert first.name not in kernel_backend.live_segments()
-        # Releasing an already-dead handle is a no-op, not an error.
-        kernel_backend.release_goal(second)
-
-    def test_program_roundtrip_via_shm(self):
-        program = lower_goal((A | B) >> C)
-        handle = kernel_backend.export_program(program)
-        if handle is None:
-            pytest.skip("shared memory unavailable")
-        try:
-            clone = kernel_backend.attach_program(handle)
-            assert clone.traces() == program.traces()
-        finally:
-            kernel_backend.release_goal(handle)
-
-    def test_fanout_unlinks_segments(self):
-        goal = (A | B) >> C
-        before = set(kernel_backend.live_segments())
-        results = verify_properties(goal, [order("a", "b")],
-                                    [must("c"), must("z"), order("b", "a")],
-                                    jobs=2)
-        assert [r.holds for r in results] == [True, False, False]
-        assert set(kernel_backend.live_segments()) == before
-
-    def test_no_leak_on_worker_crash(self, monkeypatch):
+    def test_worker_crash_falls_back_to_sequential(self, monkeypatch):
         # Every submitted task kills its worker; the BrokenProcessPool
-        # fallback must still release the parent's segment and answer
-        # sequentially.
+        # fallback must still answer, sequentially.
         parallel._reset_pool()
         monkeypatch.setattr(parallel, "_verify_one", _crash_worker)
-        before = set(kernel_backend.live_segments())
         goal = (A | B) >> C
         try:
             results = verify_properties(goal, [], [must("c"), must("z")],
@@ -312,4 +276,3 @@ class TestSharedMemoryLifecycle:
         finally:
             parallel._reset_pool()
         assert [r.holds for r in results] == [True, False]
-        assert set(kernel_backend.live_segments()) == before

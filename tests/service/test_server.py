@@ -78,6 +78,14 @@ class TestEndpoints:
             assert schedule[0] == "receive" and schedule[-1] == "archive"
             assert schedule.index("credit") < schedule.index("approve")
 
+    def test_schedule_of_a_1500_event_serial_workflow(self, service):
+        events = [f"e{i}" for i in range(1, 1501)]
+        text = "goal: " + " * ".join(events) + "\n"
+        with service.client() as client:
+            out = client.schedule(text=text, limit=1)
+        assert out["consistent"] is True
+        assert out["schedules"] == [events]
+
     def test_verify_matches_direct_library_calls(self, service):
         with service.client() as client:
             out = client.verify(spec="orders")
