@@ -28,16 +28,30 @@ Because the smart constructors ``seq``/``par``/``alt`` absorb ``¬path``
 eagerly (the tautologies of Section 5), the result of :func:`apply_constraint`
 is always either a concurrent-Horn goal or the literal ``NEG_PATH``.
 
+"Cannot provide ``α``" is decided without walking the component: each
+distinct node carries two event bitmasks, ``may`` (the events that occur
+on some execution) and ``must`` (those that occur on every execution),
+computed once per run. ``α ∉ may(T)`` means ``T`` cannot provide ``α``, so
+``∇α`` makes it ``¬path`` and ``¬∇α`` leaves it as it is; ``α ∈ must(T)``
+means every execution of ``T`` provides ``α``, so ``∇α`` leaves ``T`` as it
+is (the other components of a unique-event composition cannot provide
+``α``) and ``¬∇α`` makes it ``¬path``. Only the nodes left in between are
+walked, and the ``⊗``, ``|`` and ``∨`` cases skip the parts that cannot
+provide ``α``. Events inside a ``◇`` never occur, so a ``◇`` has empty
+masks. The result is the node the part-by-part walk of Definition 5.1
+builds (the tests keep that walk as the reference).
+
 Sharing-awareness: goals are hash-consed, so the ``C₁ ∨ C₂`` duplication
 produces branches that *share* every untouched subterm. One
 :class:`_ApplyMemo` per ``apply_all``/``apply_constraint`` invocation
-memoises the primitive cases per ``(event, node)`` and whole token-free
-subproblems per ``(constraint, node)``, so each shared node is transformed
-once no matter how many of the ``d^N`` branches contain it. Subproblems
-that mint synchronization tokens (any constraint containing a serial/order
-part) are **never** cached: every application must draw a fresh token from
-the :class:`~repro.core.sync.TokenFactory`, and replaying a cached result
-would duplicate a token and break send/receive freshness.
+holds the masks and memoises the primitive cases per ``(event, node)`` and
+whole token-free subproblems per ``(constraint, node)``, so each shared
+node is transformed once no matter how many of the ``d^N`` branches
+contain it. Subproblems that mint synchronization tokens (any constraint
+containing a serial/order part) are **never** cached: every application
+must draw a fresh token from the :class:`~repro.core.sync.TokenFactory`,
+and replaying a cached result would duplicate a token and break
+send/receive freshness.
 """
 
 from __future__ import annotations
@@ -52,7 +66,6 @@ from ..ctr.formulas import (
     Goal,
     Isolated,
     NegPath,
-    Possibility,
     Serial,
     alt,
     par,
@@ -62,24 +75,72 @@ from .sync import TokenFactory, sync_order
 
 __all__ = ["apply_constraint", "apply_all"]
 
+_BUILD = {Serial: seq, Concurrent: par, Choice: alt}
+
 
 class _ApplyMemo:
     """Per-run memo tables: one instance per top-level Apply invocation.
 
-    ``must``/``never`` map ``(event, node) -> transformed node`` for the
-    primitive cases (always pure). ``subproblem`` maps
-    ``(constraint, node) -> transformed node`` for token-free constraint
-    applications. ``token_free`` caches, per constraint object, whether it
-    is safe to memoise at all.
+    ``masks`` maps ``id(node) -> (node, may, must)``: the events that occur
+    on *some* execution of the node and the events that occur on *every*
+    execution, as bitmasks over ``bits``, this run's event index (bits are
+    handed out as event names turn up, so no table outlives the run). The
+    entry holds the node itself, so its id cannot be reused while the memo
+    lives and no lookup hashes a node. ``must``/``never`` map ``(bit,
+    id(node)) -> transformed node`` for the primitive cases (always pure;
+    every keyed node already has a mask entry holding it). ``subproblem``
+    maps ``(constraint, node) -> transformed node`` for token-free
+    constraint applications. ``token_free`` caches, per constraint object,
+    whether it is safe to memoise at all.
     """
 
-    __slots__ = ("must", "never", "subproblem", "token_free")
+    __slots__ = ("bits", "masks", "must", "never", "subproblem", "token_free")
 
     def __init__(self) -> None:
-        self.must: dict[tuple[str, Goal], Goal] = {}
-        self.never: dict[tuple[str, Goal], Goal] = {}
+        self.bits: dict[str, int] = {}
+        self.masks: dict[int, tuple[Goal, int, int]] = {}
+        self.must: dict[tuple[int, int], Goal] = {}
+        self.never: dict[tuple[int, int], Goal] = {}
         self.subproblem: dict[tuple[Constraint, Goal], Goal] = {}
         self.token_free: dict[Constraint, bool] = {}
+
+    def bit(self, event: str) -> int:
+        bit = self.bits.get(event)
+        if bit is None:
+            bit = self.bits[event] = 1 << len(self.bits)
+        return bit
+
+    def occurrence(self, goal: Goal) -> tuple[Goal, int, int]:
+        """``(goal, may, must)``, computing the masks of ``goal``'s subgoals first.
+
+        Atoms contribute their own bit to both masks; ``◇``, send, receive,
+        tests, ``ε``, ``path`` and ``¬path`` contribute nothing (a ``◇`` body
+        never occurs). ``⊗`` and ``|`` OR both masks of their parts, ``∨``
+        ORs ``may`` and ANDs ``must``, and ``⊙`` takes its body's masks.
+        """
+        entry = self.masks.get(id(goal))
+        if entry is not None:
+            return entry
+        if isinstance(goal, Atom):
+            may = must = self.bit(goal.name)
+        elif isinstance(goal, Choice):
+            may, must = 0, -1
+            for part in goal.parts:
+                _, part_may, part_must = self.occurrence(part)
+                may |= part_may
+                must &= part_must
+        elif isinstance(goal, (Serial, Concurrent)):
+            may = must = 0
+            for part in goal.parts:
+                _, part_may, part_must = self.occurrence(part)
+                may |= part_may
+                must |= part_must
+        elif isinstance(goal, Isolated):
+            _, may, must = self.occurrence(goal.body)
+        else:
+            may = must = 0
+        entry = self.masks[id(goal)] = (goal, may, must)
+        return entry
 
     def is_token_free(self, constraint: Constraint) -> bool:
         cached = self.token_free.get(constraint)
@@ -150,14 +211,15 @@ def _apply(
         return NEG_PATH
 
     if isinstance(constraint, Primitive):
+        bit = memo.bit(constraint.event)
         if constraint.positive:
-            return _apply_must(constraint.event, goal, memo)
-        return _apply_never(constraint.event, goal, memo)
+            return _apply_must(bit, goal, memo)
+        return _apply_never(bit, goal, memo)
 
     if isinstance(constraint, SerialConstraint):
         # normalize() guarantees exactly two events here.
         alpha, beta = constraint.events
-        forced = _apply_must(alpha, _apply_must(beta, goal, memo), memo)
+        forced = _apply_must(memo.bit(alpha), _apply_must(memo.bit(beta), goal, memo), memo)
         if isinstance(forced, NegPath):
             return NEG_PATH
         return sync_order(alpha, beta, forced, tokens.fresh())
@@ -186,81 +248,69 @@ def _apply(
     return result
 
 
-def _apply_must(alpha: str, goal: Goal, memo: _ApplyMemo) -> Goal:
-    """``Apply(∇α, T)``: keep exactly the executions of ``T`` where ``α`` occurs."""
-    if isinstance(goal, Atom):
-        return goal if goal.name == alpha else NEG_PATH
+def _apply_must(bit: int, goal: Goal, memo: _ApplyMemo) -> Goal:
+    """``Apply(∇α, T)``: keep exactly the executions of ``T`` where ``α`` occurs.
 
-    key = (alpha, goal)
+    ``bit`` is ``α``'s bit in ``memo``'s event index.
+    """
+    _, may, must = memo.occurrence(goal)
+    if not may & bit:
+        return NEG_PATH  # T cannot provide α
+    if must & bit:
+        return goal  # every execution of T already provides α
+    key = (bit, id(goal))
     cached = memo.must.get(key)
     if cached is not None:
         return cached
-    result = _apply_must_uncached(alpha, goal, memo)
+
+    # Only ⊗, |, ∨ and ⊙ can hold α on some executions but not all, and
+    # their parts' masks were computed with theirs.
+    masks = memo.masks
+    if isinstance(goal, Choice):
+        result = alt(*(_apply_must(bit, part, memo) for part in goal.parts
+                       if masks[id(part)][1] & bit))
+    elif isinstance(goal, Isolated):
+        body = _apply_must(bit, goal.body, memo)
+        result = NEG_PATH if isinstance(body, NegPath) else Isolated(body)
+    else:
+        build = _BUILD[type(goal)]
+        parts = goal.parts
+        branches = []
+        for i, part in enumerate(parts):
+            if not masks[id(part)][1] & bit:
+                continue
+            transformed = _apply_must(bit, part, memo)
+            if not isinstance(transformed, NegPath):
+                branches.append(build(*parts[:i], transformed, *parts[i + 1:]))
+        result = alt(*branches)
+
     memo.must[key] = result
     return result
 
 
-def _apply_must_uncached(alpha: str, goal: Goal, memo: _ApplyMemo) -> Goal:
-    if isinstance(goal, Serial):
-        parts = goal.parts
-        branches = []
-        for i, part in enumerate(parts):
-            transformed = _apply_must(alpha, part, memo)
-            if isinstance(transformed, NegPath):
-                continue
-            branches.append(seq(*parts[:i], transformed, *parts[i + 1:]))
-        return alt(*branches) if branches else NEG_PATH
+def _apply_never(bit: int, goal: Goal, memo: _ApplyMemo) -> Goal:
+    """``Apply(¬∇α, T)``: delete the executions of ``T`` where ``α`` occurs.
 
-    if isinstance(goal, Concurrent):
-        parts = goal.parts
-        branches = []
-        for i, part in enumerate(parts):
-            transformed = _apply_must(alpha, part, memo)
-            if isinstance(transformed, NegPath):
-                continue
-            branches.append(par(*parts[:i], transformed, *parts[i + 1:]))
-        return alt(*branches) if branches else NEG_PATH
-
-    if isinstance(goal, Choice):
-        return alt(*(_apply_must(alpha, part, memo) for part in goal.parts))
-
-    if isinstance(goal, Isolated):
-        body = _apply_must(alpha, goal.body, memo)
-        return NEG_PATH if isinstance(body, NegPath) else Isolated(body)
-
-    if isinstance(goal, Possibility):
-        # Events inside a ◇ test never actually occur, so they cannot
-        # discharge a positive primitive constraint.
-        return NEG_PATH
-
-    # Send / Receive / Test / Empty / NegPath: α cannot occur here.
-    return NEG_PATH
-
-
-def _apply_never(alpha: str, goal: Goal, memo: _ApplyMemo) -> Goal:
-    """``Apply(¬∇α, T)``: delete the executions of ``T`` where ``α`` occurs."""
-    if isinstance(goal, Atom):
-        return NEG_PATH if goal.name == alpha else goal
-
-    key = (alpha, goal)
+    ``bit`` is ``α``'s bit in ``memo``'s event index.
+    """
+    _, may, must = memo.occurrence(goal)
+    if not may & bit:
+        return goal  # no execution of T holds α
+    if must & bit:
+        return NEG_PATH  # every execution of T holds α
+    key = (bit, id(goal))
     cached = memo.never.get(key)
     if cached is not None:
         return cached
 
-    if isinstance(goal, Serial):
-        result: Goal = seq(*(_apply_never(alpha, part, memo) for part in goal.parts))
-    elif isinstance(goal, Concurrent):
-        result = par(*(_apply_never(alpha, part, memo) for part in goal.parts))
-    elif isinstance(goal, Choice):
-        result = alt(*(_apply_never(alpha, part, memo) for part in goal.parts))
-    elif isinstance(goal, Isolated):
-        body = _apply_never(alpha, goal.body, memo)
+    masks = memo.masks
+    if isinstance(goal, Isolated):
+        body = _apply_never(bit, goal.body, memo)
         result = NEG_PATH if isinstance(body, NegPath) else Isolated(body)
-    elif isinstance(goal, Possibility):
-        # Hypothetical occurrences of α are not occurrences; keep the test.
-        result = goal
     else:
-        result = goal
+        result = _BUILD[type(goal)](*(
+            _apply_never(bit, part, memo) if masks[id(part)][1] & bit else part
+            for part in goal.parts))
 
     memo.never[key] = result
     return result

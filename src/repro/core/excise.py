@@ -86,17 +86,22 @@ class ExciseStats:
     combos_viable: int = 0
 
 
-# The stats sink of the excise pass in flight, if any. A module global
-# rather than a threaded parameter: the recursion fans out through many
-# helpers (including the `excise` re-entry for ◇ bodies), and the library
-# is single-threaded per pass.
-_stats: ExciseStats | None = None
+class _ExciseRun:
+    """Per-run state of one outermost :func:`excise` call.
 
-# Per-run memo of flat_executable verdicts, keyed by (shared) node. Set up
-# by the outermost `excise` call and inherited by re-entrant calls (◇
-# bodies, entangled-combo resolution), so one pass never rebuilds the
-# precedence graph of the same shared subgoal twice.
-_flat_memo: dict[Goal, bool] | None = None
+    ``stats`` is the caller's sink (or ``None``); ``flat_memo`` memoises
+    :func:`flat_executable` verdicts per (shared) node. The run is passed
+    down to every helper and to the re-entrant calls (◇ bodies,
+    entangled-combo resolution), so one pass never rebuilds the precedence
+    graph of the same shared subgoal twice, and concurrent passes share
+    nothing.
+    """
+
+    __slots__ = ("stats", "flat_memo")
+
+    def __init__(self, stats: ExciseStats | None) -> None:
+        self.stats = stats
+        self.flat_memo: dict[Goal, bool] = {}
 
 
 def excise(goal: Goal, stats: ExciseStats | None = None) -> Goal:
@@ -105,16 +110,7 @@ def excise(goal: Goal, stats: ExciseStats | None = None) -> Goal:
     Pass an :class:`ExciseStats` to collect how much pruning the pass did;
     the default collects nothing and adds no work.
     """
-    global _stats, _flat_memo
-    previous_stats, previous_memo = _stats, _flat_memo
-    if stats is not None:
-        _stats = stats
-    if _flat_memo is None:
-        _flat_memo = {}
-    try:
-        return _excise(goal)
-    finally:
-        _stats, _flat_memo = previous_stats, previous_memo
+    return _excise(goal, _ExciseRun(stats))
 
 
 def has_knot(goal: Goal) -> bool:
@@ -122,21 +118,22 @@ def has_knot(goal: Goal) -> bool:
     return excise(goal) != simplify(goal)
 
 
-def _excise(goal: Goal) -> Goal:
+def _excise(goal: Goal, run: _ExciseRun) -> Goal:
+    stats = run.stats
     goal = simplify(goal)
     if isinstance(goal, (NegPath, Empty)):
         return goal
 
     if isinstance(goal, Choice):
         # Top-level alternatives are independent executions.
-        return alt(*(_excise(part) for part in goal.parts))
+        return alt(*(_excise(part, run) for part in goal.parts))
 
     paths = _topmost_choices(goal)
     if not paths:
-        if flat_executable(goal):
+        if _flat_executable(goal, run):
             return goal
-        if _stats is not None:
-            _stats.knots += 1
+        if stats is not None:
+            stats.knots += 1
         return NEG_PATH
 
     local_paths: list[tuple[int, ...]] = []
@@ -146,9 +143,9 @@ def _excise(goal: Goal) -> Goal:
             entangled_paths.append(path)
         else:
             local_paths.append(path)
-    if _stats is not None:
-        _stats.local_choices += len(local_paths)
-        _stats.entangled_choices += len(entangled_paths)
+    if stats is not None:
+        stats.local_choices += len(local_paths)
+        stats.entangled_choices += len(entangled_paths)
 
     # Local choices: no token crosses their boundary, so each alternative's
     # viability is intrinsic — prune them in place (recursion on strict
@@ -156,47 +153,50 @@ def _excise(goal: Goal) -> Goal:
     replacements: list[tuple[tuple[int, ...], Goal]] = []
     for path in local_paths:
         subtree = _at(goal, path)
-        pruned = alt(*(_excise(part) for part in subtree.parts))
+        pruned = alt(*(_excise(part, run) for part in subtree.parts))
         if isinstance(pruned, NegPath):
             return NEG_PATH  # a mandatory sub-goal with no viable branch
         replacements.append((path, pruned))
     pruned_goal = _replace_many(goal, replacements)
 
     if entangled_paths:
-        return _excise_entangled(pruned_goal, entangled_paths)
+        return _excise_entangled(pruned_goal, entangled_paths, run)
 
     # Context executability is independent of how the (token-free) local
     # choices resolve: check the skeleton with them blanked out.
     skeleton = simplify(_replace_many(pruned_goal, [(p, EMPTY) for p in local_paths]))
-    if isinstance(skeleton, Empty) or flat_executable(skeleton):
+    if isinstance(skeleton, Empty) or _flat_executable(skeleton, run):
         return simplify(pruned_goal)
-    if _stats is not None:
-        _stats.knots += 1
+    if stats is not None:
+        stats.knots += 1
     return NEG_PATH
 
 
-def _excise_entangled(goal: Goal, paths: list[tuple[int, ...]]) -> Goal:
+def _excise_entangled(
+    goal: Goal, paths: list[tuple[int, ...]], run: _ExciseRun
+) -> Goal:
     """Jointly resolve the entangled choices and prune or hoist the result.
 
     Each substituted resolution removes those choice nodes entirely, so the
     recursive ``_excise`` call operates on a goal with strictly fewer
     choices — the recursion is well-founded.
     """
+    stats = run.stats
     alternative_counts = [len(_at(goal, p).parts) for p in paths]
     viable_combos: list[tuple[int, ...]] = []
     resolved_by_combo: dict[tuple[int, ...], Goal] = {}
     for combo in itertools.product(*(range(n) for n in alternative_counts)):
-        if _stats is not None:
-            _stats.combos_tried += 1
+        if stats is not None:
+            stats.combos_tried += 1
         resolution = [
             (path, _at(goal, path).parts[index]) for path, index in zip(paths, combo)
         ]
-        resolved = _excise(_replace_many(goal, resolution))
+        resolved = _excise(_replace_many(goal, resolution), run)
         if not isinstance(resolved, NegPath):
             viable_combos.append(combo)
             resolved_by_combo[combo] = resolved
-            if _stats is not None:
-                _stats.combos_viable += 1
+            if stats is not None:
+                stats.combos_viable += 1
 
     if not viable_combos:
         return NEG_PATH
@@ -468,27 +468,31 @@ def flat_executable(goal: Goal) -> bool:
 
     Also validates every ``◇`` body (a possibility test over an
     inconsistent goal can never pass, making the enclosing execution dead).
+    """
+    return _flat_executable(goal, _ExciseRun(None))
 
-    Within one :func:`excise` run, verdicts are memoised per shared node —
-    the entangled-combo enumeration asks about the same resolved subgoals
-    over and over, and hash-consing makes those subgoals *the same object*.
+
+def _flat_executable(goal: Goal, run: _ExciseRun) -> bool:
+    """:func:`flat_executable` within ``run``.
+
+    Verdicts are memoised per shared node for the run — the entangled-combo
+    enumeration asks about the same resolved subgoals over and over, and
+    hash-consing makes those subgoals *the same object*.
     """
     if isinstance(goal, NegPath):
         return False
     if isinstance(goal, Empty):
         return True
-    memo = _flat_memo
-    if memo is not None and goal in memo:
-        return memo[goal]
-    result = _flat_executable(goal)
-    if memo is not None:
-        memo[goal] = result
+    memo = run.flat_memo
+    result = memo.get(goal)
+    if result is None:
+        result = memo[goal] = _precedence_check(goal, run)
     return result
 
 
-def _flat_executable(goal: Goal) -> bool:
+def _precedence_check(goal: Goal, run: _ExciseRun) -> bool:
     for body in _possibility_bodies(goal):
-        if isinstance(excise(body), NegPath):
+        if isinstance(_excise(body, run), NegPath):
             return False
     builder = _GraphBuilder()
     try:

@@ -100,10 +100,16 @@ __all__ = [
 
 # -- the intern table ----------------------------------------------------------
 #
-# Maps a structural key (class, field values) to the canonical live node.
-# Weak values: a canonical node is retired as soon as nothing else
-# references it, so the table never pins memory. Keys hash in O(1) because
-# every child node caches its own structural hash.
+# Maps a key (class, field values) to the canonical live node. Weak values:
+# a canonical node is retired as soon as nothing else references it, so the
+# table never pins memory. A child node enters the key by identity, not by
+# value: canonical children are unique objects, so identity is structure
+# for them, and the canonical parent holds its children, so their ids
+# cannot be reused while its entry is live. Keying by value would merge
+# parents whose children are equal but not interchangeable: two `Test`s of
+# one name compare equal whatever their predicates, and a parent built
+# over one must not be handed out for the other. Identity keys also hash
+# in C, without a call into `_Node.__hash__` per child.
 
 _INTERN: "weakref.WeakValueDictionary[tuple, Goal]" = weakref.WeakValueDictionary()
 _INTERNING: bool = True
@@ -293,10 +299,13 @@ def _structural_hash(node: "_Node") -> int:
     return node._hash  # type: ignore[attr-defined]
 
 
-def _make(cls, *values) -> Goal:
-    """Allocate (or fetch the canonical) node of ``cls`` for ``values``."""
+def _make(cls, key: tuple, *values) -> Goal:
+    """Allocate (or fetch the canonical) node of ``cls`` for ``values``.
+
+    ``key`` is the node's intern key: ``cls`` with the leaf field values or
+    the ids of the child nodes (see the intern-table comment).
+    """
     if _INTERNING:
-        key = (cls, *values)
         node = _INTERN.get(key)
         if node is not None:
             return node
@@ -326,7 +335,7 @@ class Atom(_Node):
     def __new__(cls, name: str) -> "Atom":
         if not name:
             raise ValueError("atom name must be non-empty")
-        return _make(cls, name)  # type: ignore[return-value]
+        return _make(cls, (cls, name), name)  # type: ignore[return-value]
 
     def __str__(self) -> str:
         return self.name
@@ -343,7 +352,7 @@ class Send(_Node):
     _FIELDS = ("token",)
 
     def __new__(cls, token: str) -> "Send":
-        return _make(cls, token)  # type: ignore[return-value]
+        return _make(cls, (cls, token), token)  # type: ignore[return-value]
 
     def __str__(self) -> str:
         return f"send({self.token})"
@@ -361,7 +370,7 @@ class Receive(_Node):
     _FIELDS = ("token",)
 
     def __new__(cls, token: str) -> "Receive":
-        return _make(cls, token)  # type: ignore[return-value]
+        return _make(cls, (cls, token), token)  # type: ignore[return-value]
 
     def __str__(self) -> str:
         return f"receive({self.token})"
@@ -380,8 +389,10 @@ class Test(_Node):
     The predicate is excluded from equality/hashing: two tests with the
     same name are the same condition. A test carrying a predicate is never
     interned (the callable is per-instance state the canonical node must
-    not capture); predicate-less tests — the only kind the parsers and the
-    compiler produce — are hash-consed like every other node.
+    not capture), and a composite over it is interned under its identity,
+    so the composite keeps that test; predicate-less tests — the only kind
+    the parsers and the compiler produce — are hash-consed like every
+    other node.
     """
 
     # Not a test-case class, despite the name (pytest collection hint).
@@ -394,7 +405,7 @@ class Test(_Node):
         cls, name: str, predicate: Optional[Callable[..., bool]] = None
     ) -> "Test":
         if predicate is None:
-            node = _make(cls, name)
+            node = _make(cls, (cls, name), name)
             # The predicate slot is not part of the intern key; fill it on
             # first construction (idempotent for cache hits).
             object.__setattr__(node, "predicate", None)
@@ -419,7 +430,7 @@ class Serial(_Node):
         parts = tuple(parts)
         if len(parts) < 2:
             raise ValueError("Serial needs at least two parts; use seq() to build")
-        return _make(cls, parts)  # type: ignore[return-value]
+        return _make(cls, (cls, tuple(map(id, parts))), parts)  # type: ignore[return-value]
 
 
 class Concurrent(_Node):
@@ -432,7 +443,7 @@ class Concurrent(_Node):
         parts = tuple(parts)
         if len(parts) < 2:
             raise ValueError("Concurrent needs at least two parts; use par() to build")
-        return _make(cls, parts)  # type: ignore[return-value]
+        return _make(cls, (cls, tuple(map(id, parts))), parts)  # type: ignore[return-value]
 
 
 class Choice(_Node):
@@ -445,7 +456,7 @@ class Choice(_Node):
         parts = tuple(parts)
         if len(parts) < 2:
             raise ValueError("Choice needs at least two parts; use alt() to build")
-        return _make(cls, parts)  # type: ignore[return-value]
+        return _make(cls, (cls, tuple(map(id, parts))), parts)  # type: ignore[return-value]
 
 
 class Isolated(_Node):
@@ -455,7 +466,7 @@ class Isolated(_Node):
     _FIELDS = ("body",)
 
     def __new__(cls, body: Goal) -> "Isolated":
-        return _make(cls, body)  # type: ignore[return-value]
+        return _make(cls, (cls, id(body)), body)  # type: ignore[return-value]
 
     def __str__(self) -> str:
         return f"isolated({self.body})"
@@ -473,7 +484,7 @@ class Possibility(_Node):
     _FIELDS = ("body",)
 
     def __new__(cls, body: Goal) -> "Possibility":
-        return _make(cls, body)  # type: ignore[return-value]
+        return _make(cls, (cls, id(body)), body)  # type: ignore[return-value]
 
     def __str__(self) -> str:
         return f"possible({self.body})"
@@ -486,7 +497,7 @@ class Path(_Node):
     _FIELDS = ()
 
     def __new__(cls) -> "Path":
-        return _make(cls)  # type: ignore[return-value]
+        return _make(cls, (cls,))  # type: ignore[return-value]
 
     def __str__(self) -> str:
         return "path"
@@ -499,7 +510,7 @@ class NegPath(_Node):
     _FIELDS = ()
 
     def __new__(cls) -> "NegPath":
-        return _make(cls)  # type: ignore[return-value]
+        return _make(cls, (cls,))  # type: ignore[return-value]
 
     def __str__(self) -> str:
         return "neg_path"
@@ -512,7 +523,7 @@ class Empty(_Node):
     _FIELDS = ()
 
     def __new__(cls) -> "Empty":
-        return _make(cls)  # type: ignore[return-value]
+        return _make(cls, (cls,))  # type: ignore[return-value]
 
     def __str__(self) -> str:
         return "()"

@@ -4,22 +4,43 @@ The load-bearing property is Propositions 5.2/5.4/5.6: ``Apply(C, T) ≡
 T ∧ C``, checked exactly against the trace-semantics oracle.
 """
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.constraints.algebra import absent, conj, disj, must, order, serial
+from repro.constraints.algebra import (
+    And,
+    Or,
+    Primitive,
+    SerialConstraint,
+    absent,
+    conj,
+    disj,
+    must,
+    order,
+    serial,
+)
+from repro.constraints.normalize import normalize
 from repro.constraints.satisfy import satisfies
 from repro.core.apply import apply_all, apply_constraint
 from repro.core.excise import excise
+from repro.core.sync import TokenFactory, sync_order
 from repro.ctr.formulas import (
     NEG_PATH,
+    Atom,
     Choice,
+    Concurrent,
     Isolated,
+    NegPath,
     Possibility,
+    Serial,
+    Test,
+    alt,
     atoms,
     event_names,
+    par,
+    seq,
 )
-from repro.ctr.simplify import is_failure
+from repro.ctr.simplify import is_failure, simplify
 from repro.ctr.traces import traces
 from repro.ctr.unique import is_unique_event_goal
 from tests.conftest import constraints_over, unique_event_goals
@@ -169,3 +190,149 @@ class TestCentralTheorem:
         applied = apply_constraint(constraint, goal)
         if not is_failure(applied):
             assert is_unique_event_goal(applied)
+
+
+# -- the unpruned walk, kept as the reference for the occurrence masks --------
+#
+# Definition 5.1 applied part by part, without the per-node masks that let
+# Apply skip the subgoals that cannot hold the event. It memoises nothing:
+# every case is a pure function of the (hash-consed) goal, so memoisation
+# changes the cost and never the result, and tokens are minted in the same
+# order because only the constraint's structure decides when.
+
+
+def reference_apply_all(constraints, goal, tokens):
+    result = goal
+    for constraint in constraints:
+        result = _reference_apply(normalize(constraint), result, tokens)
+        if isinstance(result, NegPath):
+            return NEG_PATH
+    return simplify(result)
+
+
+def _reference_apply(constraint, goal, tokens):
+    if isinstance(goal, NegPath):
+        return NEG_PATH
+    if isinstance(constraint, Primitive):
+        if constraint.positive:
+            return _reference_must(constraint.event, goal)
+        return _reference_never(constraint.event, goal)
+    if isinstance(constraint, SerialConstraint):
+        alpha, beta = constraint.events
+        forced = _reference_must(alpha, _reference_must(beta, goal))
+        if isinstance(forced, NegPath):
+            return NEG_PATH
+        return sync_order(alpha, beta, forced, tokens.fresh())
+    if isinstance(constraint, And):
+        result = goal
+        for part in constraint.parts:
+            result = _reference_apply(part, result, tokens)
+            if isinstance(result, NegPath):
+                return NEG_PATH
+        return result
+    assert isinstance(constraint, Or)
+    return alt(*(_reference_apply(part, goal, tokens) for part in constraint.parts))
+
+
+def _reference_must(alpha, goal):
+    if isinstance(goal, Atom):
+        return goal if goal.name == alpha else NEG_PATH
+    if isinstance(goal, (Serial, Concurrent)):
+        build = seq if isinstance(goal, Serial) else par
+        parts = goal.parts
+        branches = []
+        for i, part in enumerate(parts):
+            transformed = _reference_must(alpha, part)
+            if not isinstance(transformed, NegPath):
+                branches.append(build(*parts[:i], transformed, *parts[i + 1:]))
+        return alt(*branches) if branches else NEG_PATH
+    if isinstance(goal, Choice):
+        return alt(*(_reference_must(alpha, part) for part in goal.parts))
+    if isinstance(goal, Isolated):
+        body = _reference_must(alpha, goal.body)
+        return NEG_PATH if isinstance(body, NegPath) else Isolated(body)
+    # ◇, send, receive, test, ε, path, ¬path: α cannot occur here.
+    return NEG_PATH
+
+
+def _reference_never(alpha, goal):
+    if isinstance(goal, Atom):
+        return NEG_PATH if goal.name == alpha else goal
+    if isinstance(goal, Serial):
+        return seq(*(_reference_never(alpha, part) for part in goal.parts))
+    if isinstance(goal, Concurrent):
+        return par(*(_reference_never(alpha, part) for part in goal.parts))
+    if isinstance(goal, Choice):
+        return alt(*(_reference_never(alpha, part) for part in goal.parts))
+    if isinstance(goal, Isolated):
+        body = _reference_never(alpha, goal.body)
+        return NEG_PATH if isinstance(body, NegPath) else Isolated(body)
+    return goal  # a ◇ keeps its hypothetical α; other leaves hold no event
+
+
+@st.composite
+def decorated_goals(draw):
+    """``unique_event_goals`` with ◇ bodies, ⊙ blocks and tests mixed in.
+
+    A ◇ body ranges over the goal's own events: hypothetical occurrences
+    must neither discharge ``∇α`` nor be deleted by ``¬∇α``.
+    """
+    base = draw(unique_event_goals(max_events=5))
+    events = sorted(event_names(base))
+
+    def decorate(node):
+        if isinstance(node, Serial):
+            node = seq(*(decorate(part) for part in node.parts))
+        elif isinstance(node, Concurrent):
+            node = par(*(decorate(part) for part in node.parts))
+        elif isinstance(node, Choice):
+            node = alt(*(decorate(part) for part in node.parts))
+        elif isinstance(node, Isolated):
+            node = Isolated(decorate(node.body))
+        kind = draw(st.sampled_from(["keep", "keep", "keep", "isolate", "test", "possible"]))
+        if kind == "isolate":
+            return Isolated(node)
+        if kind == "test":
+            return seq(Test(draw(st.sampled_from(["t1", "t2"]))), node)
+        if kind == "possible":
+            hypothetical = [Atom(e) for e in draw(st.lists(
+                st.sampled_from(events), min_size=1, max_size=2, unique=True))]
+            return par(node, Possibility(seq(*hypothetical)))
+        return node
+
+    return decorate(base)
+
+
+@st.composite
+def mixed_constraints(draw, events, depth=0):
+    """∇, ¬∇ and order leaves under nested ∧ and ∨."""
+    kinds = ["must", "absent", "order"] + (["and", "or"] if depth < 2 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "must":
+        return must(draw(st.sampled_from(events)))
+    if kind == "absent":
+        return absent(draw(st.sampled_from(events)))
+    if kind == "order":
+        first, second = draw(st.permutations(events))[:2]
+        return order(first, second)
+    parts = draw(st.lists(mixed_constraints(events, depth + 1), min_size=2, max_size=3))
+    return conj(*parts) if kind == "and" else disj(*parts)
+
+
+class TestOccurrenceMasks:
+    """The masks only skip work: the pruned Apply builds the reference node."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(decorated_goals(), st.data())
+    def test_pruned_apply_is_the_reference_walk(self, goal, data):
+        # One event the goal lacks, so ∇/¬∇ of a missing event is covered.
+        events = sorted(event_names(goal)) + ["e_missing"]
+        if data.draw(st.booleans()):
+            # Carry send/receive pairs into the goal under test.
+            first, second = data.draw(st.permutations(events))[:2]
+            goal = apply_all([order(first, second)], goal, TokenFactory(prefix="pre"))
+            assume(not isinstance(goal, NegPath))
+        assert is_unique_event_goal(goal)
+        constraints = data.draw(st.lists(mixed_constraints(events), min_size=1, max_size=3))
+        pruned = apply_all(constraints, goal, TokenFactory())
+        assert pruned is reference_apply_all(constraints, goal, TokenFactory())

@@ -87,6 +87,18 @@ class TestTransitionConditions:
         engine = make_engine(goal, oracle=oracle)
         assert engine.run().schedule == ("a", "b")
 
+    def test_same_shaped_workflows_keep_their_own_predicates(self):
+        # Tests with one name compare equal whatever their predicates, so
+        # the second workflow must not be handed the first one's nodes.
+        def branching(take_b):
+            go = Test("go", predicate=lambda db: take_b)
+            stop = Test("stop", predicate=lambda db: not take_b)
+            return A >> (seq(go, B) + seq(stop, C))
+
+        via_b, via_c = branching(True), branching(False)
+        assert make_engine(via_b).run().schedule == ("a", "b")
+        assert make_engine(via_c).run().schedule == ("a", "c")
+
 
 class TestFailureAtomicity:
     def test_failed_activity_rolls_back(self):

@@ -1,20 +1,31 @@
 """Tests for Excise: knot detection and removal."""
 
+import gc
+import os
+import sys
+import threading
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.sat import cnf_to_workflow, random_cnf
 from repro.constraints.satisfy import satisfies
 from repro.core.apply import apply_all
-from repro.core.excise import excise, flat_executable, has_knot
+from repro.core.excise import ExciseStats, excise, flat_executable, has_knot
 from repro.ctr.formulas import (
     EMPTY,
     NEG_PATH,
+    Atom,
     Isolated,
     Possibility,
     Receive,
     Send,
+    alt,
     atoms,
     event_names,
+    intern_table_size,
+    par,
+    seq,
 )
 from repro.ctr.simplify import is_failure
 from repro.ctr.traces import is_executable, traces
@@ -152,3 +163,72 @@ class TestExciseProperties:
         alternatives = excised.parts if isinstance(excised, Choice) else (excised,)
         for alternative in alternatives:
             assert is_executable(alternative)
+
+
+def _knotted(i):
+    """A goal with a local dead choice and two entangled choices."""
+    a1 = seq(Send(f"x{i}"), Atom(f"a{i}"), Receive(f"y{i}"))
+    a2 = seq(Send(f"y{i}"), Atom(f"a{i}_2"), Receive(f"x{i}"))
+    b1 = seq(Receive(f"x{i}"), Atom(f"b{i}"), Send(f"y{i}"))
+    b2 = seq(Receive(f"y{i}"), Atom(f"b{i}_2"), Send(f"x{i}"))
+    dead = seq(Receive(f"t{i}"), Atom(f"d{i}"), Send(f"t{i}"))
+    return seq(Atom(f"c{i}"), alt(dead, Atom(f"e{i}")), par(alt(a1, a2), alt(b1, b2)))
+
+
+def _excise_on_threads(n_threads, timeout_s):
+    """Excise Prop 4.1 and knotted goals alone, then on ``n_threads`` threads.
+
+    Returns the stats rows that differ from the lone runs, the threads
+    still alive after ``timeout_s`` and the exceptions the threads raised.
+    """
+    work = [_knotted(i) for i in range(10)]
+    for seed in range(10):
+        goal, constraints = cnf_to_workflow(random_cnf(5, 21, seed=seed))
+        work.append(apply_all(constraints, goal))
+    expected = []
+    for goal in work:
+        stats = ExciseStats()
+        excise(goal, stats)
+        expected.append(stats)
+
+    rows = [None] * n_threads
+    errors = []
+
+    def worker(slot):
+        try:
+            row = []
+            for goal in work:
+                stats = ExciseStats()
+                excise(goal, stats)
+                row.append(stats)
+            rows[slot] = row
+        except Exception as exc:  # reported by the caller's assertion
+            errors.append(exc)
+
+    threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(n_threads)]
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout_s)
+    finally:
+        sys.setswitchinterval(previous)
+    alive = [thread for thread in threads if thread.is_alive()]
+    wrong = [row for row in rows if row != expected]
+    return wrong, alive, errors
+
+
+class TestConcurrentPasses:
+    def test_threads_share_no_pass_state(self):
+        # Interleaved passes must neither count into each other's stats
+        # nor leave a memo behind that pins nodes in the intern table.
+        gc.collect()
+        before = intern_table_size()
+        wrong, alive, errors = _excise_on_threads((os.cpu_count() or 1) + 2, 60)
+        assert not alive
+        assert not errors
+        assert not wrong
+        gc.collect()
+        assert intern_table_size() == before

@@ -113,6 +113,13 @@ class TestInterningToggle:
         finally:
             set_interning(True)
 
+    def test_composites_keep_their_predicated_tests(self):
+        first = seq(Test("ok", predicate=lambda db: True), A)
+        p2 = lambda db: False  # noqa: E731
+        second = seq(Test("ok", predicate=p2), A)
+        assert second == first
+        assert second.parts[0].predicate is p2
+
     def test_uninterned_goals_work_in_interned_composites(self):
         with interning(False):
             leaf = Atom("mixed")
