@@ -150,8 +150,10 @@ class CompileCache:
     returns maximally shared goals.
 
     Eviction is LRU by file mtime, bounded by ``max_entries``; loads touch
-    the entry. Corrupt or unreadable entries are treated as misses and
-    removed. Specifications containing :class:`~repro.ctr.formulas.Test`
+    the entry. A store past the bound evicts down to an eighth below it,
+    so the stores that follow list the directory but stat no entry.
+    Corrupt or unreadable entries are treated as misses and removed.
+    Specifications containing :class:`~repro.ctr.formulas.Test`
     nodes with attached predicates are *uncacheable* (a callable cannot be
     content-addressed) and silently bypass the cache.
 
@@ -262,17 +264,26 @@ class CompileCache:
         self._evict()
 
     def _evict(self) -> None:
+        # Listing names costs no stat; entries are stat'ed only once the
+        # cap is exceeded, and eviction then goes an eighth below the cap
+        # (the cap itself below 8 entries) so the next stores skip it.
         # Concurrent workers race here by design: another process may
-        # evict (or rewrite) an entry between our glob, stat, and unlink.
+        # evict (or rewrite) an entry between our scan, stat, and unlink.
         # Each step tolerates the file vanishing underneath it.
+        with os.scandir(self.directory) as scan:
+            names = [e.name for e in scan if e.name.endswith(".json")]
+        if len(names) <= self.max_entries:
+            return
         entries: list[tuple[float, Path]] = []
-        for path in self.directory.glob("*.json"):
+        for name in names:
+            path = self.directory / name
             try:
                 entries.append((path.stat().st_mtime, path))
             except OSError:
                 continue  # evicted by a sibling process mid-scan
         entries.sort(key=lambda item: item[0])
-        for _, stale in entries[: max(0, len(entries) - self.max_entries)]:
+        keep = self.max_entries - self.max_entries // 8
+        for _, stale in entries[: max(0, len(entries) - keep)]:
             try:
                 stale.unlink(missing_ok=True)
             except OSError:  # pragma: no cover - concurrent unlink race

@@ -17,13 +17,15 @@ on demand. On compiled (excised) goals, whose choices are token-free or
 already hoisted, the state set stays small and a full path costs time
 linear in the original graph — the paper's scheduling bound (Thm 5.11).
 
-Every cache — the successor table and the viability memo — belongs to the
-scheduler and dies with it. Transition conditions
-(:class:`~repro.ctr.formulas.Test` nodes) go to ``test_hook`` as the
-kernel steps them; the hook reads a live database that may change between
-calls, so with a hook on a goal that has conditions no successor is
-reused from one call to the next, exactly as
-:class:`~repro.ctr.machine.Machine` recomputes every step.
+Every cache — the successor table, the kernel's steps table (each
+sub-residual's steps, derived once and shared by every state that
+contains it) and the viability memo — belongs to the scheduler and dies
+with it. Transition conditions (:class:`~repro.ctr.formulas.Test` nodes)
+go to ``test_hook`` as the kernel steps them; the hook reads a live
+database that may change between calls, so with a hook on a goal that
+has conditions neither a successor nor a step is reused from one call to
+the next, exactly as :class:`~repro.ctr.machine.Machine` recomputes every
+step.
 """
 
 from __future__ import annotations
@@ -38,8 +40,9 @@ from ..errors import IneligibleEventError, SchedulingError, SpecificationError
 
 __all__ = ["Scheduler", "SchedulerMark", "SchedulerStats", "seeded_strategy"]
 
-#: Entries of the successor table before it is cleared (bounds memory on
-#: exhaustive enumerations of large schedule spaces).
+#: Entries of the successor table before it is cleared, together with
+#: the steps table (bounds memory on exhaustive enumerations of large
+#: schedule spaces).
 _SUCC_CACHE_MAX = 65536
 
 
@@ -121,6 +124,7 @@ class Scheduler:
         self._test = test_hook
         self._live = test_hook is not None and bool(program.tests)
         self._succ: dict = {}
+        self._step_table: dict = {}
         self._initial = frozenset((program.initial(),))
         self._state = self._initial
         self._history: list[str] = []
@@ -132,16 +136,26 @@ class Scheduler:
         """``state``'s event-id-labelled successors, through the table."""
         succ = self._succ.get(state)
         if succ is None:
-            succ = self._program.successors(state, self._test)
+            succ = self._program.successors(state, self._test,
+                                            self._step_table)
             if len(self._succ) >= _SUCC_CACHE_MAX:
-                self._succ.clear()
+                self._forget()
             self._succ[state] = succ
         return succ
 
+    def _is_final(self, state) -> bool:
+        return self._program.is_final(state, self._test, self._step_table)
+
+    def _forget(self) -> None:
+        self._succ.clear()
+        self._step_table.clear()
+
     def _begin(self) -> None:
-        """Start a query: with live conditions, forget earlier successors."""
+        """Start a query: with live conditions, forget everything derived
+        from earlier answers of the hook."""
         if self._live:
-            self._succ.clear()
+            self._forget()
+            self._viability_key = None
 
     def _names(self, ids) -> frozenset[str]:
         names = self._program.events
@@ -167,8 +181,8 @@ class Scheduler:
 
     def can_finish(self) -> bool:
         """May the workflow terminate successfully right now?"""
-        program, test = self._program, self._test
-        return any(program.is_final(state, test) for state in self._state)
+        self._begin()
+        return any(self._is_final(state) for state in self._state)
 
     @property
     def finished(self) -> bool:
@@ -258,7 +272,8 @@ class Scheduler:
         return frozenset(ids[n] for n in names if n in ids)
 
     def _viability(self, avoid: frozenset[int]) -> dict:
-        """The memo table for ``avoid`` (reset whenever the avoided set changes)."""
+        """The memo table for ``avoid`` (reset whenever the avoided set
+        changes, and by every query under live conditions)."""
         self.stats.viability_checks += 1
         if self._viability_key != avoid:
             self._viability_key = avoid
@@ -271,7 +286,6 @@ class Scheduler:
             return cached
         # Iterative memoized post-order DFS: schedules can be thousands of
         # events deep, well past the recursion limit.
-        program, test = self._program, self._test
         children: dict = {}
         expanding: set = set()
         stack = [state]
@@ -282,7 +296,7 @@ class Scheduler:
                 continue
             if current not in expanding:
                 expanding.add(current)
-                if program.is_final(current, test):
+                if self._is_final(current):
                     memo[current] = True
                     stack.pop()
                     continue
@@ -368,8 +382,7 @@ class Scheduler:
         without recursion.
         """
         self._begin()
-        program, test = self._program, self._test
-        names = program.events
+        names = self._program.events
         produced = 0
         seen_outputs: set[tuple[str, ...]] = set()
         # (state set, prefix) frames; children are pushed in reverse-sorted
@@ -377,7 +390,7 @@ class Scheduler:
         stack = [(self._state, tuple(self._history))]
         while stack:
             state, prefix = stack.pop()
-            if any(program.is_final(s, test) for s in state):
+            if any(self._is_final(s) for s in state):
                 if prefix not in seen_outputs:
                     seen_outputs.add(prefix)
                     produced += 1

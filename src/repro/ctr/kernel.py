@@ -31,8 +31,11 @@ search (a ``receive`` simply has no step until its token bit is set), not
 generated and filtered afterwards — on heavily synchronized compiled goals
 this is an exponential reduction in work.
 
-This is the engine under :class:`repro.core.scheduler.Scheduler`, which
-owns every cache; a program holds nothing but its tables. The object
+Step derivation is memoized in a *steps table* (token mask → residual →
+steps) that the caller owns: a trace or executability query makes one
+for its own walk, and :class:`repro.core.scheduler.Scheduler` — the
+engine's one client — keeps one for its lifetime beside its successor
+table. A program holds nothing but its tables. The object
 interpreters — :mod:`repro.ctr.traces` and :mod:`repro.ctr.machine` —
 remain the semantic oracle, and ``tests/ctr/test_kernel.py`` asserts the
 kernel agrees with them.
@@ -110,7 +113,9 @@ class KernelProgram:
 
     Build with :func:`lower_goal`. The tables are immutable and the ops
     are pure functions of them (and of the optional ``test`` callback), so
-    a program carries no state between queries.
+    a program carries no state between queries: the steps table that
+    memoizes derivation belongs to the query or the scheduler that passes
+    it in (see :meth:`_steps`).
     """
 
     __slots__ = (
@@ -321,18 +326,26 @@ class KernelProgram:
                 stack.extend(current[1])
         return False
 
-    # -- step derivation (iterative, memoized per call) ------------------------
+    # -- step derivation (iterative, memoized in a caller-owned table) ---------
 
-    def _steps(self, rem, tok: int, test: TestCallback | None = None):
+    def _steps(self, rem, tok: int, test: TestCallback | None = None,
+               table: dict | None = None):
         """All single steps of ``(rem, tok)`` as ``(label, rem', tok')``.
 
         ``label`` is an event id, or ``None`` for silent steps
         (send/receive/test/◇). Derivation is an explicit post-order
         evaluation over the residual's sub-terms — no Python recursion —
-        with a per-call memo (the token mask is fixed during one
-        derivation: sends change it only in *result* states).
+        memoized per token mask (the mask is fixed during one derivation:
+        sends change it only in *result* states).
+
+        ``table`` is a steps table the caller owns (token mask → residual
+        → steps): a query or a scheduler passes one table to every call so
+        sub-residuals shared between states are derived once. Entries
+        depend on ``test``, so one table serves one callback, and only for
+        as long as the callback's answers hold. Without a table the memo
+        lives for this call only.
         """
-        memo: dict = {}
+        memo: dict = {} if table is None else table.setdefault(tok, {})
         stack = [rem]
         while stack:
             current = stack[-1]
@@ -481,6 +494,7 @@ class KernelProgram:
     def can_complete(self, rem, tok: int, budget: int | None = None,
                      test: TestCallback | None = None) -> bool:
         """Is there *any* full execution from ``(rem, tok)``? (state search)"""
+        table: dict = {}
         seen = {(rem, tok)}
         stack = [(rem, tok)]
         while stack:
@@ -489,22 +503,25 @@ class KernelProgram:
                 return True
             if budget is not None and len(seen) > budget:
                 raise TooManyTracesError(budget)
-            for _label, nxt, t2 in self._steps(r, t, test):
+            for _label, nxt, t2 in self._steps(r, t, test, table):
                 state = (nxt, t2)
                 if state not in seen:
                     seen.add(state)
                     stack.append(state)
         return False
 
-    def successors(self, state,
-                   test: TestCallback | None = None) -> dict[int, frozenset]:
-        """Event-id-labelled successor states, silent steps closed over."""
+    def successors(self, state, test: TestCallback | None = None,
+                   table: dict | None = None) -> dict[int, frozenset]:
+        """Event-id-labelled successor states, silent steps closed over.
+
+        ``table`` is the caller's steps table (see :meth:`_steps`).
+        """
         seen = {state}
         frontier = [state]
         result: dict[int, set] = {}
         while frontier:
             r, t = frontier.pop()
-            for label, nxt, t2 in self._steps(r, t, test):
+            for label, nxt, t2 in self._steps(r, t, test, table):
                 if label is None:
                     silent = (nxt, t2)
                     if silent not in seen:
@@ -514,15 +531,19 @@ class KernelProgram:
                     result.setdefault(label, set()).add((nxt, t2))
         return {label: frozenset(states) for label, states in result.items()}
 
-    def is_final(self, state, test: TestCallback | None = None) -> bool:
-        """Can ``state`` complete using silent steps only?"""
+    def is_final(self, state, test: TestCallback | None = None,
+                 table: dict | None = None) -> bool:
+        """Can ``state`` complete using silent steps only?
+
+        ``table`` is the caller's steps table (see :meth:`_steps`).
+        """
         seen = {state}
         frontier = [state]
         while frontier:
             r, t = frontier.pop()
             if self.rem_nullable(r):
                 return True
-            for label, nxt, t2 in self._steps(r, t, test):
+            for label, nxt, t2 in self._steps(r, t, test, table):
                 if label is None:
                     silent = (nxt, t2)
                     if silent not in seen:
@@ -543,6 +564,7 @@ class KernelProgram:
         """
         out: set[tuple[int, ...]] = set()
         seen: set = set()
+        table: dict = {}
         stack = [((), self.initial())]
         while stack:
             prefix, state = stack.pop()
@@ -555,7 +577,7 @@ class KernelProgram:
             r, t = state
             if self.rem_nullable(r):
                 out.add(prefix)
-            for label, nxt, t2 in self._steps(r, t):
+            for label, nxt, t2 in self._steps(r, t, table=table):
                 new_prefix = prefix if label is None else prefix + (label,)
                 stack.append((new_prefix, (nxt, t2)))
         return out, True

@@ -256,12 +256,18 @@ class HttpServerBase:
                 query[key] = value
         headers: dict[str, str] = {}
         while True:
-            line = await reader.readline()
+            try:
+                line = await reader.readline()
+            except ValueError:  # longer than the stream's line limit
+                raise HttpError(400, "request header line too long") from None
             if line in (b"\r\n", b"\n", b""):
                 break
             name, _, value = line.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        declared = headers.get("content-length", "0") or "0"
+        if not (declared.isascii() and declared.isdigit()):
+            raise HttpError(400, "malformed Content-Length header")
+        length = int(declared)
         if length > MAX_BODY_BYTES:
             raise HttpError(413, "request body too large")
         body = await reader.readexactly(length) if length else b""

@@ -78,6 +78,41 @@ class TestEviction:
                 os.utime(entry, (i + j * 0.001, i + j * 0.001))
         assert len(cache) == 2
 
+    def test_store_under_the_bound_stats_no_other_entry(self, tmp_path,
+                                                        monkeypatch):
+        # Eviction must not cost a stat per cached entry on every write.
+        import os
+
+        cache = CompileCache(tmp_path, max_entries=8)
+        for goal in (A >> B, B >> C, C >> D):
+            compile_workflow(goal, cache=cache)
+        statted = []
+        real_stat = os.stat
+
+        def counting_stat(path, *args, **kwargs):
+            if str(path).endswith(".json"):
+                statted.append(os.path.basename(path))
+            return real_stat(path, *args, **kwargs)
+
+        monkeypatch.setattr(os, "stat", counting_stat)
+        compile_workflow(D >> A, cache=cache)
+        own = cache._path(cache.key(D >> A)).name
+        assert [name for name in statted if name != own] == []
+        assert len(cache) == 4
+
+    def test_eviction_past_the_bound_keeps_the_newest(self, tmp_path):
+        import os
+
+        cache = CompileCache(tmp_path, max_entries=16)
+        goals = [seq(*atoms(f"a{i} b{i}")) for i in range(17)]
+        for i, goal in enumerate(goals):
+            compile_workflow(goal, cache=cache)
+            os.utime(cache._path(cache.key(goal)), (i, i))
+        # Over the bound: the oldest go, down to an eighth below it.
+        assert len(cache) == 16 - 16 // 8
+        assert not cache._path(cache.key(goals[0])).exists()
+        assert cache._path(cache.key(goals[-1])).exists()
+
     def test_max_entries_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
             CompileCache(tmp_path, max_entries=0)

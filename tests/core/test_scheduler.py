@@ -6,9 +6,10 @@ from hypothesis import strategies as st
 
 from repro.constraints.satisfy import satisfies
 from repro.core.compiler import compile_workflow
+from repro.core import scheduler as scheduler_module
 from repro.core.scheduler import Scheduler
 from repro.constraints.algebra import order
-from repro.ctr.formulas import Atom, Isolated, atoms, event_names
+from repro.ctr.formulas import Atom, Isolated, Test, atoms, event_names, seq
 from repro.ctr.traces import traces
 from repro.graph.generators import serial_chain
 from repro.errors import IneligibleEventError
@@ -186,6 +187,82 @@ class TestEnumeration:
     def test_scheduler_sound_and_complete(self, goal):
         got = set(Scheduler(goal).enumerate_schedules())
         assert got == set(traces(goal))
+
+
+class TestLiveConditionsAcrossQueries:
+    """With a live ``test_hook`` no derived step outlives the query that
+    derived it: a condition flipping between two queries is seen by the
+    second, whichever queries they are."""
+
+    def _gate(self):
+        ready = {"flag": False}
+        goal = seq(A, Test("ready"), B + seq(C, Test("ready")))
+        return Scheduler(goal, test_hook=lambda test: ready["flag"]), ready
+
+    def test_eligible_then_eligible(self):
+        s, ready = self._gate()
+        s.fire("a")
+        assert s.eligible() == frozenset()
+        ready["flag"] = True
+        assert s.eligible() == {"b", "c"}
+        ready["flag"] = False
+        assert s.eligible() == frozenset()
+
+    def test_eligible_then_can_finish(self):
+        s, ready = self._gate()
+        s.fire("a")
+        ready["flag"] = True
+        assert s.eligible() == {"b", "c"}
+        s.fire("c")
+        ready["flag"] = False
+        assert s.eligible() == frozenset()
+        assert not s.can_finish()
+        ready["flag"] = True
+        assert s.can_finish()
+        assert s.run() == ("a", "c")
+
+    def test_viability_and_enumeration(self):
+        s, ready = self._gate()
+        s.fire("a")
+        assert not s.viable()
+        assert list(s.enumerate_schedules()) == []
+        ready["flag"] = True
+        assert s.viable()
+        assert s.viable_events(frozenset({"b"})) == {"c"}
+        assert list(s.enumerate_schedules()) == [("a", "b"), ("a", "c")]
+
+
+class TestBoundedCaches:
+    """Clearing the successor and steps tables on overflow changes no
+    answer, only how much is recomputed."""
+
+    def _both(self, monkeypatch, query):
+        expected = query()
+        monkeypatch.setattr(scheduler_module, "_SUCC_CACHE_MAX", 3)
+        assert query() == expected
+        return expected
+
+    def test_long_run(self, monkeypatch):
+        compiled = compile_workflow(
+            serial_chain(300), [order("e10", "e200"), order("e5", "e290")]
+        )
+
+        def run():
+            scheduler = compiled.scheduler()
+            return scheduler.run(), scheduler.stats
+
+        schedule, _stats = self._both(monkeypatch, run)
+        assert len(schedule) == 300
+
+    def test_full_enumeration(self, monkeypatch):
+        goal = (A | B | (C >> D)) + (D >> (A | B))
+        compiled = compile_workflow(goal, [order("a", "b")])
+        schedules = self._both(
+            monkeypatch, lambda: list(compiled.schedules())
+        )
+        assert schedules == sorted(
+            t for t in traces(goal) if t.index("a") < t.index("b")
+        )
 
 
 class TestLongWorkflows:

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.constraints.algebra import must, order
 from repro.constraints.satisfy import satisfies
 from repro.core import parallel
+from repro.core.compiler import compile_workflow
 from repro.core.scheduler import Scheduler, seeded_strategy
 from repro.core.verify import verify_properties, verify_property
 from repro.ctr.formulas import (
@@ -199,6 +200,65 @@ class TestDifferentialScheduling:
         scheduler.fire("b")
         assert scheduler.finished
         assert scheduler.history == ("a", "b")
+
+
+def _compiled_goal(goal, data):
+    """``goal`` compiled under one random constraint (so its states carry
+    token masks), or ``None`` when that specification is inconsistent."""
+    events = tuple(sorted(event_names(goal)))
+    if len(events) < 2:
+        events += ("e_other",)
+    compiled = compile_workflow(goal, [data.draw(constraints_over(events))])
+    return compiled.goal if compiled.consistent else None
+
+
+class TestStepsTable:
+    """One steps table shared across a whole walk is a memo, nothing more."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(unique_event_goals(max_events=4), st.data())
+    def test_shared_table_equals_fresh_derivation(self, goal, data):
+        names = sorted(event_names(goal))
+        guards = data.draw(st.sets(st.sampled_from(names)))
+        passing = data.draw(st.sets(st.sampled_from(names)))
+
+        def hook(test):
+            return test.name[len("t_"):] in passing
+
+        walks = [(goal, None), (_guarded(goal, guards), hook)]
+        compiled = _compiled_goal(goal, data)
+        if compiled is not None:
+            walks.append((compiled, None))
+        for walked, test in walks:
+            program = lower_goal(walked)
+            table: dict = {}
+            seen = {program.initial()}
+            stack = list(seen)
+            while stack:
+                state = stack.pop()
+                successors = program.successors(state, test, table)
+                assert successors == program.successors(state, test)
+                assert program.is_final(state, test, table) == \
+                    program.is_final(state, test)
+                for targets in successors.values():
+                    fresh = targets - seen
+                    seen |= fresh
+                    stack.extend(fresh)
+
+    @settings(max_examples=40, deadline=None)
+    @given(unique_event_goals(min_events=2, max_events=4), st.data())
+    def test_token_bearing_queries_equal_the_oracle(self, goal, data):
+        compiled = _compiled_goal(goal, data)
+        assume(compiled is not None)
+        expected = _oracle_traces(compiled)
+        program = lower_goal(compiled)
+        assert program.traces(max_traces=MAX) == expected
+        assert program.is_executable() == bool(expected)
+        count = program.count_traces(max_traces=MAX)
+        assert count.exact and int(count) == len(expected)
+        assert list(Scheduler(compiled).enumerate_schedules(limit=MAX)) == \
+            sorted(expected)
+        assert Scheduler(compiled).run() == _machine_run(compiled)
 
 
 class TestLiveConditions:

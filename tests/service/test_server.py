@@ -166,6 +166,28 @@ class TestErrorMapping:
                 client._request("POST", "/verify", {})
         assert excinfo.value.status == 400
 
+    @pytest.mark.parametrize("header", [
+        b"Content-Length: abc\r\n",
+        b"Content-Length: -5\r\n",
+        b"X-Padding: " + b"x" * 70_000 + b"\r\n",
+    ], ids=["non-numeric-length", "negative-length", "70KB-header-line"])
+    def test_malformed_request_head_is_400(self, service, header):
+        import socket
+
+        head = b"POST /verify HTTP/1.1\r\nHost: localhost\r\n" + header + b"\r\n"
+        with socket.create_connection((service.host, service.port),
+                                      timeout=10) as sock:
+            sock.sendall(head)
+            reply = b""
+            while chunk := sock.recv(65536):  # the server closes after it
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line.startswith(b"HTTP/1.1 400"), reply[:200]
+        assert b"Connection: close" in rest
+        assert "error" in json.loads(rest.partition(b"\r\n\r\n")[2])
+        with service.client() as client:
+            assert client.healthz()["status"] == "ok"
+
 
 class TestBatchingOverHttp:
     def test_concurrent_identical_requests_coalesce(self, service):
