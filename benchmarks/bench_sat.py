@@ -1,27 +1,40 @@
 """E5: Proposition 4.1 — NP-completeness of verification/consistency.
 
-Two sides of the proposition:
+Two sides of the proposition, and a check of the consistency search:
 
 * **E5a** — hardness: consistency checking solves random 3-SAT near the
-  phase transition (clause/variable ratio ≈ 4.3). Median decision time
+  phase transition (clause/variable ratio ≈ 4.3). Median compile time
   grows super-polynomially with the variable count; the reduction uses
   *existence constraints only* ("synchronization per se is not the
-  culprit").
+  culprit"). The fit stays on the full compile, because the exponent is
+  a claim about Apply; the consistency search of
+  :func:`repro.core.apply.consistent_branch` is timed beside it, and
+  search, compile and brute force must agree on every instance.
 * **E5b** — the tractable fragment: with *order constraints only*
   (d = 1), the whole pipeline is polynomial — measured time versus graph
   size fits a low-degree power law.
+* **E5c** — the search answers as the compile does: 10,000 seeded specs
+  (random goals with ``⊙`` blocks, ``◇`` tests and conditions; random
+  constraints, ``∇``/``¬∇`` disjunctions and negations) with zero
+  divergence, both for consistency and for the redundancy of one drawn
+  constraint.
 """
 
+import random
 import statistics
 
 from conftest import save_table, time_best_of
 
 from repro.analysis.metrics import fit_exponential, fit_power_law, render_table
 from repro.analysis.sat import brute_force_sat, cnf_to_workflow, random_cnf
-from repro.constraints.algebra import order
+from repro.constraints.algebra import absent, disj, must, order
+from repro.constraints.normalize import negate
+from repro.core.apply import consistent_branch
 from repro.core.compiler import compile_workflow
-from repro.ctr.formulas import goal_size
-from repro.graph.generators import parallel_chains
+from repro.core.verify import is_consistent, is_redundant
+from repro.ctr.formulas import event_names, goal_size
+from repro.ctr.simplify import is_failure
+from repro.graph.generators import parallel_chains, random_constraints, random_goal
 
 
 def test_e5a_consistency_solves_3sat(benchmark):
@@ -30,6 +43,7 @@ def test_e5a_consistency_solves_3sat(benchmark):
     for n_vars in (4, 6, 8, 10, 12):
         n_clauses = round(4.3 * n_vars)
         times = []
+        search_times = []
         sat_count = 0
         for seed in range(5):
             cnf = random_cnf(n_vars, n_clauses, seed=seed)
@@ -38,12 +52,16 @@ def test_e5a_consistency_solves_3sat(benchmark):
                 lambda: compile_workflow(goal, constraints).consistent, repeats=1
             )
             times.append(seconds)
+            search_times.append(time_best_of(
+                lambda: consistent_branch(constraints, goal), repeats=1))
             consistent = compile_workflow(goal, constraints).consistent
             sat_count += consistent
-            # Ground truth: the reduction is exact.
+            # Ground truth: the reduction is exact, and the search agrees.
             assert consistent == (brute_force_sat(cnf) is not None)
+            assert consistent == (not is_failure(consistent_branch(constraints, goal)))
         median = statistics.median(times)
-        rows.append([n_vars, n_clauses, f"{sat_count}/5", median * 1e3])
+        rows.append([n_vars, n_clauses, f"{sat_count}/5", median * 1e3,
+                     statistics.median(search_times) * 1e3])
         xs.append(float(n_vars))
         ys.append(median)
     base, r2 = fit_exponential(xs, ys)
@@ -56,10 +74,11 @@ def test_e5a_consistency_solves_3sat(benchmark):
         "E5a_np_hardness",
         render_table(
             "E5a: consistency checking on random 3-SAT (ratio 4.3)",
-            ["vars", "clauses", "SAT", "median ms"],
+            ["vars", "clauses", "SAT", "compile median ms", "search median ms"],
             rows,
-            note=f"semi-log fit: time ∝ {base:.2f}^n (r²={r2:.3f}); existence "
-            "constraints only, matching Prop 4.1's NP-hardness source.",
+            note=f"semi-log fit of the compile: time ∝ {base:.2f}^n (r²={r2:.3f}); "
+            "existence constraints only, matching Prop 4.1's NP-hardness source. "
+            "Search, compile and brute force agree on every instance.",
         ),
     )
     assert base > 1.3, f"expected super-polynomial growth, got base {base}"
@@ -98,3 +117,56 @@ def test_e5b_order_constraints_are_polynomial(benchmark):
         ),
     )
     assert exponent < 3.0, f"expected polynomial, got exponent {exponent}"
+
+
+E5C_SPECS = 10_000
+
+
+def _e5c_spec(seed):
+    """One seeded spec: a random goal and 1–4 constraints over its events."""
+    rng = random.Random(seed)
+    goal = random_goal(rng.randint(2, 6), rng=rng, p_choice=0.3,
+                       p_isolated=0.2, p_possible=0.1, p_condition=0.1)
+    events = sorted(event_names(goal)) + ["e_missing"]
+    constraints = random_constraints(events, rng.randint(1, 3), rng=rng)
+    constraints = [negate(c) if rng.random() < 0.2 else c for c in constraints]
+    if rng.random() < 0.6:
+        chosen = rng.sample(events, rng.randint(2, min(3, len(events))))
+        constraints.append(disj(*(must(e) if rng.random() < 0.5 else absent(e)
+                                  for e in chosen)))
+    return goal, constraints
+
+
+def test_e5c_search_matches_the_compile():
+    consistent = redundant = 0
+    verdict_divergences = redundancy_divergences = 0
+    for seed in range(E5C_SPECS):
+        goal, constraints = _e5c_spec(seed)
+        phi = constraints[seed % len(constraints)]
+        rest = list(constraints)
+        rest.remove(phi)
+        searched = is_consistent(goal, constraints)
+        searched_redundant = is_redundant(goal, constraints, phi)
+        compiled = compile_workflow(goal, constraints).consistent
+        compiled_redundant = not compile_workflow(goal, rest + [negate(phi)]).consistent
+        consistent += compiled
+        redundant += compiled_redundant
+        verdict_divergences += searched != compiled
+        redundancy_divergences += searched_redundant != compiled_redundant
+    save_table(
+        "E5c_search_divergence",
+        render_table(
+            "E5c: consistency search vs the full compile on seeded specs",
+            ["specs", "consistent", "redundant φ", "verdict divergences",
+             "redundancy divergences"],
+            [[E5C_SPECS, consistent, redundant, verdict_divergences,
+              redundancy_divergences]],
+            note="goals: random_goal n=2–6 with ⊙ 0.2, ◇ 0.1, conditions 0.1; "
+            "constraints: 1–3 random_constraints (20% negated) plus a width-2/3 "
+            "∇/¬∇ disjunction in 60% of specs; φ is one of them. The search "
+            "answers through is_consistent and is_redundant, the compile "
+            "through compile_workflow(...).consistent.",
+        ),
+    )
+    assert verdict_divergences == 0
+    assert redundancy_divergences == 0

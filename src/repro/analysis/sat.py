@@ -18,10 +18,16 @@ The reduction implemented here: for a CNF formula over variables
   anywhere, confirming that "synchronization per se is not the culprit").
 
 The workflow is consistent with the constraints iff the CNF is
-satisfiable, and any allowed schedule reads back an satisfying
-assignment. A brute-force SAT solver is included as the ground truth for
-the test-suite, along with a seeded random k-CNF generator for benchmark
-E5.
+satisfiable, and any allowed schedule reads back a satisfying assignment.
+:func:`workflow_consistency_sat` answers with the consistency search of
+:func:`repro.core.apply.consistent_branch` — on this reduction it is a
+DPLL: each clause is a ``∇`` disjunction, a chosen literal resolves its
+variable's choice, and the occurrence masks propagate units — and reads
+the assignment off a schedule of the branch the search found. An empty
+clause is false: it becomes ``∇`` of an event the goal never offers, and
+zero variables give the empty goal. A brute-force SAT solver is included
+as the ground truth for the test-suite, along with a seeded random k-CNF
+generator for benchmark E5.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ from dataclasses import dataclass
 
 from ..constraints.algebra import Constraint, disj, must
 from ..ctr.formulas import Atom, Goal, alt, par
+from ..ctr.simplify import is_failure
 
 __all__ = [
     "Cnf",
@@ -99,30 +106,36 @@ def _event(literal: int) -> str:
     return f"x{abs(literal)}_{polarity}"
 
 
+#: The event an empty clause requires: no variable choice offers it.
+_NO_LITERAL = "x0"
+
+
 def cnf_to_workflow(cnf: Cnf) -> tuple[Goal, list[Constraint]]:
     """The Proposition 4.1 reduction: CNF → (control flow goal, existence constraints)."""
-    variable_choices = [
-        alt(Atom(_event(i)), Atom(_event(-i))) for i in range(1, cnf.n_vars + 1)
-    ]
-    goal = par(*variable_choices) if len(variable_choices) > 1 else variable_choices[0]
-    constraints = [disj(*(must(_event(lit)) for lit in clause)) for clause in cnf.clauses]
+    goal = par(*(alt(Atom(_event(i)), Atom(_event(-i)))
+                 for i in range(1, cnf.n_vars + 1)))
+    constraints = [disj(*(must(_event(lit)) for lit in clause)) if clause
+                   else must(_NO_LITERAL) for clause in cnf.clauses]
     return goal, constraints
 
 
 def workflow_consistency_sat(cnf: Cnf) -> dict[int, bool] | None:
     """Decide SAT via workflow consistency (Theorem 5.8 + the reduction).
 
-    Returns a satisfying assignment extracted from an allowed schedule, or
-    None when the workflow (hence the CNF) is inconsistent.
+    Returns a satisfying assignment read off a schedule of the branch the
+    consistency search found, or None when the workflow (hence the CNF) is
+    inconsistent. Any satisfying assignment may come back, not
+    necessarily the one the full compile's schedule would give.
     """
-    from ..core.compiler import compile_workflow
+    from ..core.apply import consistent_branch
+    from ..core.compiler import expand_goal
+    from ..core.scheduler import Scheduler
 
     goal, constraints = cnf_to_workflow(cnf)
-    compiled = compile_workflow(goal, constraints)
-    if not compiled.consistent:
+    leaf = consistent_branch(constraints, expand_goal(goal))
+    if is_failure(leaf):
         return None
-    schedule = compiled.scheduler().run()
-    return assignment_from_schedule(schedule, cnf.n_vars)
+    return assignment_from_schedule(Scheduler(leaf).run(), cnf.n_vars)
 
 
 def assignment_from_schedule(

@@ -4,7 +4,10 @@ Specifications accumulate rules over years; many end up implied by the
 others or by the control flow itself. Building on Theorem 5.10's
 redundancy test, :func:`minimize_constraints` greedily removes constraints
 that the rest of the specification already enforces, returning a minimal
-(irredundant) subset with exactly the same legal executions.
+(irredundant) subset with exactly the same legal executions. Each test is
+a consistency search (:func:`repro.core.verify.is_consistent`) of the
+kept constraints with the candidate negated: it stops at the first
+surviving branch instead of compiling all ``d^N``.
 
 Note that redundancy is not monotone — two constraints may each be
 redundant *given the other* but not simultaneously removable — hence the
@@ -36,7 +39,8 @@ def minimize_constraints(
     (removal is attempted on the lowest-scored first). By default removal
     is attempted in the given order.
     """
-    from ..core.verify import verify_property
+    from ..core.verify import is_consistent
+    from .normalize import negate
 
     kept = list(constraints)
     candidates = sorted(
@@ -45,6 +49,6 @@ def minimize_constraints(
     removed: set[int] = set()
     for index in candidates:
         remaining = [c for j, c in enumerate(kept) if j != index and j not in removed]
-        if verify_property(goal, remaining, kept[index], rules=rules).holds:
+        if not is_consistent(goal, remaining + [negate(kept[index])], rules=rules):
             removed.add(index)
     return [c for j, c in enumerate(kept) if j not in removed]

@@ -43,8 +43,8 @@ builds (the tests keep that walk as the reference).
 
 Sharing-awareness: goals are hash-consed, so the ``C₁ ∨ C₂`` duplication
 produces branches that *share* every untouched subterm. One
-:class:`_ApplyMemo` per ``apply_all``/``apply_constraint`` invocation
-holds the masks and memoises the primitive cases per ``(event, node)`` and
+:class:`_ApplyMemo` per ``apply_all``/``apply_constraint``/
+``consistent_branch`` invocation holds the masks and memoises the primitive cases per ``(event, node)`` and
 whole token-free subproblems per ``(constraint, node)``, so each shared
 node is transformed once no matter how many of the ``d^N`` branches
 contain it. Subproblems that mint synchronization tokens (any constraint
@@ -52,6 +52,11 @@ containing a serial/order part) are **never** cached: every application
 must draw a fresh token from the :class:`~repro.core.sync.TokenFactory`,
 and replaying a cached result would duplicate a token and break
 send/receive freshness.
+
+Yes/no questions (Theorems 5.8 and 5.10) need only one surviving branch,
+not all ``d^N``: :func:`consistent_branch` searches the token-free
+disjunctions instead of duplicating the goal for them, with the masks
+as unit propagation.
 """
 
 from __future__ import annotations
@@ -71,9 +76,10 @@ from ..ctr.formulas import (
     par,
     seq,
 )
+from .excise import excise
 from .sync import TokenFactory, sync_order
 
-__all__ = ["apply_constraint", "apply_all"]
+__all__ = ["apply_constraint", "apply_all", "consistent_branch"]
 
 _BUILD = {Serial: seq, Concurrent: par, Choice: alt}
 
@@ -202,6 +208,154 @@ def apply_all(
         if isinstance(result, NegPath):
             return NEG_PATH
     return simplify(result)
+
+
+def consistent_branch(
+    constraints: list[Constraint] | tuple[Constraint, ...], goal: Goal
+) -> Goal:
+    """``Excise(Apply(b, G))`` for the first branch ``b`` whose leaf survives
+    Excise, or ``NEG_PATH`` when no branch does (Theorem 5.8).
+
+    ``goal`` must be rule-expanded and unique-event, as for
+    :func:`apply_all`. A branch picks one disjunct of each *token-free*
+    disjunction (one with no order leaf) among the top-level ``∧`` parts
+    of the normalized constraints. The search runs on one memo and one
+    token factory:
+
+    1. It walks those parts in list order. A part that is not a token-free
+       disjunction is applied at its position; an order disjunction is
+       applied in full, since masks cannot see order conflicts and
+       branching on it would lose the sharing of the full Apply. A
+       token-free disjunction is tested against the masks of the goal
+       built so far: it is dropped when a disjunct is satisfied, answers
+       ``NEG_PATH`` when every disjunct is dead, is applied when exactly
+       one disjunct is live, and is deferred otherwise.
+    2. It then pops states off an explicit stack (no Python frame per
+       decision). Each state propagates the deferred disjunctions on its
+       goal the same way until none has a single live disjunct left, then
+       branches on the one with the fewest live disjuncts (ties by list
+       order), trying them in order. A state with nothing deferred is a
+       leaf; the first leaf whose Excise is not ``¬path`` is the answer.
+
+    On a goal ``T``, ``∇α`` is *satisfied* when ``α ∈ must(T)`` and *dead*
+    when ``α ∉ may(T)``; ``¬∇α`` is satisfied when ``α ∉ may(T)`` and dead
+    when ``α ∈ must(T)``. A ``∧`` is dead when a part is and satisfied
+    when every part is; a ``∨`` the other way round.
+
+    Why it is exact: a dead disjunct's Apply is ``¬path`` (Definition 5.1
+    for a primitive; Apply never adds an event to ``may`` nor removes one
+    from ``must``, so a part dead on ``T`` stays dead on what the parts
+    before it leave), and a satisfied disjunct's Apply has exactly ``T``'s
+    traces (for a primitive it is ``T`` itself), so a satisfied
+    disjunction's Apply does too. Skipping dead disjuncts and dropping
+    satisfied disjunctions therefore lose no trace, and deferring a
+    conjunct does not change the conjunction. So the leaves' trace sets
+    together equal that of ``Excise(Apply(C, G))``, and a leaf survives
+    Excise iff the compile is consistent. A spec with no token-free
+    disjunction does exactly the Apply and Excise work of
+    :func:`~repro.core.compiler.compile_workflow`, and its leaf is the
+    compiled goal itself.
+    """
+    from ..ctr.simplify import simplify
+
+    memo = _ApplyMemo()
+    tokens = TokenFactory()
+    deferred: list[tuple[Constraint, ...]] = []
+    for constraint in constraints:
+        normalized = normalize(constraint)
+        parts = normalized.parts if isinstance(normalized, And) else (normalized,)
+        for part in parts:
+            if isinstance(part, Or) and memo.is_token_free(part):
+                goal, undecided = _propagate(goal, [part.parts], tokens, memo)
+                deferred.extend(disjuncts for disjuncts, _ in undecided)
+            else:
+                goal = _apply(part, goal, tokens, memo)
+            if isinstance(goal, NegPath):
+                return NEG_PATH
+
+    stack: list[tuple[Goal, list[tuple[Constraint, ...]], Constraint | None]] = [
+        (goal, deferred, None)]
+    while stack:
+        goal, deferred, disjunct = stack.pop()
+        if disjunct is not None:
+            goal = _apply(disjunct, goal, tokens, memo)
+        goal, undecided = _propagate(goal, deferred, tokens, memo)
+        if isinstance(goal, NegPath):
+            continue
+        if not undecided:
+            leaf = excise(simplify(goal))
+            if not isinstance(leaf, NegPath):
+                return leaf
+            continue
+        pick = min(range(len(undecided)), key=lambda i: len(undecided[i][1]))
+        rest = [parts for i, (parts, _) in enumerate(undecided) if i != pick]
+        stack.extend((goal, rest, live) for live in reversed(undecided[pick][1]))
+    return NEG_PATH
+
+
+_DEAD, _LIVE, _SATISFIED = -1, 0, 1
+
+
+def _state(constraint: Constraint, may: int, must: int, memo: _ApplyMemo) -> int:
+    """Whether token-free ``constraint`` is dead, live or satisfied on a
+    goal with masks ``may``/``must`` (see :func:`consistent_branch`)."""
+    if isinstance(constraint, Primitive):
+        bit = memo.bit(constraint.event)
+        if constraint.positive:
+            return _SATISFIED if must & bit else _LIVE if may & bit else _DEAD
+        return _DEAD if must & bit else _LIVE if may & bit else _SATISFIED
+    states = [_state(part, may, must, memo) for part in constraint.parts]
+    return min(states) if isinstance(constraint, And) else max(states)
+
+
+def _live_disjuncts(
+    disjuncts: tuple[Constraint, ...], goal: Goal, memo: _ApplyMemo
+) -> list[Constraint] | None:
+    """The disjuncts not dead on ``goal``, or ``None`` when one is satisfied."""
+    _, may, must = memo.occurrence(goal)
+    live = []
+    for disjunct in disjuncts:
+        state = _state(disjunct, may, must, memo)
+        if state == _SATISFIED:
+            return None
+        if state == _LIVE:
+            live.append(disjunct)
+    return live
+
+
+def _propagate(
+    goal: Goal,
+    deferred: list[tuple[Constraint, ...]],
+    tokens: TokenFactory,
+    memo: _ApplyMemo,
+) -> tuple[Goal, list[tuple[tuple[Constraint, ...], list[Constraint]]]]:
+    """Unit propagation of ``deferred`` on ``goal``: ``(goal, undecided)``.
+
+    Drops the satisfied disjunctions and applies those with one live
+    disjunct until a pass applies none. ``undecided`` pairs each remaining
+    disjunction with its live disjuncts (two or more) on the returned
+    goal, which is ``NEG_PATH`` when some disjunction has none.
+    """
+    while not isinstance(goal, NegPath):
+        undecided = []
+        applied = False
+        for disjuncts in deferred:
+            live = _live_disjuncts(disjuncts, goal, memo)
+            if live is None:
+                continue
+            if len(live) > 1:
+                undecided.append((disjuncts, live))
+                continue
+            if not live:
+                return NEG_PATH, []
+            goal = _apply(live[0], goal, tokens, memo)
+            if isinstance(goal, NegPath):
+                return NEG_PATH, []
+            applied = True
+        if not applied:
+            return goal, undecided
+        deferred = [disjuncts for disjuncts, _ in undecided]
+    return NEG_PATH, []
 
 
 def _apply(

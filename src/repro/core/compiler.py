@@ -48,7 +48,7 @@ from .excise import ExciseStats, excise
 from .scheduler import Scheduler
 from .sync import TokenFactory
 
-__all__ = ["CompiledWorkflow", "CompileCache", "compile_workflow"]
+__all__ = ["CompiledWorkflow", "CompileCache", "compile_workflow", "expand_goal"]
 
 _NO_TRACER = NullTracer()
 
@@ -326,10 +326,9 @@ def compile_workflow(
     into the metrics registry on every compile.
 
     ``cache`` (a :class:`CompileCache` or a directory path) consults the
-    persistent compile cache before doing any work; hits skip rule
-    expansion, the unique-event check, Apply, and Excise. The cache key is
-    computed on the *rule-expanded* goal, so editing a rule invalidates
-    dependent specifications too.
+    persistent compile cache first; hits skip Apply and Excise. The cache
+    key is computed on the *rule-expanded* goal (:func:`expand_goal`), so
+    editing a rule invalidates dependent specifications too.
 
     ``jobs`` > 1 delegates to
     :func:`~repro.core.parallel.compile_parallel`: the constraint set's
@@ -349,9 +348,7 @@ def compile_workflow(
     cache = CompileCache.coerce(cache)
     key = None
     if cache is not None:
-        expanded_for_key = rules.expand(goal) if rules is not None else goal
-        expanded_for_key = simplify(expanded_for_key)
-        key = cache.key(expanded_for_key, tuple(constraints))
+        key = cache.key(expand_goal(goal, rules), tuple(constraints))
         if key is not None:
             hit = cache.load(key)
             if hit is not None:
@@ -367,9 +364,7 @@ def compile_workflow(
     stats = ExciseStats() if metrics is not None else None
     with tracer.span("compile", constraints=len(constraints)):
         with tracer.span("expand"):
-            expanded = rules.expand(goal) if rules is not None else goal
-            expanded = simplify(expanded)
-            check_unique_events(expanded)
+            expanded = expand_goal(goal, rules)
         tokens = TokenFactory()
         with tracer.span("apply") as apply_span:
             applied = apply_all(list(constraints), expanded, tokens,
@@ -391,6 +386,18 @@ def compile_workflow(
     if cache is not None and key is not None:
         cache.store(key, result)
     return result
+
+
+def expand_goal(goal: Goal, rules: RuleBase | None = None) -> Goal:
+    """``goal`` with ``rules`` inlined and simplified: the ``G`` that Apply
+    compiles into.
+
+    Raises :class:`~repro.errors.UniqueEventError` when the expanded goal
+    lacks the unique-event property (Definition 3.1).
+    """
+    expanded = simplify(rules.expand(goal) if rules is not None else goal)
+    check_unique_events(expanded)
+    return expanded
 
 
 def _record_compile_metrics(metrics, compiled: CompiledWorkflow, stats) -> None:

@@ -22,7 +22,7 @@ first surviving branch (consistency) or first counterexample branch
   worker, so results are bit-for-bit identical to ``jobs=1`` by
   construction (same code, same seed, same cache keys);
 * :func:`redundant_constraints` — Theorem 5.10 for every constraint at
-  once; today a sequential loop of N independent checks, here one worker
+  once; sequentially a loop of N independent searches, here one worker
   per constraint;
 * :func:`compile_parallel` — whole-workflow compilation assembled as the
   ``∨`` of per-branch compiles. Trace-equivalent to the sequential
@@ -64,9 +64,7 @@ from ..constraints.algebra import Constraint
 from ..constraints.normalize import ConstraintSplit, negate, split_disjuncts
 from ..ctr.formulas import NEG_PATH, Goal, alt, event_names
 from ..ctr.rules import RuleBase
-from ..ctr.simplify import simplify
-from ..ctr.unique import check_unique_events
-from .compiler import CompileCache, CompiledWorkflow, compile_workflow
+from .compiler import CompileCache, CompiledWorkflow, compile_workflow, expand_goal
 
 __all__ = [
     "FanoutStats",
@@ -262,16 +260,12 @@ def _verify_one(goal, constraints, prop, cache_spec, seed):
     return result, time.perf_counter() - started, os.getpid()
 
 
-def _redundant_one(goal, constraints, position, cache_spec, seed):
+def _redundant_one(goal, constraints, position):
     """Theorem 5.10 for the constraint at ``position`` (sequential semantics)."""
     from .verify import is_redundant
 
     started = time.perf_counter()
-    phi = constraints[position]
-    flag = is_redundant(
-        goal, list(constraints), phi,
-        cache=_worker_cache(cache_spec), seed=seed,
-    )
+    flag = is_redundant(goal, list(constraints), constraints[position])
     return flag, time.perf_counter() - started, os.getpid()
 
 
@@ -297,13 +291,6 @@ def _chunk_size(total: int, jobs: int, requested: int | None) -> int:
             raise ValueError("chunk_size must be >= 1")
         return requested
     return max(1, -(-total // (jobs * 4)))
-
-
-def _expand(goal: Goal, rules: RuleBase | None) -> Goal:
-    expanded = rules.expand(goal) if rules is not None else goal
-    expanded = simplify(expanded)
-    check_unique_events(expanded)
-    return expanded
 
 
 def _record_fanout(obs, what: str, stats: FanoutStats) -> None:
@@ -382,7 +369,7 @@ def check_consistency(
     ``compile_workflow(goal, constraints).consistent`` either way.
     """
     jobs = resolve_jobs(jobs)
-    expanded = _expand(goal, rules)
+    expanded = expand_goal(goal, rules)
     split = split_disjuncts(list(constraints))
     stats = FanoutStats(jobs=jobs, disjuncts_total=split.total)
     started = time.perf_counter()
@@ -484,7 +471,7 @@ def verify_properties(
                             cache=cache, seed=seed)
             for prop in props
         ]
-    expanded = _expand(goal, rules)
+    expanded = expand_goal(goal, rules)
     spec = _cache_spec(cache)
     stats = FanoutStats(jobs=jobs, disjuncts_total=len(props),
                         chunks=len(props))
@@ -528,46 +515,38 @@ def redundant_constraints(
     constraints: list[Constraint] | tuple[Constraint, ...],
     rules: RuleBase | None = None,
     jobs: int | None = 1,
-    cache: CompileCache | str | os.PathLike | None = None,
-    seed: int | None = None,
     obs=None,
 ) -> list[Constraint]:
     """Theorem 5.10 for every constraint, fanned out one worker per check.
 
     Semantically the same N independent questions the sequential loop in
     :func:`repro.core.verify.redundant_constraints` asks; each worker runs
-    that exact sequential check, so the returned list is identical.
+    that exact sequential check (the search of
+    :func:`~repro.core.apply.consistent_branch`), so the returned list is
+    identical.
     """
     from .verify import is_redundant
 
     jobs = resolve_jobs(jobs)
     constraints = list(constraints)
     if jobs == 1 or len(constraints) <= 1:
-        return [
-            phi for phi in constraints
-            if is_redundant(goal, constraints, phi, rules=rules, cache=cache,
-                            seed=seed)
-        ]
-    expanded = _expand(goal, rules)
-    spec = _cache_spec(cache)
+        return [phi for phi in constraints
+                if is_redundant(goal, constraints, phi, rules=rules)]
+    expanded = expand_goal(goal, rules)
     stats = FanoutStats(jobs=jobs, disjuncts_total=len(constraints),
                         chunks=len(constraints))
     started = time.perf_counter()
     pool = _get_pool(jobs)
     try:
         futures = [
-            pool.submit(_redundant_one, expanded, tuple(constraints), position,
-                        spec, seed)
+            pool.submit(_redundant_one, expanded, tuple(constraints), position)
             for position in range(len(constraints))
         ]
         harvested = [future.result() for future in futures]
     except BrokenProcessPool:
         _reset_pool()
-        return [
-            phi for phi in constraints
-            if is_redundant(goal, constraints, phi, rules=rules, cache=cache,
-                            seed=seed)
-        ]
+        return [phi for phi in constraints
+                if is_redundant(goal, constraints, phi, rules=rules)]
     flags = []
     workers: set[int] = set()
     for flag, elapsed, pid in harvested:
@@ -602,7 +581,7 @@ def compile_parallel(
     never under the sequential result's key.
     """
     jobs = resolve_jobs(jobs)
-    expanded = _expand(goal, rules)
+    expanded = expand_goal(goal, rules)
     split = split_disjuncts(list(constraints))
     if jobs == 1 or split.total == 1:
         return compile_workflow(goal, list(constraints), rules=rules,

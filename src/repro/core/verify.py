@@ -11,12 +11,20 @@ Apply/Excise pipeline:
   executions are exactly the violating ones. We additionally extract one
   concrete violating schedule for error reporting.
 * **Redundancy** (Thm 5.10): ``Φ ∈ C`` is redundant iff every execution of
-  ``G ∧ (C − {Φ})`` satisfies ``Φ``.
+  ``G ∧ (C − {Φ})`` satisfies ``Φ``, i.e. iff ``G ∧ (C − {Φ}) ∧ ¬Φ`` is
+  inconsistent.
 
 As Proposition 4.1 shows, these problems are NP-complete in the size of
 the constraint set (never in the size of the graph — Apply is linear in
 ``|G|``); for order-constraint-only specifications ``d = 1`` and the whole
 pipeline runs in polynomial time.
+
+The two yes/no questions, consistency and redundancy, need one surviving
+branch of ``Apply(C, G)``, not all ``d^N``: at ``jobs=1`` they search
+with :func:`~repro.core.apply.consistent_branch`, which branches on the
+``∇``/``¬∇`` disjunctions with the occurrence masks as unit propagation.
+Verification keeps the full compile, because a failing property reports
+the whole most general counterexample.
 
 That NP-hard disjunct space is also embarrassingly parallel: every entry
 point here takes a ``jobs=`` knob that fans the work out across the
@@ -36,7 +44,9 @@ from ..constraints.algebra import Constraint
 from ..constraints.normalize import negate
 from ..ctr.formulas import Goal
 from ..ctr.rules import RuleBase
-from .compiler import CompiledWorkflow, compile_workflow
+from ..ctr.simplify import is_failure
+from .apply import consistent_branch
+from .compiler import CompiledWorkflow, compile_workflow, expand_goal
 
 __all__ = [
     "is_consistent",
@@ -57,9 +67,13 @@ def is_consistent(
 ) -> bool:
     """Theorem 5.8: does ``goal ∧ constraints`` have a legal execution?
 
-    ``jobs>1`` decides the question by parallel DNF-branch fan-out with
-    first-success early exit instead of one monolithic compile; the
-    boolean is the same either way.
+    ``jobs=1`` searches (:func:`~repro.core.apply.consistent_branch`): it
+    stops at the first branch of the ``∇``/``¬∇`` disjunctions whose
+    Excise leaf is not ``¬path`` instead of compiling all ``d^N`` branches.
+    The search never reads or writes the compile cache, so ``cache`` feeds
+    only the ``jobs>1`` path, which decides the question by parallel
+    DNF-branch fan-out with first-success early exit. The boolean equals
+    ``compile_workflow(goal, constraints, rules).consistent`` either way.
     """
     if jobs != 1:
         from .parallel import check_consistency, resolve_jobs
@@ -68,7 +82,7 @@ def is_consistent(
             return check_consistency(
                 goal, constraints, rules=rules, jobs=jobs, cache=cache
             ).consistent
-    return compile_workflow(goal, constraints, rules=rules, cache=cache).consistent
+    return not is_failure(consistent_branch(constraints, expand_goal(goal, rules)))
 
 
 @dataclass(frozen=True)
@@ -175,7 +189,6 @@ def is_redundant(
     rules: RuleBase | None = None,
     jobs: int | None = 1,
     cache=None,
-    seed: int | None = None,
 ) -> bool:
     """Theorem 5.10: is ``phi`` implied by the remaining specification?
 
@@ -184,15 +197,19 @@ def is_redundant(
     same constraint twice, and dropping every copy would silently change
     the question from "is this occurrence implied by the rest?" (trivially
     yes — the duplicate remains) to "is it implied by the others?".
+
+    The answer is :func:`is_consistent` of the rest with ``¬phi``,
+    negated: ``jobs=1`` searches and equals
+    ``verify_property(...).holds`` without building the counterexample.
+    As there, ``cache`` feeds only the ``jobs>1`` path.
     """
     remaining = list(constraints)
     try:
         remaining.remove(phi)
     except ValueError:
         raise ValueError("phi is not one of the given constraints") from None
-    return verify_property(
-        goal, remaining, phi, rules=rules, jobs=jobs, cache=cache, seed=seed
-    ).holds
+    return not is_consistent(goal, remaining + [negate(phi)], rules=rules,
+                             jobs=jobs, cache=cache)
 
 
 def redundant_constraints(
@@ -200,8 +217,6 @@ def redundant_constraints(
     constraints: list[Constraint] | tuple[Constraint, ...],
     rules: RuleBase | None = None,
     jobs: int | None = 1,
-    cache=None,
-    seed: int | None = None,
 ) -> list[Constraint]:
     """Every constraint implied by the rest of the specification.
 
@@ -209,19 +224,15 @@ def redundant_constraints(
     each be redundant given the other); this reports each constraint's
     redundancy with respect to all the others, as in Theorem 5.10.
 
-    The N checks are independent compilations; ``jobs>1`` runs one per
-    worker process and returns the identical list.
+    The N checks are independent searches (:func:`is_redundant` at
+    ``jobs=1``); ``jobs>1`` runs one per worker process and returns the
+    identical list.
     """
     if jobs != 1:
         from .parallel import redundant_constraints as fanout
         from .parallel import resolve_jobs
 
         if resolve_jobs(jobs) > 1:
-            return fanout(goal, constraints, rules=rules, jobs=jobs,
-                          cache=cache, seed=seed)
-    return [
-        phi
-        for phi in constraints
-        if is_redundant(goal, constraints, phi, rules=rules, cache=cache,
-                        seed=seed)
-    ]
+            return fanout(goal, constraints, rules=rules, jobs=jobs)
+    return [phi for phi in constraints
+            if is_redundant(goal, constraints, phi, rules=rules)]

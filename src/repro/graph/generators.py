@@ -8,7 +8,8 @@ length (for the scheduling comparison). This module provides:
 
 * structured families — :func:`serial_chain`, :func:`parallel_chains`,
   :func:`or_tree` — with exactly controllable size/width;
-* :func:`random_goal` — random series-parallel unique-event goals;
+* :func:`random_goal` — random series-parallel unique-event goals, with
+  ``⊙`` blocks, ``◇`` tests and transition conditions mixed in on request;
 * :func:`random_constraints` — random CONSTR constraints over a goal's
   events, drawn from the idioms of Section 3.
 
@@ -17,11 +18,12 @@ All randomness is driven by an explicit seed for reproducibility.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from ..constraints import algebra, klein
 from ..constraints.algebra import Constraint
-from ..ctr.formulas import Atom, Goal, alt, atoms, par, seq
+from ..ctr.formulas import Atom, Goal, Isolated, Possibility, Test, alt, atoms, par, seq
 
 __all__ = [
     "serial_chain",
@@ -74,6 +76,9 @@ def random_goal(
     p_parallel: float = 0.35,
     max_fan: int = 3,
     prefix: str = "e",
+    p_isolated: float = 0.0,
+    p_possible: float = 0.0,
+    p_condition: float = 0.0,
 ) -> Goal:
     """A random series-parallel unique-event goal over ``n_events`` events.
 
@@ -81,23 +86,40 @@ def random_goal(
     choice with probability ``p_choice``, concurrent with ``p_parallel``,
     serial otherwise. Every generated goal satisfies the unique-event
     property by construction (sibling subtrees get disjoint events).
+
+    Then, with these probabilities, a composite node becomes a ``⊙`` block
+    (``p_isolated``), and any node is preceded by a ``◇`` test of one
+    event of the goal (``p_possible``, hypothetical, so still unique-event)
+    or by a fresh predicate-free transition condition (``p_condition``).
+    A probability of 0 draws no random number, so the default goals are
+    those drawn without these knobs.
     """
     if rng is None:
         rng = random.Random(seed)
     names = [f"{prefix}{i}" for i in range(1, n_events + 1)]
+    conditions = itertools.count(1)
 
     def build(events: list[str]) -> Goal:
         if len(events) == 1:
-            return Atom(events[0])
-        fan = rng.randint(2, min(max_fan, len(events)))
-        groups = _partition(events, fan, rng)
-        parts = [build(g) for g in groups]
-        roll = rng.random()
-        if roll < p_choice:
-            return alt(*parts)
-        if roll < p_choice + p_parallel:
-            return par(*parts)
-        return seq(*parts)
+            node: Goal = Atom(events[0])
+        else:
+            fan = rng.randint(2, min(max_fan, len(events)))
+            groups = _partition(events, fan, rng)
+            parts = [build(g) for g in groups]
+            roll = rng.random()
+            if roll < p_choice:
+                node = alt(*parts)
+            elif roll < p_choice + p_parallel:
+                node = par(*parts)
+            else:
+                node = seq(*parts)
+            if p_isolated and rng.random() < p_isolated:
+                node = Isolated(node)
+        if p_possible and rng.random() < p_possible:
+            node = seq(Possibility(Atom(rng.choice(names))), node)
+        if p_condition and rng.random() < p_condition:
+            node = seq(Test(f"cond{next(conditions)}"), node)
+        return node
 
     return build(names)
 

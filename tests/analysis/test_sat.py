@@ -92,6 +92,23 @@ class TestReduction:
             assert cnf.evaluate(via_workflow)
 
 
+class TestEdgeCases:
+    def test_no_variables(self):
+        cnf = Cnf(0, ())
+        assert brute_force_sat(cnf) == {}
+        assert workflow_consistency_sat(cnf) == {}
+        goal, _ = cnf_to_workflow(cnf)
+        assert compile_workflow(goal, []).consistent
+
+    @pytest.mark.parametrize("n_vars", [0, 2])
+    def test_empty_clause_is_false(self, n_vars):
+        cnf = Cnf(n_vars, ((1,), ()) if n_vars else ((),))
+        assert brute_force_sat(cnf) is None
+        goal, constraints = cnf_to_workflow(cnf)
+        assert not compile_workflow(goal, constraints).consistent
+        assert workflow_consistency_sat(cnf) is None
+
+
 class TestAssignmentExtraction:
     def test_reads_polarities(self):
         schedule = ("x2_false", "x1_true")

@@ -1,11 +1,14 @@
 """Tests for the synthetic workload generators."""
 
+import random
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.constraints.algebra import Constraint, constraint_events
-from repro.ctr.formulas import event_names, goal_size
+from repro.ctr.formulas import Isolated, Possibility, Test, event_names, goal_size, walk_unique
+from repro.ctr.pretty import pretty
 from repro.ctr.unique import is_unique_event_goal
 from repro.graph.generators import (
     or_tree,
@@ -54,6 +57,29 @@ class TestRandomGoal:
     def test_different_seeds_differ(self):
         goals = {random_goal(8, seed=s) for s in range(10)}
         assert len(goals) > 1
+
+    def test_default_goals_are_unchanged(self):
+        # Drawn before the ⊙/◇/condition knobs existed: at probability 0
+        # they draw no random number.
+        assert pretty(random_goal(8, seed=11)) == "e5 | e4 | e3 + e7 * e8 + e6 + e2 + e1"
+        assert pretty(random_goal(12, seed=7)) == (
+            "(e12 | e5) * (e9 + e4) | e7 + e11 + e8 + e1 + e10 + e3 * (e2 | e6)")
+        rng = random.Random(4)
+        random_goal(9, rng=rng)
+        assert rng.random() == 0.4310430172933071
+
+    @given(st.integers(1, 8), st.integers(0, 2**31))
+    def test_isolation_possibility_and_conditions(self, n, seed):
+        goal = random_goal(n, seed=seed, p_isolated=0.5, p_possible=0.5, p_condition=0.5)
+        assert is_unique_event_goal(goal)
+        assert len(event_names(goal)) == n
+
+    def test_decorations_are_drawn(self):
+        goal = random_goal(6, seed=1, p_isolated=1.0, p_possible=1.0, p_condition=1.0)
+        kinds = {type(node) for node in walk_unique(goal)}
+        assert {Isolated, Possibility, Test} <= kinds
+        assert all(node.predicate is None for node in walk_unique(goal)
+                   if isinstance(node, Test))
 
 
 class TestRandomConstraints:
