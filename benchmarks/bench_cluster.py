@@ -60,7 +60,7 @@ def _spec_text(tag: str = "") -> str:
 
 
 def _single_daemon_reference(text: str) -> list[dict]:
-    with serve_in_thread(batch_window=0.001) as handle:
+    with serve_in_thread() as handle:
         with handle.client() as client:
             return client.verify(text=text)["results"]
 

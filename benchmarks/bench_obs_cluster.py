@@ -3,16 +3,20 @@
 Workload: sequential verifies of one registered spec through a
 2-worker/2-replica cluster of real subprocess workers, with distributed
 tracing either off or on end to end (router + workers + trace sink).
-The per-request cost is dominated by the HTTP round trip and the
-worker's batch window — identical in both modes — so the measured delta
-isolates what tracing itself adds (header minting/parsing, span
-bookkeeping, contextvars).
+Both clusters run side by side and the requests alternate between them
+in small blocks (and which mode goes first alternates too), so host
+noise over a pass hits both modes alike and the delta between the
+summed times isolates what tracing itself adds (header minting/parsing,
+span bookkeeping, contextvars). A request is a few milliseconds, so
+timing each mode as one long stretch would let host drift between the
+stretches swamp a 5% budget.
 
 Three gates:
 
-* **OC1** — *tracing is affordable*: the traced cluster's best-round
-  wall time stays within 5% of the untraced cluster's. Observability
-  that taxes the hot path does not get turned on in production.
+* **OC1** — *tracing is affordable*: over one interleaved pass, the
+  traced cluster's summed wall time stays within 5% of the untraced
+  cluster's. Observability that taxes the hot path does not get turned
+  on in production.
 * **OC2** — *federation is bookkeeping, not estimation*: the counter
   and histogram totals on ``/cluster/metrics`` equal the sum of the
   per-worker scrapes **exactly** (recomputed here from the same
@@ -38,8 +42,8 @@ from repro.obs.distributed import assemble
 from repro.obs.metrics import sum_scrapes
 
 N_PAIRS = 3
-REQUESTS = 25        # per timing round
-ROUNDS = 5           # best-of rounds per mode per pass
+BLOCK = 5            # requests per timed block
+BLOCKS = 25          # blocks per mode per pass, the modes interleaved
 PASSES = 3           # fresh cluster instantiations (early exit on pass)
 OVERHEAD_BUDGET = 0.05
 
@@ -57,17 +61,17 @@ def _spec_text() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _one_round(client) -> float:
+def _timed_block(client) -> float:
     start = time.perf_counter()
-    for _ in range(REQUESTS):
+    for _ in range(BLOCK):
         client.verify(spec="bench")
     return time.perf_counter() - start
 
 
 def _overhead_pass(tmp_dir) -> tuple[float, float]:
-    """One interleaved timing pass: both clusters alive at once, rounds
-    alternating between them, so machine-load drift hits both modes
-    equally and the best-of delta isolates tracing itself."""
+    """One interleaved timing pass: both clusters alive at once, blocks
+    of requests alternating between them; returns each mode's summed
+    time."""
     plain = cluster_in_thread(workers=2, replicas=2)
     traced = cluster_in_thread(workers=2, replicas=2, tracing=True,
                                ids_seed=42, trace_dir=tmp_dir)
@@ -77,10 +81,14 @@ def _overhead_pass(tmp_dir) -> tuple[float, float]:
             for client in (plain_client, traced_client):
                 client.register("bench", _spec_text())
                 client.verify(spec="bench")  # warm the compile memo
-            plain_s, traced_s = float("inf"), float("inf")
-            for _ in range(ROUNDS):
-                plain_s = min(plain_s, _one_round(plain_client))
-                traced_s = min(traced_s, _one_round(traced_client))
+            plain_s = traced_s = 0.0
+            for block in range(BLOCKS):
+                if block % 2:
+                    traced_s += _timed_block(traced_client)
+                    plain_s += _timed_block(plain_client)
+                else:
+                    plain_s += _timed_block(plain_client)
+                    traced_s += _timed_block(traced_client)
     finally:
         traced.stop()
         plain.stop()
@@ -90,30 +98,31 @@ def _overhead_pass(tmp_dir) -> tuple[float, float]:
 def _overhead_phase(tmp_dir) -> dict:
     """OC1: the same workload, tracing off vs on end to end.
 
-    Minima are taken across whole cluster instantiations as well as
-    rounds: which cores the OS hands a worker subprocess is luck that
-    lasts the process's lifetime, so a single instantiation can pin the
-    traced fleet to a busy core for every round. A pass is retried (up
-    to ``PASSES``) only while the measured overhead still exceeds the
-    budget — the minimum over honest measurements of both modes.
+    A pass is retried on fresh clusters (up to ``PASSES``) only while its
+    overhead exceeds the budget: which cores the OS hands a worker
+    subprocess is luck that lasts the process's lifetime, so a single
+    instantiation can pin the traced fleet to a busy core for the whole
+    pass. The gate reads the best pass; every pass is reported.
     """
-    plain_s, traced_s = float("inf"), float("inf")
-    passes = 0
+    passes: list[dict] = []
     for _ in range(PASSES):
-        pass_plain, pass_traced = _overhead_pass(tmp_dir)
-        plain_s = min(plain_s, pass_plain)
-        traced_s = min(traced_s, pass_traced)
-        passes += 1
-        if traced_s / plain_s - 1.0 <= OVERHEAD_BUDGET:
+        plain_s, traced_s = _overhead_pass(tmp_dir)
+        passes.append({
+            "plain_s": round(plain_s, 4),
+            "traced_s": round(traced_s, 4),
+            "overhead": round(traced_s / plain_s - 1.0, 4),
+        })
+        if passes[-1]["overhead"] <= OVERHEAD_BUDGET:
             break
-
+    best = min(passes, key=lambda p: p["overhead"])
     return {
-        "passes": passes,
-        "requests_per_round": REQUESTS,
-        "rounds": ROUNDS,
-        "plain_s": round(plain_s, 4),
-        "traced_s": round(traced_s, 4),
-        "overhead": round(traced_s / plain_s - 1.0, 4),
+        "passes": len(passes),
+        "per_pass": passes,
+        "requests_per_block": BLOCK,
+        "blocks": BLOCKS,
+        "plain_s": best["plain_s"],
+        "traced_s": best["traced_s"],
+        "overhead": best["overhead"],
         "budget": OVERHEAD_BUDGET,
     }
 
@@ -169,8 +178,9 @@ def _measure(tmp_dir) -> dict:
         "benchmark": "obs_cluster",
         "workload": (
             f"{N_PAIRS} concurrent event pairs, {N_PAIRS} properties per "
-            f"request; {REQUESTS} sequential verifies x {ROUNDS} rounds "
-            "(best-of) through 2 workers x 2 replicas; warm compile memo"
+            f"request; {BLOCKS} blocks of {BLOCK} sequential verifies per "
+            "mode, plain and traced interleaved, through 2 workers x 2 "
+            "replicas; warm compile memo"
         ),
         "overhead": overhead,
         "federation": federation,
@@ -205,6 +215,7 @@ def test_oc1_tracing_overhead_within_budget(tmp_path_factory, benchmark):
     benchmark(lambda: parse_trace_header(format_trace_header(ctx)))
 
     federation = results["federation"]
+    per_pass = ", ".join(f"{p['overhead']:+.1%}" for p in overhead["per_pass"])
     rows = [
         ["tracing overhead", f"{overhead['overhead']:+.1%}",
          f"budget {OVERHEAD_BUDGET:.0%}"],
@@ -221,8 +232,9 @@ def test_oc1_tracing_overhead_within_budget(tmp_path_factory, benchmark):
             ["phase", "result", "note"],
             rows,
             note=(
-                f"{REQUESTS} requests x {ROUNDS} rounds, best-of; "
-                f"plain {overhead['plain_s']}s vs traced "
+                f"{BLOCKS} interleaved blocks of {BLOCK} requests per "
+                f"mode, summed; best of {overhead['passes']} pass(es) "
+                f"({per_pass}): plain {overhead['plain_s']}s vs traced "
                 f"{overhead['traced_s']}s."
             ),
         ),

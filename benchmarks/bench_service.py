@@ -18,12 +18,15 @@ Three gates:
 * **S5b** — *batched throughput*: 4 concurrent client workers sustain at
   least 2× the request throughput of a sequential one-request-at-a-time
   client, on any machine — the win is the batcher coalescing identical
-  in-flight work (one verification fans out to every concurrent waiter),
-  not process parallelism, so a single-core box passes too.
+  in-flight work (a request the running batch already covers joins it,
+  so one verification fans out to every concurrent waiter), not process
+  parallelism, so a single-core box passes too.
 * **S5c** — *graceful draining*: a shutdown issued mid-burst answers
   every accepted request with a full (and correct) verdict; shed
   requests fail crisply with 503/connection-refused, never by hanging
   or by a dropped accepted request.
+
+The daemon runs at its defaults throughout.
 
 Saved machine-readably as ``results/BENCH_service.json`` (consumed by CI).
 """
@@ -45,7 +48,6 @@ from repro.spec import parse_specification
 N_PAIRS = 4
 WORKERS = 4          # concurrent client workers in the batched phase
 REQUESTS = 24        # total requests in each throughput phase
-BATCH_WINDOW = 0.005
 
 _RESULTS: dict | None = None
 
@@ -119,9 +121,21 @@ def _throughput_phase(handle, *, workers: int, requests: int):
 
 def _drain_phase(text: str):
     """Issue a burst, stop(drain=True) mid-flight, account for every request."""
-    handle = serve_in_thread(batch_window=0.05, queue_limit=256)
+    handle = serve_in_thread(queue_limit=256)
     with handle.client() as setup:
         setup.register("bench", text)
+    # Hold the first batch on the executor until the drain has begun, so
+    # the shutdown below exercises the accepted-then-drained path, not
+    # just refusal.
+    batcher = handle.service.batcher
+    release = threading.Event()
+    verify_batch = batcher._verify_batch
+
+    def held(*args):
+        release.wait(timeout=30)
+        return verify_batch(*args)
+
+    batcher._verify_batch = held
     answered: list[dict] = []
     refused: list[BaseException] = []
     lock = threading.Lock()
@@ -144,14 +158,20 @@ def _drain_phase(text: str):
     for thread in threads:
         thread.start()
     barrier.wait()  # all 8 requests are being written right now
-    # Wait until the daemon has actually *accepted* work into the batcher
-    # queue (the 50ms coalescing window holds it there), so the shutdown
-    # below exercises the accepted-then-drained path, not just refusal.
+    # Wait until the daemon has accepted every request (the held batch's
+    # own, and the ones that joined it or queued behind it), then stop
+    # while the batch is still held.
     deadline = time.perf_counter() + 5.0
-    batcher = handle.service.batcher
-    while batcher.stats.accepted == 0 and time.perf_counter() < deadline:
+    while (batcher.stats.accepted < 8 * (N_PAIRS + 1)
+           and time.perf_counter() < deadline):
         time.sleep(0.001)
-    handle.stop(drain=True)
+    stopper = threading.Thread(target=handle.stop, kwargs={"drain": True})
+    stopper.start()
+    while not batcher.draining and time.perf_counter() < deadline:
+        time.sleep(0.001)
+    drained_held_batch = batcher.draining  # the drain began before release
+    release.set()
+    stopper.join(timeout=60)
     hung = 0
     for thread in threads:
         thread.join(timeout=60)
@@ -166,6 +186,7 @@ def _drain_phase(text: str):
         "refused": len(refused),
         "hung": hung,
         "cleanly_refused": cleanly_refused,
+        "drained_held_batch": drained_held_batch,
     }, answered
 
 
@@ -177,7 +198,7 @@ def _measure() -> dict:
     text = _spec_text()
     reference = _direct_reference(text)
 
-    handle = serve_in_thread(batch_window=BATCH_WINDOW, queue_limit=256)
+    handle = serve_in_thread(queue_limit=256)
     try:
         with handle.client() as setup:
             setup.register("bench", text)
@@ -210,7 +231,6 @@ def _measure() -> dict:
             f"per request; {REQUESTS} requests per phase; no compile cache"
         ),
         "cpu_count": os.cpu_count(),
-        "batch_window_s": BATCH_WINDOW,
         "sequential": {"requests": REQUESTS, "wall_s": round(seq_s, 4),
                        "rps": round(seq_rps, 2)},
         "batched": {"requests": REQUESTS, "workers": WORKERS,
@@ -285,6 +305,10 @@ def test_s5c_graceful_drain_never_drops_accepted_requests():
     results = _measure()
     drain = results["drain"]
     assert drain["hung"] == 0, "a client thread hung through shutdown"
+    assert drain["drained_held_batch"], (
+        "the drain never began while the first batch was held, so the "
+        "accepted-then-drained path was not exercised"
+    )
     assert drain["answered"] >= 1, (
         "shutdown refused everything — the drain path was never exercised"
     )

@@ -4,15 +4,16 @@
 The daemon (`repro serve`) turns the library's decision procedures into
 a long-running service: register workflow specifications by name, then
 `verify`/`consistency`/`schedule` them over JSON-HTTP. Concurrent
-verification requests for the same specification are *batched* — one
-Theorem 5.9 fan-out answers every concurrent waiter — and the compile
-cost of Theorem 5.11 is paid once per specification content, not once
-per request.
+verification requests for the same specification are *batched* with no
+coalescing sleep — a request the running batch already covers joins it,
+the rest share the next Theorem 5.9 fan-out — and the compile cost of
+Theorem 5.11 is paid once per specification content, not once per
+request.
 
 This example starts the service in-process on an ephemeral port (the
 same harness the test suite and benchmarks use), exercises every
-endpoint, fires concurrent clients to show coalescing, and shuts down
-gracefully.
+endpoint, fires concurrent clients to show joining and coalescing, and
+shuts down gracefully.
 
 Run:  python examples/serve_quickstart.py
 """
@@ -37,7 +38,7 @@ def main() -> None:
     # Start the daemon on a background thread, ephemeral port. From a
     # shell you would instead run e.g.:
     #   python -m repro serve --specs-dir examples/specs --port 8745
-    handle = serve_in_thread(batch_window=0.005)
+    handle = serve_in_thread()
     print(f"service is up at {handle.url}")
 
     with handle.client() as client:
@@ -65,8 +66,9 @@ def main() -> None:
         adhoc = client.verify(spec="orders", properties=["happens(receive)"])
         print("\nad-hoc happens(receive):", adhoc["results"][0]["holds"])
 
-    # 5. Concurrent clients: identical in-flight requests coalesce into
-    # one batched verification — watch the batcher's counters.
+    # 5. Concurrent clients: a request that the running batch already
+    # covers joins it, the others coalesce into the next batch — watch
+    # the batcher's counters.
     def worker() -> None:
         with handle.client() as c:
             c.verify(spec="orders")

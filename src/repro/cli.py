@@ -140,10 +140,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--queue-limit", type=int, default=256, metavar="N",
                        help="max queued properties before shedding with 429 "
                             "(default: 256)")
-    serve.add_argument("--batch-window", type=float, default=0.005,
-                       metavar="SECONDS",
-                       help="coalescing window before a batch dispatches "
-                            "(default: 0.005)")
     serve.add_argument("--deadline", type=float, default=30.0, metavar="SECONDS",
                        help="default per-request deadline; requests may "
                             "override with a 'timeout' field (default: 30)")
@@ -523,7 +519,6 @@ def _cmd_serve(args, out) -> int:
         cache=_cache_from_args(args),
         jobs=jobs,
         queue_limit=args.queue_limit,
-        batch_window=args.batch_window,
         default_deadline=args.deadline,
         obs=obs,
     )

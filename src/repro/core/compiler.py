@@ -29,6 +29,7 @@ interned, maximally shared goals. Entries are evicted LRU beyond
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -38,6 +39,7 @@ from pathlib import Path
 
 from ..constraints.algebra import Constraint
 from ..ctr.formulas import Goal, dag_size, goal_size
+from ..ctr.kernel import KernelProgram, lower_goal
 from ..ctr.rules import RuleBase
 from ..ctr.simplify import is_failure, simplify
 from ..ctr.unique import check_unique_events
@@ -114,6 +116,16 @@ class CompiledWorkflow:
             raise InconsistentWorkflowError(culprit=self.source)
         return self
 
+    @functools.cached_property
+    def program(self) -> KernelProgram:
+        """The compiled goal lowered to the flat kernel, once per instance.
+
+        The program is immutable, so every scheduler over this compile
+        shares it; each scheduler still keeps its own successor and step
+        tables.
+        """
+        return lower_goal(self.goal)
+
     def scheduler(self, test_hook=None) -> Scheduler:
         """A pro-active scheduler over the compiled goal.
 
@@ -121,13 +133,13 @@ class CompiledWorkflow:
         :class:`~repro.core.scheduler.Scheduler`).
         """
         self.require_consistent()
-        return Scheduler(self.goal, test_hook=test_hook)
+        return Scheduler(self.program, test_hook=test_hook)
 
     def schedules(self, limit: int = 200_000):
         """Iterate over all allowed event sequences (linear time per path)."""
         if not self.consistent:
             return iter(())
-        return Scheduler(self.goal).enumerate_schedules(limit=limit)
+        return Scheduler(self.program).enumerate_schedules(limit=limit)
 
 
 # -- the persistent compile cache ---------------------------------------------

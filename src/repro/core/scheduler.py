@@ -9,13 +9,16 @@ allowed execution, and every allowed execution can be produced — soundness
 and completeness are property-tested against the trace semantics.
 
 Implementation: a lazy subset construction over the flat kernel of
-:mod:`repro.ctr.kernel`. Each scheduler lowers its goal once into integer
-tables; its state is the set of kernel states ``(residual, token_mask)``
-compatible with the events fired so far, built from plain ints and
-tuples, and silent ``send``/``receive``/``◇``/test steps are closed over
-on demand. On compiled (excised) goals, whose choices are token-free or
-already hoisted, the state set stays small and a full path costs time
-linear in the original graph — the paper's scheduling bound (Thm 5.11).
+:mod:`repro.ctr.kernel`. Each scheduler runs on its goal lowered once into
+integer tables — or on a program already lowered, which is how
+:meth:`~repro.core.compiler.CompiledWorkflow.scheduler` shares one
+immutable program across every scheduler of a compile. Its state is the
+set of kernel states ``(residual, token_mask)`` compatible with the
+events fired so far, built from plain ints and tuples, and silent
+``send``/``receive``/``◇``/test steps are closed over on demand. On
+compiled (excised) goals, whose choices are token-free or already
+hoisted, the state set stays small and a full path costs time linear in
+the original graph — the paper's scheduling bound (Thm 5.11).
 
 Every cache — the successor table, the kernel's steps table (each
 sub-residual's steps, derived once and shared by every state that
@@ -34,7 +37,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from ..ctr.formulas import Goal
-from ..ctr.kernel import lower_goal
+from ..ctr.kernel import KernelProgram, lower_goal
 from ..ctr.traces import TooManyTracesError
 from ..errors import IneligibleEventError, SchedulingError, SpecificationError
 
@@ -104,10 +107,11 @@ def _thaw(residual):
 class Scheduler:
     """Step-by-step executor of a compiled workflow goal.
 
-    ``test_hook`` decides transition conditions at run time (the engine
-    passes one that evaluates each :class:`~repro.ctr.formulas.Test`
-    against its database); without one every condition passes, the
-    static reading.
+    ``goal`` is a goal, or a :class:`~repro.ctr.kernel.KernelProgram`
+    already lowered from one. ``test_hook`` decides transition
+    conditions at run time (the engine passes one that evaluates each
+    :class:`~repro.ctr.formulas.Test` against its database); without one
+    every condition passes, the static reading.
 
     >>> from repro.ctr.formulas import atoms
     >>> a, b = atoms("a b")
@@ -118,8 +122,9 @@ class Scheduler:
     ['b']
     """
 
-    def __init__(self, goal: Goal, test_hook=None):
-        program = lower_goal(goal)
+    def __init__(self, goal: Goal | KernelProgram, test_hook=None):
+        program = (goal if isinstance(goal, KernelProgram)
+                   else lower_goal(goal))
         self._program = program
         self._test = test_hook
         self._live = test_hook is not None and bool(program.tests)

@@ -9,9 +9,14 @@ same properties. The :class:`VerifyBatcher` exploits that:
 * requests are grouped by the specification's batch key (``name@version``
   from the :class:`~repro.service.registry.SpecRegistry`, so a
   re-registration racing a request can never join the wrong group);
-* a short *coalescing window* lets concurrent submitters land in the same
-  group before it is dispatched — and while one batch verifies on the
-  executor, newly arriving requests pile into the next one;
+* an idle batcher dispatches a request at once — there is no coalescing
+  sleep. While a batch verifies on the executor, a request for the same
+  key whose every ``(property, seed)`` pair that batch is already
+  verifying *joins* it: it awaits the running batch's results instead
+  of queueing. Under Theorem 5.9 a verdict and its witness depend only
+  on ``(G, C, Φ)`` and the witness seed, so the shared answer is exactly
+  the one the joiner would have computed. Any other request that
+  arrives while a batch runs piles into the next one;
 * within a batch, duplicate properties are verified **once** and the
   result fanned back out to every waiter, via one
   :func:`~repro.core.verify.verify_properties` call (itself ``jobs``-aware);
@@ -23,15 +28,17 @@ Admission control is explicit: a bounded queue measured in *properties*
 (HTTP 503), and a per-request deadline checked against an injectable
 :class:`~repro.core.resilience.Clock` — a
 :class:`~repro.core.resilience.VirtualClock` makes expiry deterministic
-in tests (HTTP 504). Expiry is enforced twice: at dispatch time (a batch
-never verifies dead requests) and by a periodic *sweep*
-(:meth:`VerifyBatcher.sweep_expired`, run by a background task every
-``expiry_interval`` seconds) — so a request whose deadline passes while
-the coalescing window is idle or the queue is parked behind a long batch
+in tests (HTTP 504). A joiner occupies no queue slot and has no deadline
+to miss: its batch is already dispatched. Expiry of queued requests is
+enforced twice: at dispatch time (a batch never verifies dead requests)
+and by a periodic *sweep* (:meth:`VerifyBatcher.sweep_expired`, run by
+a background task every ``expiry_interval`` seconds) — so a request
+whose deadline passes while the queue is parked behind a long batch
 gets its 504 promptly, not whenever the next dispatch happens to look.
 Graceful shutdown (:meth:`VerifyBatcher.aclose`) stops admissions first,
 then drains: every request accepted before the drain began still gets
-its verdict.
+its verdict. The abrupt one (:meth:`VerifyBatcher.abort`) fails the
+queue with 503 and lets only the running batch finish.
 """
 
 from __future__ import annotations
@@ -39,7 +46,8 @@ from __future__ import annotations
 import asyncio
 from collections import OrderedDict
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Any
 
 from ..constraints.algebra import Constraint
 from ..core.resilience import Clock, SystemClock
@@ -107,6 +115,16 @@ class _Request:
 
 
 @dataclass
+class _Flight:
+    """A batch on the executor that identical requests may still join."""
+
+    keys: OrderedDict    # the (property, seed) pairs the batch verifies
+    live: list[_Request]  # its waiters; a joiner appends its own request
+    span: Any            # the open ``service.verify.batch`` span, or None
+    links: list[str]     # span ids of every waiter but the primary
+
+
+@dataclass
 class BatcherStats:
     """Counters the batcher maintains (mirrored into the metrics registry)."""
 
@@ -118,7 +136,6 @@ class BatcherStats:
     batches: int = 0
     verified: int = 0        # unique properties actually verified
     coalesced: int = 0       # properties answered without verification
-    batch_sizes: list[int] = field(default_factory=list)
 
 
 class VerifyBatcher:
@@ -128,7 +145,8 @@ class VerifyBatcher:
     HTTP handlers; a background consumer task groups pending requests by
     spec key, runs one ``verify_properties`` per group on ``executor``
     (keeping the loop free to accept more work), and resolves every
-    waiter's future with its slice of the batch results.
+    waiter's future with its slice of the batch results. A request that
+    the running batch already covers joins it instead of queueing.
     """
 
     def __init__(
@@ -137,7 +155,6 @@ class VerifyBatcher:
         *,
         jobs: int | None = 1,
         queue_limit: int = 256,
-        batch_window: float = 0.005,
         default_deadline: float | None = 30.0,
         expiry_interval: float = 0.05,
         clock: Clock | None = None,
@@ -146,14 +163,11 @@ class VerifyBatcher:
     ):
         if queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if batch_window < 0:
-            raise ValueError("batch_window must be >= 0")
         if expiry_interval <= 0:
             raise ValueError("expiry_interval must be > 0")
         self.registry = registry
         self.jobs = jobs
         self.queue_limit = queue_limit
-        self.batch_window = batch_window
         self.default_deadline = default_deadline
         self.expiry_interval = expiry_interval
         self.clock: Clock = clock if clock is not None else SystemClock()
@@ -162,6 +176,7 @@ class VerifyBatcher:
         self.stats = BatcherStats()
         self._pending: OrderedDict[str, list[_Request]] = OrderedDict()
         self._depth = 0  # queued properties across all groups
+        self._running: dict[str, _Flight] = {}  # spec key -> batch in flight
         self._wake = asyncio.Event()
         self._task: asyncio.Task | None = None
         self._sweep_task: asyncio.Task | None = None
@@ -183,6 +198,29 @@ class VerifyBatcher:
     async def aclose(self) -> None:
         """Stop admissions, drain every accepted request, stop the tasks."""
         self._draining = True
+        await self._stop_tasks()
+        # Started without a consumer task (tests drive flush() by hand):
+        # drain whatever is still queued so accepted work is never dropped.
+        await self.flush()
+
+    async def abort(self) -> None:
+        """Stop admissions and fail every queued request with
+        :class:`ServiceDrainingError`; stop the tasks.
+
+        The abrupt counterpart of :meth:`aclose`. A batch already on the
+        executor still answers its waiters and its joiners.
+        """
+        self._draining = True
+        for requests in self._pending.values():
+            for request in requests:
+                if not request.future.done():
+                    request.future.set_exception(ServiceDrainingError())
+        self._pending.clear()
+        self._depth = 0
+        self._gauge("service.queue_depth", 0)
+        await self._stop_tasks()
+
+    async def _stop_tasks(self) -> None:
         self._wake.set()
         if self._sweep_task is not None:
             self._sweep_task.cancel()
@@ -191,9 +229,6 @@ class VerifyBatcher:
         if self._task is not None:
             await self._task
             self._task = None
-        # Started without a consumer task (tests drive flush() by hand):
-        # drain whatever is still queued so accepted work is never dropped.
-        await self.flush()
 
     @property
     def draining(self) -> bool:
@@ -220,6 +255,11 @@ class VerifyBatcher:
         :class:`~repro.core.verify.VerificationResult`, in ``props``
         order. Raises :class:`ServiceDrainingError`,
         :class:`QueueFullError`, or :class:`DeadlineExceededError`.
+
+        If the batch running for ``entry`` already verifies every
+        ``(prop, seed)`` pair asked for, the request joins it: it takes
+        no queue slot, cannot expire, and gets that batch's own result
+        objects (or its exception).
         """
         props = tuple(props)
         self.stats.submitted += len(props)
@@ -228,6 +268,11 @@ class VerifyBatcher:
             self.stats.rejected_draining += len(props)
             self._count("service.verify.rejected_draining", len(props))
             raise ServiceDrainingError()
+        flight = self._running.get(entry.key)
+        if flight is not None and all(
+            (prop, seed) in flight.keys for prop in props
+        ):
+            return await self._join(flight, entry, props, seed)
         cost = max(len(props), 1)
         if self._depth + cost > self.queue_limit:
             self.stats.shed += len(props)
@@ -251,6 +296,28 @@ class VerifyBatcher:
         self._wake.set()
         return await request.future
 
+    async def _join(self, flight: _Flight, entry: SpecEntry, props: tuple,
+                    seed) -> list:
+        self.stats.accepted += len(props)
+        self.stats.coalesced += len(props)
+        self._count("service.verify.coalesced", len(props))
+        # Its own future, so cancelling one joiner cancels nobody else's
+        # answer; no deadline, since the batch is already dispatched.
+        request = _Request(
+            entry=entry,
+            props=props,
+            future=asyncio.get_running_loop().create_future(),
+            enqueued_at=self.clock.now(),
+            deadline=None,
+            seed=seed,
+            ctx=current_trace_context(),
+        )
+        if flight.span is not None and request.ctx is not None:
+            flight.links.append(request.ctx.span_id)
+            flight.span.annotate(links=flight.links)
+        flight.live.append(request)  # answered with the batch's waiters
+        return await request.future
+
     # -- the consumer ---------------------------------------------------------
 
     async def _run(self) -> None:
@@ -261,20 +328,13 @@ class VerifyBatcher:
                 self._wake.clear()
                 await self._wake.wait()
                 continue
-            if self.batch_window > 0 and not self._draining:
-                # The coalescing window: let concurrent submitters join
-                # the groups dequeued below. Real loop time on purpose —
-                # the injectable clock governs request deadlines, not the
-                # daemon's own pacing.
-                await asyncio.sleep(self.batch_window)
-            await self.flush(limit=len(self._pending))
+            await self.flush()
 
     async def _sweep_loop(self) -> None:
-        # The consumer can be parked for a long time — an idle coalescing
-        # window with nothing to dispatch, or a huge batch hogging the
-        # executor while new requests pile up behind it. The sweeper runs
-        # beside it so deadline expiry (on the *injectable* clock) is
-        # delivered promptly in wall time either way.
+        # The consumer can be parked for a long time — a huge batch
+        # hogging the executor while new requests pile up behind it. The
+        # sweeper runs beside it so deadline expiry (on the *injectable*
+        # clock) is delivered promptly in wall time.
         while not self._draining:
             await asyncio.sleep(self.expiry_interval)
             self.sweep_expired()
@@ -318,8 +378,9 @@ class VerifyBatcher:
             DeadlineExceededError(now - request.enqueued_at, request.deadline)
         )
 
-    async def flush(self, limit: int | None = None) -> int:
-        """Dispatch up to ``limit`` pending groups (all of them by default).
+    async def flush(self) -> int:
+        """Dispatch pending groups, oldest first, until none is left
+        (groups queued while one runs included).
 
         The test seam: deterministic tests enqueue submits, advance a
         :class:`~repro.core.resilience.VirtualClock`, then flush by hand
@@ -327,7 +388,7 @@ class VerifyBatcher:
         groups dispatched.
         """
         dispatched = 0
-        while self._pending and (limit is None or dispatched < limit):
+        while self._pending:
             key, requests = self._pending.popitem(last=False)
             self._depth -= sum(max(len(r.props), 1) for r in requests)
             self._gauge("service.queue_depth", self._depth)
@@ -358,7 +419,6 @@ class VerifyBatcher:
         self.stats.batches += 1
         self.stats.verified += len(unique)
         self.stats.coalesced += total_props - len(unique)
-        self.stats.batch_sizes.append(total_props)
         self._count("service.verify.batches")
         self._count("service.verify.coalesced", total_props - len(unique))
         self._observe("service.verify.batch_size", total_props)
@@ -367,9 +427,9 @@ class VerifyBatcher:
         entry = live[0].entry
         loop = asyncio.get_running_loop()
         # One batch span covering the whole dispatch. Its distributed
-        # parent is the first waiter's request span; every other waiter
-        # is linked through the ``links`` attribute — the cross-request
-        # record of who coalesced into this batch.
+        # parent is the first waiter's request span; every other waiter,
+        # joiners included, is linked through the ``links`` attribute —
+        # the cross-request record of who coalesced into this batch.
         tracer = getattr(self.obs, "tracer", None)
         primary = next((r.ctx for r in live if r.ctx is not None), None)
         span_cm = (
@@ -387,6 +447,8 @@ class VerifyBatcher:
             if batch_span is not None and links:
                 batch_span.annotate(links=links)
             batch_ctx = getattr(batch_span, "context", None)
+            flight = _Flight(unique, live, batch_span, links)
+            self._running[key] = flight
             started = loop.time()
             try:
                 results = await loop.run_in_executor(
@@ -394,17 +456,19 @@ class VerifyBatcher:
                     batch_ctx,
                 )
             except BaseException as exc:  # compile/verify failure fails batch
-                for request in live:
+                for request in live:  # joiners included
                     if not request.future.cancelled():
                         request.future.set_exception(exc)
                 return
             finally:
+                if self._running.get(key) is flight:
+                    del self._running[key]
                 # The exemplar makes this histogram name the spec it was
                 # slow for — "top-k slowest specs" in ``repro top``.
                 self._observe("service.verify.batch_latency",
                               loop.time() - started, exemplar=key)
         by_prop = dict(zip(unique, results))
-        for request in live:
+        for request in live:  # joiners included
             if not request.future.cancelled():
                 request.future.set_result(
                     [by_prop[(prop, request.seed)] for prop in request.props]

@@ -135,11 +135,17 @@ class HttpServerBase:
             pass
 
     async def _stop_accepting(self) -> None:
-        """Close the listening socket (half one of a graceful shutdown)."""
+        """Close the listening socket (half one of a graceful shutdown).
+
+        Deliberately no ``wait_closed()``: from CPython 3.12.1 it waits
+        for every open connection, so it would block until the clients
+        went away — before the drain that answers them has begun. The
+        connection tasks are reaped by :meth:`_drain_connections` or
+        cancelled by :meth:`_cancel_connections` instead.
+        """
         self._shutting_down = True
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
 
     async def _drain_connections(self) -> None:
         """Wait for in-flight *requests* (not idle keep-alive sockets — a

@@ -20,12 +20,13 @@ POST      ``/schedule``      enumerate allowed executions (``limit`` capped)
 ========  =================  ==================================================
 
 ``/verify`` goes through the :class:`~repro.service.batcher.VerifyBatcher`:
-concurrent requests for the same specification coalesce into one
-:func:`~repro.core.verify.verify_properties` fan-out, with bounded-queue
-admission (429 when shedding, 503 while draining, 504 past the
-per-request deadline). The other POST endpoints run directly on the
-executor — they are single compiles against the registry's memo and the
-persistent compile cache.
+an idle daemon dispatches a request at once; a request that the running
+batch already covers joins it, and the rest that arrive meanwhile
+coalesce into the next :func:`~repro.core.verify.verify_properties`
+fan-out, with bounded-queue admission (429 when shedding, 503 while
+draining, 504 past the per-request deadline). The other POST endpoints
+run directly on the executor — they are single compiles against the
+registry's memo and the persistent compile cache.
 
 Graceful shutdown (:meth:`VerificationService.shutdown` with
 ``drain=True``, the default, wired to SIGINT/SIGTERM by the CLI) stops
@@ -84,7 +85,6 @@ class VerificationService(HttpServerBase):
         cache=None,
         jobs: int | None = 1,
         queue_limit: int = 256,
-        batch_window: float = 0.005,
         default_deadline: float | None = 30.0,
         clock: Clock | None = None,
         obs: Observability | None = None,
@@ -100,7 +100,6 @@ class VerificationService(HttpServerBase):
             registry,
             jobs=jobs,
             queue_limit=queue_limit,
-            batch_window=batch_window,
             default_deadline=default_deadline,
             clock=clock,
             executor=self.executor,
@@ -119,23 +118,16 @@ class VerificationService(HttpServerBase):
 
         ``drain=True`` — the graceful path — completes every accepted
         verification batch and every in-flight HTTP response before
-        returning. ``drain=False`` abandons the queue (waiters see 503).
+        returning. ``drain=False`` abandons the queue (queued waiters see
+        503; the batch already running still answers its own).
         """
         await self._stop_accepting()
         if drain:
             await self.batcher.aclose()
             await self._drain_connections()
         else:
-            self.batcher._draining = True
+            await self.batcher.abort()
             self._cancel_connections()
-            for group in list(self.batcher._pending.values()):
-                for request in group:
-                    if not request.future.done():
-                        request.future.set_exception(ServiceDrainingError())
-            self.batcher._pending.clear()
-            if self.batcher._task is not None:
-                self.batcher._wake.set()
-                await asyncio.gather(self.batcher._task, return_exceptions=True)
         self.executor.shutdown(wait=True)
 
     # -- routing --------------------------------------------------------------

@@ -61,7 +61,7 @@ def result_rows(payload: dict) -> list:
 
 
 def single_daemon_reference(text: str, **verify_kwargs) -> dict:
-    with serve_in_thread(batch_window=0.001) as handle:
+    with serve_in_thread() as handle:
         with handle.client() as client:
             return client.verify(text=text, **verify_kwargs)
 

@@ -61,3 +61,21 @@ class TestCompileWorkflow:
         compiled = compile_workflow(A >> B, [order("b", "a")])
         # Apply's output (the knotted goal) is retained for inspection.
         assert compiled.applied_size > 0
+
+
+class TestLoweredProgram:
+    def test_schedulers_share_one_lowered_program(self):
+        from repro.core.scheduler import Scheduler
+
+        compiled = compile_workflow((A | B | (C + D)), [order("b", "a")])
+        first, second = compiled.scheduler(), compiled.scheduler()
+        assert first._program is second._program is compiled.program
+        # Each scheduler keeps its own tables, so a new one starts cold.
+        assert first._succ is not second._succ
+        assert first._step_table is not second._step_table
+        assert first.run() == Scheduler(compiled.goal).run()
+        assert second.run(strategy=max) == \
+            Scheduler(compiled.goal).run(strategy=max)
+        assert list(compiled.schedules()) == \
+            list(Scheduler(compiled.goal).enumerate_schedules())
+        assert len(list(compiled.schedules())) > 1

@@ -93,6 +93,24 @@ class TestTracer:
         assert joined.trace_id == ctx.trace_id
         assert joined.parent_ref == ctx.span_id
 
+    def test_eviction_is_amortized_and_keeps_open_spans(self):
+        bound = 80
+        tracer = Tracer(max_spans=bound)
+        rebuilds = 0
+        with tracer.span("daemon") as daemon:
+            for _ in range(10 * bound):
+                before = tracer.spans
+                with tracer.span("request"):
+                    with tracer.span("batch"):
+                        pass
+                rebuilds += tracer.spans is not before
+                assert len(tracer.spans) <= bound
+            assert daemon in tracer.spans  # open, so never evicted
+        # Evicting an eighth below the bound rebuilds the list once per
+        # bound // 8 new spans, not once per span past the bound.
+        assert rebuilds <= 2 * 10 * bound // (bound // 8) + 1
+        assert tracer.spans[-1].name == "batch"
+
     def test_render_collapses_sibling_runs(self):
         tracer = Tracer()
         with tracer.span("run"):

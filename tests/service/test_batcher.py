@@ -1,13 +1,19 @@
-"""VerifyBatcher: coalescing, dedup, backpressure, deadlines, draining.
+"""VerifyBatcher: coalescing, joining, dedup, backpressure, deadlines,
+draining.
 
 Driven without the background consumer task wherever determinism matters:
 tests enqueue ``submit`` coroutines as tasks, advance a
 :class:`~repro.core.resilience.VirtualClock`, and call
 :meth:`~repro.service.batcher.VerifyBatcher.flush` by hand — so expiry
-and batching decisions never race wall-clock time.
+and batching decisions never race wall-clock time. A batch that must
+stay running while a test acts (to be joined, or to park the queue
+behind it) runs on a :class:`GatedExecutor` and finishes only once the
+test opens the gate.
 """
 
 import asyncio
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -37,8 +43,31 @@ def run(coro):
 def make_batcher(**kwargs):
     registry = SpecRegistry()
     entry = registry.register("orders", SPEC)
-    kwargs.setdefault("batch_window", 0)
     return VerifyBatcher(registry, **kwargs), entry
+
+
+class GatedExecutor(ThreadPoolExecutor):
+    """Runs each submitted call only once ``gate`` is set."""
+
+    def __init__(self):
+        super().__init__(max_workers=1)
+        self.gate = threading.Event()
+
+    def submit(self, fn, /, *args, **kwargs):
+        def held():
+            assert self.gate.wait(timeout=30), "gate never opened"
+            return fn(*args, **kwargs)
+
+        return super().submit(held)
+
+
+async def until(predicate):
+    """Yield to the loop until ``predicate()`` holds."""
+    for _ in range(1000):
+        if predicate():
+            return
+        await asyncio.sleep(0)
+    raise AssertionError("condition never held")
 
 
 def props_of(entry, *names):
@@ -96,7 +125,7 @@ class TestCoalescing:
             orders = registry.register("orders", SPEC)
             claims = registry.register("claims", "goal: submit * review\n"
                                                  "property done: happens(review)\n")
-            batcher = VerifyBatcher(registry, batch_window=0)
+            batcher = VerifyBatcher(registry)
             w1 = asyncio.ensure_future(
                 batcher.submit(orders, props_of(orders, "checked")))
             w2 = asyncio.ensure_future(
@@ -132,7 +161,7 @@ class TestCoalescing:
             # `a` occurs twice: compilation raises UniqueEventError.
             entry = registry.register("dup", "goal: a * a\n"
                                              "property p: happens(a)\n")
-            batcher = VerifyBatcher(registry, batch_window=0)
+            batcher = VerifyBatcher(registry)
             waiters = [
                 asyncio.ensure_future(
                     batcher.submit(entry, props_of(entry, "p")))
@@ -232,9 +261,9 @@ class TestExpirySweep:
     """Deadline expiry must not wait for a dispatch to happen to look.
 
     Regression: before the sweeper, a request whose deadline passed while
-    the coalescing window was idle (or the queue parked behind a long
-    batch) only learned its fate at the *next* dispatch — potentially
-    never. The sweep delivers the 504 promptly.
+    the queue was parked behind a long batch only learned its fate at the
+    *next* dispatch — potentially never. The sweep delivers the 504
+    promptly.
     """
 
     def test_sweep_expired_by_hand_on_virtual_clock(self):
@@ -258,31 +287,43 @@ class TestExpirySweep:
         assert batcher.depth == 0
         assert not batcher._pending
 
-    def test_sweep_task_delivers_504_while_window_is_idle(self):
+    def test_sweep_task_delivers_504_behind_a_running_batch(self):
         async def scenario():
             clock = VirtualClock()
-            # A pathological coalescing window: dispatch would only look
-            # at this request a minute from now. The sweeper must not
-            # let the deadline wait for it.
+            executor = GatedExecutor()
             batcher, entry = make_batcher(
-                clock=clock, batch_window=60.0, expiry_interval=0.01,
+                clock=clock, expiry_interval=0.01, executor=executor,
             )
             batcher.start()
-            waiter = asyncio.ensure_future(
-                batcher.submit(entry, props_of(entry, "checked"),
-                               deadline=5.0))
-            await asyncio.sleep(0)
-            clock.advance(6.0)  # deadline passes on the injectable clock
-            # Await the verdict with a *wall-clock* bound far below the
-            # batch window: only the sweep task can deliver it.
-            result = await asyncio.wait_for(
-                asyncio.gather(waiter, return_exceptions=True), timeout=5.0
-            )
+            try:
+                running = asyncio.ensure_future(
+                    batcher.submit(entry, props_of(entry, "checked")))
+                await until(lambda: batcher._running)
+                # A property the running batch does not cover: it queues
+                # behind the batch, which the consumer cannot leave
+                # until the gate opens.
+                queued = asyncio.ensure_future(
+                    batcher.submit(entry, props_of(entry, "backwards"),
+                                   deadline=5.0))
+                await asyncio.sleep(0)
+                assert batcher.depth == 1
+                clock.advance(6.0)  # deadline passes on the injectable clock
+                # Only the sweep task can deliver this 504: the consumer
+                # is parked inside the held batch.
+                result = await asyncio.wait_for(
+                    asyncio.gather(queued, return_exceptions=True),
+                    timeout=5.0,
+                )
+                assert batcher.depth == 0
+            finally:
+                executor.gate.set()
             await batcher.aclose()
-            return result
+            executor.shutdown()
+            return result, await running
 
-        (result,) = run(scenario())
+        (result,), running = run(scenario())
         assert isinstance(result, DeadlineExceededError)
+        assert running[0].holds
 
     def test_sweep_leaves_live_requests_queued(self):
         async def scenario():
@@ -339,7 +380,7 @@ class TestExpirySweep:
 class TestDraining:
     def test_aclose_completes_accepted_work(self):
         async def scenario():
-            batcher, entry = make_batcher(batch_window=0.001)
+            batcher, entry = make_batcher()
             batcher.start()
             waiters = [
                 asyncio.ensure_future(
@@ -358,7 +399,7 @@ class TestDraining:
 
     def test_background_task_batches_concurrent_submitters(self):
         async def scenario():
-            batcher, entry = make_batcher(batch_window=0.01)
+            batcher, entry = make_batcher()
             batcher.start()
             props = props_of(entry, "checked")
             results = await asyncio.gather(*[
@@ -369,7 +410,284 @@ class TestDraining:
 
         batcher, results = run(scenario())
         assert all(r[0].holds for r in results)
-        # The window coalesced all six concurrent submitters into one batch.
+        # All six submitters queue in the loop step that wakes the
+        # consumer, so they coalesce into one batch without any sleep.
         assert batcher.stats.batches == 1
         assert batcher.stats.verified == 1
         assert batcher.stats.coalesced == 5
+
+
+class TestJoin:
+    """A request the running batch already covers joins it (singleflight)."""
+
+    @staticmethod
+    async def dispatch_held(batcher, entry, names=("checked", "backwards"),
+                            **submit_kwargs):
+        """Submit one request, dispatch it, and leave its batch running on
+        the gated executor. Returns the waiter and the flush task."""
+        waiter = asyncio.ensure_future(
+            batcher.submit(entry, props_of(entry, *names), **submit_kwargs))
+        await asyncio.sleep(0)
+        flushing = asyncio.ensure_future(batcher.flush())
+        await until(lambda: batcher._running)
+        return waiter, flushing
+
+    def test_identical_request_shares_the_running_batch(self):
+        async def scenario():
+            executor = GatedExecutor()
+            batcher, entry = make_batcher(executor=executor)
+            waiter, flushing = await self.dispatch_held(batcher, entry)
+            joiner = asyncio.ensure_future(batcher.submit(
+                entry, props_of(entry, "backwards", "checked")))
+            await asyncio.sleep(0)
+            assert batcher.depth == 0  # joined, not queued
+            executor.gate.set()
+            await flushing
+            assert await batcher.flush() == 0  # nothing left to verify
+            executor.shutdown()
+            return batcher, await waiter, await joiner
+
+        batcher, first, joined = run(scenario())
+        assert batcher.stats.batches == 1
+        assert batcher.stats.verified == 2
+        # The batch's own result objects, in the joiner's order.
+        assert joined[0] is first[1] and joined[1] is first[0]
+
+    def test_cancelled_joiner_leaves_the_others_their_answer(self):
+        async def scenario():
+            executor = GatedExecutor()
+            batcher, entry = make_batcher(executor=executor)
+            waiter, flushing = await self.dispatch_held(batcher, entry)
+            props = props_of(entry, "checked", "backwards")
+            gone = asyncio.ensure_future(batcher.submit(entry, props))
+            kept = asyncio.ensure_future(batcher.submit(entry, props))
+            await asyncio.sleep(0)
+            gone.cancel()
+            await asyncio.sleep(0)
+            executor.gate.set()
+            await flushing
+            executor.shutdown()
+            outcome = await asyncio.gather(gone, return_exceptions=True)
+            return outcome, await waiter, await kept
+
+        (gone,), first, kept = run(scenario())
+        assert isinstance(gone, asyncio.CancelledError)
+        assert kept[0] is first[0] and kept[1] is first[1]
+
+    def test_failing_batch_raises_its_exception_in_joiners(self):
+        from repro.errors import UniqueEventError
+
+        async def scenario():
+            registry = SpecRegistry()
+            entry = registry.register("dup", "goal: a * a\n"
+                                             "property p: happens(a)\n")
+            executor = GatedExecutor()
+            batcher = VerifyBatcher(registry, executor=executor)
+            waiter, flushing = await self.dispatch_held(
+                batcher, entry, names=("p",))
+            joiners = [
+                asyncio.ensure_future(
+                    batcher.submit(entry, props_of(entry, "p")))
+                for _ in range(2)
+            ]
+            await asyncio.sleep(0)
+            executor.gate.set()
+            await flushing
+            executor.shutdown()
+            return await asyncio.gather(waiter, *joiners,
+                                        return_exceptions=True)
+
+        first, *joined = run(scenario())
+        assert isinstance(first, UniqueEventError)
+        assert all(exc is first for exc in joined)
+
+    def test_other_seed_or_new_version_does_not_join(self):
+        async def scenario():
+            executor = GatedExecutor()
+            batcher, entry = make_batcher(executor=executor)
+            waiter, flushing = await self.dispatch_held(batcher, entry)
+            props = props_of(entry, "checked", "backwards")
+            seeded = asyncio.ensure_future(
+                batcher.submit(entry, props, seed=7))
+            newer = batcher.registry.register(
+                "orders", SPEC.replace("approve\n", "approve * archive\n", 1))
+            assert newer.key == "orders@2"
+            reregistered = asyncio.ensure_future(
+                batcher.submit(newer, props_of(newer, "checked",
+                                               "backwards")))
+            await asyncio.sleep(0)
+            assert batcher.depth == 4  # both queued whole
+            executor.gate.set()
+            await flushing
+            executor.shutdown()
+            return (batcher, await waiter, await seeded,
+                    await reregistered)
+
+        batcher, first, seeded, reregistered = run(scenario())
+        assert batcher.stats.batches == 3
+        assert batcher.stats.verified == 6
+        assert [r.holds for r in seeded] == [True, False]
+        assert [r.holds for r in reregistered] == [True, False]
+        assert seeded[1] is not first[1]
+
+    def test_partial_overlap_queues_whole(self):
+        async def scenario():
+            executor = GatedExecutor()
+            batcher, entry = make_batcher(executor=executor)
+            waiter, flushing = await self.dispatch_held(
+                batcher, entry, names=("checked",))
+            wider = asyncio.ensure_future(batcher.submit(
+                entry, props_of(entry, "checked", "backwards")))
+            await asyncio.sleep(0)
+            assert batcher.depth == 2
+            executor.gate.set()
+            await flushing
+            executor.shutdown()
+            return batcher, await waiter, await wider
+
+        batcher, first, wider = run(scenario())
+        assert batcher.stats.batches == 2
+        assert batcher.stats.verified == 3  # "checked" is verified again
+        assert wider[0] is not first[0]
+        assert wider[0].holds and not wider[1].holds
+
+    def test_draining_batcher_answers_503_before_any_join(self):
+        async def scenario():
+            executor = GatedExecutor()
+            batcher, entry = make_batcher(executor=executor)
+            batcher.start()
+            props = props_of(entry, "checked", "backwards")
+            waiter = asyncio.ensure_future(batcher.submit(entry, props))
+            await until(lambda: batcher._running)
+            closing = asyncio.ensure_future(batcher.aclose())
+            await until(lambda: batcher.draining)
+            try:
+                with pytest.raises(ServiceDrainingError):
+                    await batcher.submit(entry, props)
+            finally:
+                executor.gate.set()
+            await closing
+            executor.shutdown()
+            return batcher, await waiter
+
+        batcher, first = run(scenario())
+        assert first[0].holds
+        assert batcher.stats.rejected_draining == 2
+        assert batcher.stats.coalesced == 0
+
+    def test_joiner_is_admitted_when_the_queue_is_full(self):
+        async def scenario():
+            executor = GatedExecutor()
+            batcher, entry = make_batcher(executor=executor, queue_limit=2)
+            waiter, flushing = await self.dispatch_held(batcher, entry)
+            props = props_of(entry, "checked", "backwards")
+            queued = asyncio.ensure_future(
+                batcher.submit(entry, props, seed=3))
+            await asyncio.sleep(0)
+            assert batcher.depth == 2  # full
+            with pytest.raises(QueueFullError):
+                await batcher.submit(entry, props, seed=4)
+            joiner = asyncio.ensure_future(batcher.submit(entry, props))
+            await asyncio.sleep(0)
+            executor.gate.set()
+            await flushing
+            executor.shutdown()
+            return await waiter, await joiner, await queued
+
+        first, joined, queued = run(scenario())
+        assert joined[0] is first[0] and joined[1] is first[1]
+        assert [r.holds for r in queued] == [True, False]
+
+    def test_joiner_never_expires(self):
+        async def scenario():
+            clock = VirtualClock()
+            executor = GatedExecutor()
+            batcher, entry = make_batcher(clock=clock, executor=executor)
+            waiter, flushing = await self.dispatch_held(batcher, entry)
+            joiner = asyncio.ensure_future(batcher.submit(
+                entry, props_of(entry, "checked"), deadline=1.0))
+            await asyncio.sleep(0)
+            clock.advance(10.0)
+            swept = batcher.sweep_expired()
+            executor.gate.set()
+            await flushing
+            executor.shutdown()
+            return batcher, swept, await waiter, await joiner
+
+        batcher, swept, first, joined = run(scenario())
+        assert swept == 0 and batcher.stats.expired == 0
+        assert joined[0] is first[0]
+
+    def test_joined_properties_count_as_accepted_and_coalesced(self):
+        obs = Observability.enabled(trace=False, record=False)
+
+        async def scenario():
+            executor = GatedExecutor()
+            batcher, entry = make_batcher(executor=executor, obs=obs)
+            waiter, flushing = await self.dispatch_held(batcher, entry)
+            joiners = [
+                asyncio.ensure_future(batcher.submit(entry, props))
+                for props in (props_of(entry, "checked", "backwards"),
+                              props_of(entry, "backwards"))
+            ]
+            await asyncio.sleep(0)
+            executor.gate.set()
+            await flushing
+            executor.shutdown()
+            await asyncio.gather(waiter, *joiners)
+            return batcher
+
+        stats = run(scenario()).stats
+        assert (stats.accepted, stats.verified, stats.coalesced) == (5, 2, 3)
+        assert stats.accepted == stats.verified + stats.coalesced
+        assert obs.metrics.counter("service.verify.coalesced").value == 3
+
+
+class TestAbort:
+    def test_abort_fails_the_queue_and_empties_it(self):
+        obs = Observability.enabled(trace=False, record=False)
+
+        async def scenario():
+            batcher, entry = make_batcher(obs=obs)
+            waiters = [
+                asyncio.ensure_future(batcher.submit(
+                    entry, props_of(entry, "checked", "backwards"),
+                    seed=seed))
+                for seed in range(3)
+            ]
+            await asyncio.sleep(0)
+            assert batcher.depth == 6
+            await batcher.abort()
+            outcomes = await asyncio.gather(*waiters, return_exceptions=True)
+            return batcher, outcomes
+
+        batcher, outcomes = run(scenario())
+        assert all(isinstance(o, ServiceDrainingError) for o in outcomes)
+        assert batcher.depth == 0
+        assert obs.metrics.gauge("service.queue_depth").value == 0
+        assert batcher.stats.batches == 0
+
+    def test_abort_lets_the_running_batch_answer(self):
+        async def scenario():
+            executor = GatedExecutor()
+            batcher, entry = make_batcher(executor=executor)
+            batcher.start()
+            props = props_of(entry, "checked", "backwards")
+            waiter = asyncio.ensure_future(batcher.submit(entry, props))
+            await until(lambda: batcher._running)
+            joiner = asyncio.ensure_future(batcher.submit(entry, props))
+            queued = asyncio.ensure_future(
+                batcher.submit(entry, props, seed=1))
+            await asyncio.sleep(0)
+            aborting = asyncio.ensure_future(batcher.abort())
+            await until(lambda: queued.done())
+            executor.gate.set()
+            await aborting
+            executor.shutdown()
+            return (await waiter, await joiner,
+                    await asyncio.gather(queued, return_exceptions=True))
+
+        first, joined, (queued,) = run(scenario())
+        assert [r.holds for r in first] == [True, False]
+        assert joined[0] is first[0] and joined[1] is first[1]
+        assert isinstance(queued, ServiceDrainingError)

@@ -7,6 +7,7 @@ harness the benchmarks and examples use too).
 
 import json
 import threading
+import time
 
 import pytest
 
@@ -30,7 +31,7 @@ property settled: happens(settle)
 
 @pytest.fixture(scope="class")
 def service():
-    handle = serve_in_thread(batch_window=0.001)
+    handle = serve_in_thread()
     with handle.client() as client:
         client.register("orders", ORDERS)
         client.register("claims", CLAIMS)
@@ -194,10 +195,15 @@ class TestBatchingOverHttp:
         baseline = service.service.batcher.stats.verified
         results: list[dict] = []
         errors: list[BaseException] = []
+        # Connected first, then released together: the requests are
+        # concurrent, not staggered by thread start-up.
+        ready = threading.Barrier(8)
 
         def worker():
             try:
                 with service.client() as client:
+                    client.healthz()
+                    ready.wait()
                     results.append(client.verify(spec="orders"))
             except BaseException as exc:  # pragma: no cover - fail the test
                 errors.append(exc)
@@ -213,8 +219,8 @@ class TestBatchingOverHttp:
         for other in results[1:]:
             assert other["results"] == first
         # Dedup did real work: far fewer verifications than 8 clients x 3
-        # properties (some batches may split across windows, so don't
-        # demand the theoretical minimum of 3).
+        # properties (a request arriving just after a batch ends starts
+        # the next one, so don't demand the theoretical minimum of 3).
         verified = service.service.batcher.stats.verified - baseline
         assert verified <= 12
 
@@ -241,7 +247,7 @@ class TestSpecsDirectory:
         path = tmp_path / "orders.workflow"
         path.write_text(ORDERS)
         os.utime(path, (100.0, 100.0))
-        handle = serve_in_thread(specs_dir=tmp_path, batch_window=0.001)
+        handle = serve_in_thread(specs_dir=tmp_path)
         try:
             with handle.client() as client:
                 assert [s["name"] for s in client.specs()] == ["orders"]
@@ -256,18 +262,27 @@ class TestSpecsDirectory:
 
 
 class TestGracefulShutdown:
-    def test_draining_stop_answers_all_accepted_requests(self):
-        handle = serve_in_thread(batch_window=0.05)
+    def test_draining_stop_answers_all_accepted_requests(self, monkeypatch):
+        handle = serve_in_thread()
         with handle.client() as setup:
             setup.register("orders", ORDERS)
+        # Hold the first batch on the executor until the drain has begun,
+        # so the stop below drains accepted work instead of racing it.
+        batcher = handle.service.batcher
+        release = threading.Event()
+        verify_batch = batcher._verify_batch
+
+        def held(*args):
+            release.wait(timeout=30)
+            return verify_batch(*args)
+
+        monkeypatch.setattr(batcher, "_verify_batch", held)
         results: list[dict] = []
         errors: list[BaseException] = []
-        started = threading.Barrier(9)
 
         def worker():
             client = handle.client()
             try:
-                started.wait()
                 results.append(client.verify(spec="orders"))
             except BaseException as exc:
                 errors.append(exc)
@@ -275,36 +290,118 @@ class TestGracefulShutdown:
                 client.close()
 
         threads = [threading.Thread(target=worker) for _ in range(8)]
+        stopper = threading.Thread(target=handle.stop)
+        try:
+            for thread in threads:
+                thread.start()
+            # Every request accepted: the first one's batch is held, and
+            # the other seven joined it or queued behind it.
+            deadline = time.monotonic() + 10.0
+            while (batcher.stats.accepted < 8 * 3
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            assert batcher.stats.accepted == 8 * 3
+            stopper.start()
+            while not batcher.draining and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert batcher.draining
+        finally:
+            release.set()
+            if stopper.ident is None:  # failed before the stop: still stop
+                stopper.start()
+        stopper.join(timeout=60)
         for thread in threads:
-            thread.start()
-        started.wait()  # all 8 requests in flight (or about to be written)
-        # Let the daemon accept work into the batcher queue (the 50ms
-        # window parks it there) so the stop drains real requests.
-        import time
-
-        deadline = time.monotonic() + 5.0
-        while (handle.service.batcher.stats.accepted == 0
-               and time.monotonic() < deadline):
-            time.sleep(0.001)
-        handle.stop(drain=True)
-        for thread in threads:
-            thread.join()
-        # Every request either completed with a verdict or was refused
-        # up front with 503 (drain began before it was accepted) / a
-        # connection error (drain began before its socket was accepted)
-        # — never accepted-then-dropped, never a hung thread.
-        for error in errors:
-            assert isinstance(error, (ServiceClientError, OSError)), error
-            if isinstance(error, ServiceClientError):
-                assert error.status == 503
+            thread.join(timeout=60)
+        # Accepted before the stop, so every one was answered in full —
+        # never accepted-then-dropped, never a hung thread.
+        assert not stopper.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert len(results) == 8
         for out in results:
             assert [r["holds"] for r in out["results"]] == [True, True, False]
-        # The accepted-then-drained path really ran: at least one request
-        # was answered through the shutdown.
-        assert results
+
+    def test_abort_answers_the_running_batch_and_refuses_the_queue(
+        self, monkeypatch
+    ):
+        handle = serve_in_thread()
+        with handle.client() as setup:
+            setup.register("orders", ORDERS)
+        # Hold the first batch on the executor until the abort has begun.
+        batcher = handle.service.batcher
+        release = threading.Event()
+        verify_batch = batcher._verify_batch
+
+        def held(*args):
+            release.wait(timeout=30)
+            return verify_batch(*args)
+
+        monkeypatch.setattr(batcher, "_verify_batch", held)
+        outcomes: dict[str, list] = {"running": [], "queued": []}
+        lock = threading.Lock()
+
+        def worker(group, seed):
+            client = handle.client()
+            try:
+                out = client.verify(spec="orders", seed=seed)
+            except ServiceClientError as exc:
+                out = exc.status
+            except OSError as exc:  # a dropped connection
+                out = exc
+            finally:
+                client.close()
+            with lock:
+                outcomes[group].append(out)
+
+        first = threading.Thread(target=worker, args=("running", None))
+        # Three identical requests join the held batch; four with another
+        # seed cannot, so they queue behind it.
+        threads = [first] + [
+            threading.Thread(target=worker, args=("running", None))
+            for _ in range(3)
+        ] + [
+            threading.Thread(target=worker, args=("queued", 7))
+            for _ in range(4)
+        ]
+        stopper = threading.Thread(target=handle.stop,
+                                   kwargs={"drain": False})
+        try:
+            first.start()
+            deadline = time.monotonic() + 10.0
+            while batcher.stats.batches < 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert batcher.stats.batches == 1
+            for thread in threads[1:]:
+                thread.start()
+            while (batcher.stats.accepted < 8 * 3
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            assert batcher.stats.accepted == 8 * 3
+            stopper.start()
+            while not batcher.draining and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert batcher.draining
+        finally:
+            release.set()
+            if stopper.ident is None:  # failed before the stop: still stop
+                stopper.start()
+        stopper.join(timeout=60)
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not stopper.is_alive()
+        assert not any(thread.is_alive() for thread in threads)
+        # The held batch's waiter and its three joiners get full verdicts;
+        # the queued requests are refused with 503, not dropped.
+        assert len(outcomes["running"]) == 4
+        for out in outcomes["running"]:
+            assert isinstance(out, dict), out
+            assert [r["holds"] for r in out["results"]] == [True, True, False]
+        assert outcomes["queued"] == [503] * 4
+        assert batcher.depth == 0
+        assert batcher.stats.coalesced == 3 * 3
 
     def test_health_reports_draining(self):
-        handle = serve_in_thread(batch_window=0.001)
+        handle = serve_in_thread()
         try:
             with handle.client() as client:
                 assert client.healthz()["status"] == "ok"

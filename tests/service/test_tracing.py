@@ -12,6 +12,7 @@ from repro.service import ServiceClientError, serve_in_thread
 from repro.service.batcher import VerifyBatcher
 from repro.service.client import ServiceClient
 from repro.service.registry import SpecRegistry
+from tests.service.test_batcher import GatedExecutor, until
 
 ORDERS = """
 goal: receive * (credit | stock) * approve
@@ -30,7 +31,7 @@ def traced_obs(seed: int, segment: str = "service") -> Observability:
 
 @pytest.fixture(scope="class")
 def service():
-    handle = serve_in_thread(batch_window=0.001, obs=traced_obs(31))
+    handle = serve_in_thread(obs=traced_obs(31))
     with handle.client() as client:
         client.register("orders", ORDERS)
     yield handle
@@ -145,7 +146,7 @@ class TestBatchSpanLinks:
         ctx_b = TraceContext(trace_id="bb" * 16, span_id="22" * 8)
 
         async def scenario():
-            batcher = VerifyBatcher(registry, batch_window=0, obs=obs)
+            batcher = VerifyBatcher(registry, obs=obs)
             with use_trace_context(ctx_a):
                 first = asyncio.ensure_future(batcher.submit(entry, [prop]))
             with use_trace_context(ctx_b):
@@ -171,6 +172,41 @@ class TestBatchSpanLinks:
         ).summary()["exemplars"]
         assert ["orders@1"] == [label for _, label in exemplars]
 
+    def test_joiner_is_linked_to_the_running_batch_span(self):
+        obs = traced_obs(7)
+        registry = SpecRegistry()
+        entry = registry.register("orders", ORDERS)
+        prop = dict(entry.spec.properties)["credit_first"]
+        ctx_a = TraceContext(trace_id="aa" * 16, span_id="11" * 8)
+        ctx_b = TraceContext(trace_id="bb" * 16, span_id="22" * 8)
+        executor = GatedExecutor()
+
+        async def scenario():
+            batcher = VerifyBatcher(registry, obs=obs, executor=executor)
+            with use_trace_context(ctx_a):
+                first = asyncio.ensure_future(batcher.submit(entry, [prop]))
+            await asyncio.sleep(0)
+            flushing = asyncio.ensure_future(batcher.flush())
+            await until(lambda: batcher._running)
+            with use_trace_context(ctx_b):
+                joiner = asyncio.ensure_future(batcher.submit(entry, [prop]))
+            await asyncio.sleep(0)
+            executor.gate.set()
+            await flushing
+            return await first, await joiner
+
+        try:
+            first, joined = asyncio.run(scenario())
+        finally:
+            executor.gate.set()
+            executor.shutdown()
+        assert joined[0] is first[0]
+        batch = [s for s in obs.tracer.spans
+                 if s.name == "service.verify.batch"]
+        assert len(batch) == 1
+        assert batch[0].parent_ref == ctx_a.span_id
+        assert batch[0].attrs["links"] == [ctx_b.span_id]
+
     def test_fanout_spans_join_the_batch_trace(self):
         obs = traced_obs(6)
         registry = SpecRegistry()
@@ -182,8 +218,7 @@ class TestBatchSpanLinks:
         async def scenario():
             # jobs=2: the parallel fan-out path, which records the
             # parallel.verify_batch span on the executor thread.
-            batcher = VerifyBatcher(registry, batch_window=0, jobs=2,
-                                    obs=obs)
+            batcher = VerifyBatcher(registry, jobs=2, obs=obs)
             with use_trace_context(ctx):
                 waiter = asyncio.ensure_future(batcher.submit(entry, props))
             await asyncio.sleep(0)
