@@ -331,7 +331,8 @@ def compile_workflow(
     ``obs`` (an :class:`~repro.obs.config.Observability`) times each phase
     of the pipeline as a span (``compile`` → ``expand``/``apply``/
     ``excise``, the ``apply`` and ``excise`` spans annotated with the goal
-    size they produced) and records the size accounting of Theorem 5.11 —
+    size they produced, the ``excise`` span also with the precedence-graph
+    nodes it built) and records the size accounting of Theorem 5.11 —
     goal size before and after Apply and Excise (tree *and* DAG measures,
     plus the sharing ratio), knots excised, the constraint count ``N`` and
     arity ``d``, and the measured ``|Apply(C,G)| / (d^N·|G|)`` ratio —
@@ -373,7 +374,7 @@ def compile_workflow(
 
     tracer = obs.tracer if active else _NO_TRACER
     traced = tracer.enabled
-    stats = ExciseStats() if metrics is not None else None
+    stats = ExciseStats() if metrics is not None or traced else None
     with tracer.span("compile", constraints=len(constraints)):
         with tracer.span("expand"):
             expanded = expand_goal(goal, rules)
@@ -386,7 +387,8 @@ def compile_workflow(
         with tracer.span("excise") as excise_span:
             compiled = excise(applied, stats=stats)
             if traced:
-                excise_span.annotate(size=goal_size(compiled))
+                excise_span.annotate(size=goal_size(compiled),
+                                     graph_nodes=stats.graph_nodes)
     result = CompiledWorkflow(
         source=expanded,
         constraints=tuple(constraints),
@@ -442,6 +444,7 @@ def _record_compile_metrics(metrics, compiled: CompiledWorkflow, stats) -> None:
         metrics.set_gauge("excise.entangled_choices", stats.entangled_choices)
         metrics.set_gauge("excise.combos_tried", stats.combos_tried)
         metrics.set_gauge("excise.combos_viable", stats.combos_viable)
+        metrics.set_gauge("excise.graph_nodes", stats.graph_nodes)
     structure = goal_stats(compiled.goal)
     metrics.set_gauge("compiled.events", structure.events)
     metrics.set_gauge("compiled.choices", structure.choices)

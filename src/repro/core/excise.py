@@ -10,19 +10,45 @@ survives.
 Algorithm
 ---------
 For a **choice-free** goal, executability is a reachability question on a
-*precedence graph*: one node per elementary step, edges
+*precedence graph* over the goal's synchronization steps: one node per
+``send``/``receive`` and one entry and one exit node per ``⊙`` block around
+them, with edges
 
 * from the series-parallel structure (each last step of a serial part
-  precedes each first step of the next part),
+  precedes each first step of the next part; a ``⊙`` block's entry
+  precedes its body and its body precedes its exit),
 * from each ``send(ξ)`` to its matching ``receive(ξ)``,
-* rerouted through virtual entry/exit nodes of ``⊙`` blocks (a token that
+* rerouted through the entry/exit nodes of ``⊙`` blocks (a token that
   crosses an isolation boundary must be produced before the block starts,
   or consumed after it ends — an isolated block cannot pause mid-way to
   wait for a concurrent sender).
 
-The goal is executable iff every ``receive`` has a matching ``send`` and
-the graph is acyclic; this check is linear in the goal size (Theorem
-5.11's Excise bound).
+The goal is executable iff every ``receive`` has a matching ``send``, no
+``◇`` body excises to ``¬path``, and the graph is acyclic.
+
+The graph is built from the goal's *token skeleton*, not from the goal: the
+sends and receives, the ``⊙`` blocks around them, the ``◇`` tests whose
+bodies must still be excised, and the ``⊗``/``|`` structure linking them.
+Every token-free subgoal drops out. Each run summarises every distinct
+(hash-consed) node once — whether a ``∨`` occurs outside ``◇``, and its
+skeleton, assembled from its children's — so a flat check costs only its
+skeleton, and the choice scan runs only where the summary reports a
+choice. The skeleton decides exactly what the whole goal would:
+
+* without token edges the graph is series-parallel, hence acyclic, so
+  every cycle passes through a token edge;
+* every token-edge endpoint is kept — a send or receive, or the entry or
+  exit of the outermost ``⊙`` the edge crosses, a block that holds a token;
+* in a series-parallel expression one step precedes another iff their
+  lowest common connective is a ``⊗`` with the first step on the left, so
+  the order restricted to the kept steps is the order of the expression
+  with the other steps deleted;
+* the missing-send and duplicate-token checks still see every send and
+  receive (a duplicate token falls back to exhaustive search).
+
+The check is therefore linear in the goal size and the whole pass linear
+in the distinct nodes plus the skeletons checked (Theorem 5.11's Excise
+bound).
 
 Choices distribute: ``Excise(G₁ ∨ G₂) = Excise(G₁) ∨ Excise(G₂)``. A choice
 *nested* inside a serial/concurrent context is handled in one of two ways:
@@ -45,7 +71,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..ctr.formulas import (
     EMPTY,
@@ -77,6 +103,9 @@ class ExciseStats:
     is a knot the transformation removed; the choice counters expose which
     of the two nesting regimes ran, and the combo counters size the
     entangled enumeration, Excise's only potentially super-linear path.
+    ``graph_nodes`` counts the precedence-graph nodes the pass's
+    choice-free checks built: what those checks cost, a check reading
+    only its token skeleton.
     """
 
     knots: int = 0
@@ -84,24 +113,80 @@ class ExciseStats:
     entangled_choices: int = 0
     combos_tried: int = 0
     combos_viable: int = 0
+    graph_nodes: int = 0
+
+
+# Summary flags: a ∨, a send or receive, a ◇ test occurs outside every ◇.
+_CHOICE, _TOKEN, _POSSIBILITY = 1, 2, 4
+
+# A token skeleton (see the module docstring) is ``None`` (nothing the flat
+# check reads), a leaf — a Send, Receive or Possibility node, or a node the
+# check rejects (path, ¬path) — or ``(kind, parts)`` with parts skeletons:
+# Serial/Concurrent (two or more parts), Isolated (one part, holding a
+# token) or Choice (kept so that the check rejects it and still finds the
+# ◇ tests inside).
+_Skeleton = object
 
 
 class _ExciseRun:
     """Per-run state of one outermost :func:`excise` call.
 
     ``stats`` is the caller's sink (or ``None``); ``flat_memo`` memoises
-    :func:`flat_executable` verdicts per (shared) node. The run is passed
-    down to every helper and to the re-entrant calls (◇ bodies,
-    entangled-combo resolution), so one pass never rebuilds the precedence
-    graph of the same shared subgoal twice, and concurrent passes share
-    nothing.
+    :func:`flat_executable` verdicts per (shared) node; ``summaries`` maps
+    ``id(node) -> (node, flags, skeleton)`` (see :meth:`summary`), holding
+    the node so its id cannot be reused while the run lives. The run is
+    passed down to every helper and to the re-entrant calls (◇ bodies,
+    entangled-combo resolution), so one pass summarises each distinct node
+    once and never rebuilds the precedence graph of the same shared
+    subgoal twice, and concurrent passes share nothing.
     """
 
-    __slots__ = ("stats", "flat_memo")
+    __slots__ = ("stats", "flat_memo", "summaries")
 
     def __init__(self, stats: ExciseStats | None) -> None:
         self.stats = stats
         self.flat_memo: dict[Goal, bool] = {}
+        self.summaries: dict[int, tuple[Goal, int, _Skeleton]] = {}
+
+    def summary(self, goal: Goal) -> tuple[Goal, int, _Skeleton]:
+        """``(goal, flags, skeleton)``, summarising ``goal``'s subgoals first.
+
+        ``flags`` ORs ``_CHOICE``, ``_TOKEN`` and ``_POSSIBILITY`` over the
+        node and its parts, never looking into a ◇ body. The skeleton of a
+        connective keeps its parts' non-empty skeletons, collapsing to the
+        only one; a ⊙ block stays only around a token.
+        """
+        entry = self.summaries.get(id(goal))
+        if entry is not None:
+            return entry
+        flags = 0
+        skeleton: _Skeleton = None
+        if isinstance(goal, (Serial, Concurrent, Choice)):
+            kept = []
+            for part in goal.parts:
+                _, part_flags, part_skeleton = self.summary(part)
+                flags |= part_flags
+                if part_skeleton is not None:
+                    kept.append(part_skeleton)
+            if isinstance(goal, Choice):
+                flags |= _CHOICE
+                skeleton = (Choice, tuple(kept))
+            elif len(kept) > 1:
+                skeleton = (type(goal), tuple(kept))
+            elif kept:
+                skeleton = kept[0]
+        elif isinstance(goal, Isolated):
+            _, flags, skeleton = self.summary(goal.body)
+            if flags & _TOKEN:
+                skeleton = (Isolated, (skeleton,))
+        elif isinstance(goal, (Send, Receive)):
+            flags, skeleton = _TOKEN, goal
+        elif isinstance(goal, Possibility):
+            flags, skeleton = _POSSIBILITY, goal
+        elif not isinstance(goal, (Atom, Test, Empty)):
+            skeleton = goal  # path, ¬path: the flat check rejects them
+        entry = self.summaries[id(goal)] = (goal, flags, skeleton)
+        return entry
 
 
 def excise(goal: Goal, stats: ExciseStats | None = None) -> Goal:
@@ -128,13 +213,13 @@ def _excise(goal: Goal, run: _ExciseRun) -> Goal:
         # Top-level alternatives are independent executions.
         return alt(*(_excise(part, run) for part in goal.parts))
 
-    paths = _topmost_choices(goal)
-    if not paths:
+    if not run.summary(goal)[1] & _CHOICE:
         if _flat_executable(goal, run):
             return goal
         if stats is not None:
             stats.knots += 1
         return NEG_PATH
+    paths = _topmost_choices(goal, run)
 
     local_paths: list[tuple[int, ...]] = []
     entangled_paths: list[tuple[int, ...]] = []
@@ -163,9 +248,9 @@ def _excise(goal: Goal, run: _ExciseRun) -> Goal:
         return _excise_entangled(pruned_goal, entangled_paths, run)
 
     # Context executability is independent of how the (token-free) local
-    # choices resolve: check the skeleton with them blanked out.
-    skeleton = simplify(_replace_many(pruned_goal, [(p, EMPTY) for p in local_paths]))
-    if isinstance(skeleton, Empty) or _flat_executable(skeleton, run):
+    # choices resolve: check the context with them blanked out.
+    context = simplify(_replace_many(pruned_goal, [(p, EMPTY) for p in local_paths]))
+    if isinstance(context, Empty) or _flat_executable(context, run):
         return simplify(pruned_goal)
     if stats is not None:
         stats.knots += 1
@@ -267,18 +352,20 @@ def _replace_many(goal: Goal, replacements: list[tuple[tuple[int, ...], Goal]]) 
     return goal
 
 
-def _topmost_choices(goal: Goal) -> list[tuple[int, ...]]:
-    """Paths to the outermost Choice nodes (◇ bodies are handled separately)."""
+def _topmost_choices(goal: Goal, run: _ExciseRun) -> list[tuple[int, ...]]:
+    """Paths to the outermost Choice nodes (◇ bodies are handled separately).
+
+    Descends only into the parts whose summary reports a choice.
+    """
     found: list[tuple[int, ...]] = []
 
     def visit(node: Goal, path: tuple[int, ...]) -> None:
         if isinstance(node, Choice):
             found.append(path)
             return
-        if isinstance(node, Possibility):
-            return
         for index, child in enumerate(_children(node)):
-            visit(child, path + (index,))
+            if run.summary(child)[1] & _CHOICE:
+                visit(child, path + (index,))
 
     visit(goal, ())
     return found
@@ -347,77 +434,73 @@ def _tokens_crossing(goal: Goal, path: tuple[int, ...]) -> bool:
 # -- choice-free executability --------------------------------------------------
 
 
-@dataclass
-class _GraphBuilder:
-    """Builds the precedence graph of a choice-free goal."""
+class _PrecedenceGraph:
+    """The precedence graph of a choice-free goal, built from its skeleton."""
 
-    edges: dict[int, set[int]] = field(default_factory=dict)
-    sends: dict[str, int] = field(default_factory=dict)
-    receives: dict[str, int] = field(default_factory=dict)
-    # Per-node chain of enclosing ⊙ blocks, outermost first, as
-    # (entry, exit) node pairs; used to reroute crossing token edges.
-    blocks_of: dict[int, tuple[tuple[int, int], ...]] = field(default_factory=dict)
-    _counter: int = 0
+    __slots__ = ("edges", "sends", "receives", "blocks_of")
+
+    def __init__(self) -> None:
+        self.edges: list[list[int]] = []
+        self.sends: dict[str, int] = {}
+        self.receives: dict[str, int] = {}
+        # Per-node chain of enclosing ⊙ blocks, outermost first, as
+        # (entry, exit) node pairs; used to reroute crossing token edges.
+        self.blocks_of: list[tuple[tuple[int, int], ...]] = []
 
     def node(self, enclosing: tuple[tuple[int, int], ...]) -> int:
-        self._counter += 1
-        self.edges[self._counter] = set()
-        self.blocks_of[self._counter] = enclosing
-        return self._counter
-
-    def edge(self, src: int, dst: int) -> None:
-        self.edges[src].add(dst)
+        self.edges.append([])
+        self.blocks_of.append(enclosing)
+        return len(self.edges) - 1
 
     def build(
-        self, goal: Goal, enclosing: tuple[tuple[int, int], ...]
-    ) -> tuple[set[int], set[int]]:
-        """Returns (source nodes, sink nodes) of ``goal``'s subgraph."""
-        if isinstance(goal, (Atom, Test, Possibility, Empty)):
-            n = self.node(enclosing)
-            return {n}, {n}
-        if isinstance(goal, Send):
-            n = self.node(enclosing)
-            if goal.token in self.sends:
-                raise _MultiTokenError(goal.token)
-            self.sends[goal.token] = n
-            return {n}, {n}
-        if isinstance(goal, Receive):
-            n = self.node(enclosing)
-            if goal.token in self.receives:
-                raise _MultiTokenError(goal.token)
-            self.receives[goal.token] = n
-            return {n}, {n}
-        if isinstance(goal, Serial):
-            sources: set[int] = set()
-            previous_sinks: set[int] = set()
-            for index, part in enumerate(goal.parts):
-                part_sources, part_sinks = self.build(part, enclosing)
-                if index == 0:
-                    sources = part_sources
-                else:
-                    for s in previous_sinks:
-                        for t in part_sources:
-                            self.edge(s, t)
-                previous_sinks = part_sinks
-            return sources, previous_sinks
-        if isinstance(goal, Concurrent):
-            sources, sinks = set(), set()
-            for part in goal.parts:
-                part_sources, part_sinks = self.build(part, enclosing)
-                sources |= part_sources
-                sinks |= part_sinks
-            return sources, sinks
-        if isinstance(goal, Isolated):
-            entry = self.node(enclosing)
-            exit_ = self.node(enclosing)
-            inner = enclosing + ((entry, exit_),)
-            body_sources, body_sinks = self.build(goal.body, inner)
-            for t in body_sources:
-                self.edge(entry, t)
-            for s in body_sinks:
-                self.edge(s, exit_)
-            return {entry}, {exit_}
-        raise TypeError(f"unexpected node {type(goal).__name__} in flat goal")
+        self, skeleton: _Skeleton, enclosing: tuple[tuple[int, int], ...]
+    ) -> tuple[list[int], list[int]]:
+        """Returns (source nodes, sink nodes) of ``skeleton``'s subgraph.
+
+        Both are empty for a part that holds only ◇ tests.
+        """
+        if type(skeleton) is tuple:
+            kind, parts = skeleton
+            if kind is Serial:
+                sources: list[int] = []
+                sinks: list[int] = []
+                for part in parts:
+                    part_sources, part_sinks = self.build(part, enclosing)
+                    if not part_sources:
+                        continue
+                    if sinks:
+                        for s in sinks:
+                            self.edges[s].extend(part_sources)
+                    else:
+                        sources = part_sources
+                    sinks = part_sinks
+                return sources, sinks
+            if kind is Concurrent:
+                sources, sinks = [], []
+                for part in parts:
+                    part_sources, part_sinks = self.build(part, enclosing)
+                    sources += part_sources
+                    sinks += part_sinks
+                return sources, sinks
+            if kind is Isolated:
+                entry = self.node(enclosing)
+                exit_ = self.node(enclosing)
+                inner = enclosing + ((entry, exit_),)
+                body_sources, body_sinks = self.build(parts[0], inner)
+                self.edges[entry].extend(body_sources)
+                for s in body_sinks:
+                    self.edges[s].append(exit_)
+                return [entry], [exit_]
+            raise TypeError(f"unexpected node {kind.__name__} in flat goal")
+        if isinstance(skeleton, Possibility):
+            return [], []
+        if isinstance(skeleton, (Send, Receive)):
+            table = self.sends if isinstance(skeleton, Send) else self.receives
+            if skeleton.token in table:
+                raise _MultiTokenError(skeleton.token)
+            n = table[skeleton.token] = self.node(enclosing)
+            return [n], [n]
+        raise TypeError(f"unexpected node {type(skeleton).__name__} in flat goal")
 
     def add_token_edges(self) -> bool:
         """Wire send → receive edges; False if some receive can never fire."""
@@ -437,15 +520,15 @@ class _GraphBuilder:
             # receive must wait until the outermost sender-only block ends.
             src = send_blocks[shared][1] if len(send_blocks) > shared else send_node
             dst = recv_blocks[shared][0] if len(recv_blocks) > shared else receive_node
-            self.edge(src, dst)
+            self.edges[src].append(dst)
         return True
 
     def acyclic(self) -> bool:
-        indegree = {n: 0 for n in self.edges}
-        for targets in self.edges.values():
+        indegree = [0] * len(self.edges)
+        for targets in self.edges:
             for t in targets:
                 indegree[t] += 1
-        queue = [n for n, d in indegree.items() if d == 0]
+        queue = [n for n, d in enumerate(indegree) if d == 0]
         visited = 0
         while queue:
             n = queue.pop()
@@ -491,28 +574,36 @@ def _flat_executable(goal: Goal, run: _ExciseRun) -> bool:
 
 
 def _precedence_check(goal: Goal, run: _ExciseRun) -> bool:
-    for body in _possibility_bodies(goal):
-        if isinstance(_excise(body, run), NegPath):
-            return False
-    builder = _GraphBuilder()
+    _, flags, skeleton = run.summary(goal)
+    if skeleton is None:
+        return True  # no token, no ◇ test: a series-parallel order
+    if flags & _POSSIBILITY:
+        for body in _possibility_bodies(skeleton):
+            if isinstance(_excise(body, run), NegPath):
+                return False
+    graph = _PrecedenceGraph()
     try:
-        builder.build(goal, ())
+        graph.build(skeleton, ())
     except _MultiTokenError:
         # Degenerate hand-written goals may reuse a token; fall back to the
         # exhaustive machine search, which is always correct.
         from ..ctr.machine import can_complete
 
         return can_complete(goal)
-    if not builder.add_token_edges():
+    finally:
+        if run.stats is not None:
+            run.stats.graph_nodes += len(graph.edges)
+    if not graph.add_token_edges():
         return False
-    return builder.acyclic()
+    return graph.acyclic()
 
 
-def _possibility_bodies(goal: Goal):
-    stack = [goal]
+def _possibility_bodies(skeleton: _Skeleton):
+    """The bodies of the skeleton's ◇ tests, last occurrence first."""
+    stack = [skeleton]
     while stack:
         node = stack.pop()
-        if isinstance(node, Possibility):
+        if type(node) is tuple:
+            stack.extend(node[1])
+        elif isinstance(node, Possibility):
             yield node.body
-            continue
-        stack.extend(_children(node))
