@@ -1,4 +1,4 @@
-"""S2: parallel verification — DNF fan-out, batch verify, early exit.
+"""S2: parallel batch verification, and the search's pruning of d^N.
 
 Workload: the Theorem 5.11 sweep (seven concurrent event pairs plus a
 serial pad) under N = 7 width-2 disjunctive order constraints, i.e.
@@ -6,15 +6,20 @@ serial pad) under N = 7 width-2 disjunctive order constraints, i.e.
 
 * **S2a** — *zero divergence*: ``jobs=4`` returns results identical to
   ``jobs=1`` (holds, counterexample, witness) for the whole property
-  batch, and the fan-out consistency probe agrees with the monolithic
-  compile on consistent and inconsistent specifications alike. Runs on
-  any machine.
+  batch, and the consistency search (``is_consistent``) agrees with the
+  monolithic compile on consistent and inconsistent specifications
+  alike. Runs on any machine.
 * **S2b** — *speedup*: the 16-property batch verifies at least 2× faster
   at ``jobs=4`` than sequentially. Requires ≥4 cores (CI); skipped on
   smaller machines, where there is no parallelism to measure.
-* **S2c** — *early exit*: a consistent specification is decided after
-  examining one branch, pruning the other 127 — the fan-out's answer to
-  the Proposition 4.1 exponent. Runs on any machine (pruning is a
+* **S2c** — *pruning*: the consistency search decides a consistent
+  specification with ∏dᵢ = 128 branches after examining a handful of
+  them (at least 100 pruned) — its answer to the Proposition 4.1
+  exponent. The spec is S2's goal with each pair made a choice
+  ``alt(pᵢ, qᵢ)``, under the seven width-2 constraints
+  ``disj(must(pᵢ), absent(qᵢ))``. Branches examined are the Excise
+  leaves the search reaches, counted by wrapping the ``excise`` that
+  :mod:`repro.core.apply` calls. Runs on any machine (pruning is a
   counter, not a timing).
 
 The sweep is saved machine-readably as ``results/BENCH_parallel.json``
@@ -24,17 +29,23 @@ The sweep is saved machine-readably as ``results/BENCH_parallel.json``
 from __future__ import annotations
 
 import json
+import math
 import os
+from unittest import mock
 
 import pytest
 
 from bench_apply_size import _PAIRS, _pair_goal, _width_d_constraint
 from conftest import RESULTS_DIR, save_table, time_best_of
 
+import repro.core.apply as apply_module
 from repro.analysis.metrics import render_table
-from repro.constraints.algebra import disj, must, order
-from repro.core.parallel import check_consistency, shutdown_pool
-from repro.core.verify import verify_properties
+from repro.constraints.algebra import absent, disj, must, order
+from repro.constraints.normalize import to_dnf
+from repro.core.compiler import compile_workflow
+from repro.core.parallel import shutdown_pool
+from repro.core.verify import is_consistent, verify_properties
+from repro.ctr.formulas import Atom, alt, par, seq
 
 N_CONSTRAINTS = 7  # 2^7 = 128 DNF branches; ISSUE gate wants N >= 6
 JOBS_SWEEP = [1, 2, 4]
@@ -54,6 +65,22 @@ def _workload():
     return goal, constraints, props
 
 
+def _choice_workload():
+    """S2c's spec: each pair a choice, one width-2 constraint per pair."""
+    choices = [alt(Atom(p), Atom(q)) for p, q in _PAIRS[:N_CONSTRAINTS]]
+    goal = seq(par(*choices), *(Atom(f"pad{i}") for i in range(6)))
+    constraints = [disj(must(p), absent(q)) for p, q in _PAIRS[:N_CONSTRAINTS]]
+    return goal, constraints
+
+
+def _search_leaves(goal, constraints) -> tuple[bool, int]:
+    """``is_consistent`` and the number of Excise leaves its search reached."""
+    with mock.patch.object(apply_module, "excise",
+                           wraps=apply_module.excise) as excise:
+        consistent = is_consistent(goal, constraints)
+    return consistent, excise.call_count
+
+
 def _measure() -> dict:
     global _RESULTS
     if _RESULTS is not None:
@@ -66,16 +93,12 @@ def _measure() -> dict:
     fanned = verify_properties(goal, constraints, props, jobs=4)
     identical = sequential == fanned
 
-    consistent_seq = check_consistency(goal, constraints, jobs=1)
-    consistent_par = check_consistency(goal, constraints, jobs=4)
     impossible = constraints + [must("nonexistent")]
-    inconsistent_seq = check_consistency(goal, impossible, jobs=1)
-    inconsistent_par = check_consistency(goal, impossible, jobs=4)
     probe_agrees = (
-        consistent_seq.consistent
-        and consistent_par.consistent
-        and not inconsistent_seq.consistent
-        and not inconsistent_par.consistent
+        is_consistent(goal, constraints)
+        and compile_workflow(goal, constraints).consistent
+        and not is_consistent(goal, impossible)
+        and not compile_workflow(goal, impossible).consistent
     )
 
     # --- timing sweep over the jobs knob (pool pre-warmed per size so the
@@ -98,13 +121,16 @@ def _measure() -> dict:
         })
     shutdown_pool()
 
-    # --- early exit: the consistent spec needs exactly one of 128 branches.
-    stats = consistent_seq.stats
-    fanout = {
-        "disjuncts_total": stats.disjuncts_total,
-        "examined": stats.examined,
-        "pruned": stats.pruned,
-        "early_exit": stats.early_exit,
+    # --- pruning: the search settles the consistent choice spec on a few
+    # of its 128 branches.
+    choice_goal, choice_constraints = _choice_workload()
+    consistent, leaves = _search_leaves(choice_goal, choice_constraints)
+    branches = math.prod(to_dnf(c).width for c in choice_constraints)
+    search = {
+        "branches_total": branches,
+        "examined": leaves,
+        "pruned": branches - leaves,
+        "consistent": consistent,
     }
 
     speedup_at_4 = sweep[-1]["speedup"]
@@ -119,7 +145,7 @@ def _measure() -> dict:
         "cpu_count": os.cpu_count(),
         "properties": len(props),
         "sweep": sweep,
-        "fanout": fanout,
+        "search": search,
         "divergence": {
             "properties_checked": len(props),
             "batch_identical": identical,
@@ -130,7 +156,7 @@ def _measure() -> dict:
             "speedup_2x_at_4": (
                 speedup_at_4 >= 2.0 if (os.cpu_count() or 1) >= 4 else None
             ),
-            "early_exit_prunes": stats.early_exit and stats.pruned >= 100,
+            "search_prunes": consistent and search["pruned"] >= 100,
         },
     }
     return _RESULTS
@@ -142,7 +168,7 @@ def test_s2a_zero_divergence(benchmark):
         "jobs=4 returned a different VerificationResult batch than jobs=1"
     )
     assert results["divergence"]["probe_agrees"], (
-        "fan-out consistency probe disagrees with the monolithic compile"
+        "the consistency search disagrees with the monolithic compile"
     )
 
     goal, constraints, props = _workload()
@@ -158,11 +184,12 @@ def test_s2a_zero_divergence(benchmark):
             f"2^{N_CONSTRAINTS} DNF branches)",
             ["jobs", "batch ms", "speedup"],
             rows,
-            note=f"cpu_count={results['cpu_count']}; early exit examined "
-            f"{results['fanout']['examined']}/"
-            f"{results['fanout']['disjuncts_total']} branches on the "
-            "consistent probe. Proposition 4.1 puts the exponent in N; "
-            "the fan-out buys back a core-count factor of it.",
+            note=f"cpu_count={results['cpu_count']}; the consistency search "
+            f"examined {results['search']['examined']}/"
+            f"{results['search']['branches_total']} branches on the "
+            "consistent choice spec. Proposition 4.1 puts the exponent in "
+            "N; the search prunes it, and the batch fan-out buys back a "
+            "core-count factor across properties.",
         ),
     )
 
@@ -179,14 +206,17 @@ def test_s2b_speedup_2x_at_jobs4():
     )
 
 
-def test_s2c_early_exit_prunes_the_branch_space():
+def test_s2c_search_prunes_the_branch_space():
     results = _measure()
-    fanout = results["fanout"]
-    assert fanout["early_exit"], "consistent probe should stop at first hit"
-    assert fanout["examined"] < fanout["disjuncts_total"]
-    assert fanout["pruned"] >= 100, (
-        f"expected >=100 of {fanout['disjuncts_total']} branches pruned, "
-        f"got {fanout['pruned']}"
+    search = results["search"]
+    assert search["consistent"], "the choice spec is consistent"
+    # A consistent answer comes from a surviving leaf, so a count of 0
+    # means the wrapped excise was not the one the search calls.
+    assert search["examined"] >= 1, "no Excise leaf was counted"
+    assert search["examined"] < search["branches_total"]
+    assert search["pruned"] >= 100, (
+        f"expected >=100 of {search['branches_total']} branches pruned, "
+        f"got {search['pruned']}"
     )
 
 

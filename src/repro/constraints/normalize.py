@@ -19,10 +19,7 @@ the unique-event assumption (2):
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
-from typing import Iterator
 
 from .algebra import (
     And,
@@ -42,8 +39,6 @@ __all__ = [
     "to_dnf",
     "DNF",
     "dnf_parameters",
-    "ConstraintSplit",
-    "split_disjuncts",
 ]
 
 
@@ -155,84 +150,6 @@ def to_dnf(constraint: Constraint) -> DNF:
             seen.add(key)
             clauses.append(key)
     return DNF(tuple(clauses))
-
-
-# -- the disjunct space of a whole constraint set (Theorem 5.11) --------------
-
-
-@dataclass(frozen=True)
-class ConstraintSplit:
-    """The ∨-decomposition of a constraint set ``C = δ₁ ∧ … ∧ δN``.
-
-    Each ``δᵢ`` normalizes (Corollary 3.5) to a DNF with ``dᵢ`` clauses;
-    distributing the outer conjunction over those ORs yields
-    ``∏ᵢ dᵢ`` pure-conjunctive *branches* — exactly the disjunct space in
-    which Theorem 5.11's ``d^N`` blow-up (and Proposition 4.1's
-    NP-hardness) lives. Because
-
-        ``Excise(Apply(C, G)) ≠ ¬path``  iff  some branch ``b`` has
-        ``Excise(Apply(b, G)) ≠ ¬path``,
-
-    each branch can be compiled and excised independently — the unit of
-    work :mod:`repro.core.parallel` fans out across processes.
-
-    Branches are indexed mixed-radix in declaration order (the first
-    constraint is the most significant digit), and enumeration is lazy:
-    the full ``d^N`` product is never materialized.
-    """
-
-    per_constraint: tuple[DNF, ...]
-
-    @property
-    def widths(self) -> tuple[int, ...]:
-        """``(d₁, …, dN)`` — disjunct count per constraint."""
-        return tuple(d.width for d in self.per_constraint)
-
-    @property
-    def total(self) -> int:
-        """``∏ᵢ dᵢ`` — the number of branches (1 for an empty set)."""
-        return math.prod(self.widths)
-
-    def branch(self, index: int) -> tuple[Constraint, ...]:
-        """The ``index``-th branch: one conjunctive clause per constraint."""
-        if not 0 <= index < self.total:
-            raise IndexError(f"branch {index} out of range 0..{self.total - 1}")
-        picks: list[Constraint] = []
-        for dnf in reversed(self.per_constraint):
-            index, digit = divmod(index, dnf.width)
-            picks.append(conj(*dnf.clauses[digit]))
-        return tuple(reversed(picks))
-
-    def branches(self) -> Iterator[tuple[Constraint, ...]]:
-        """Lazily yield every branch, in :meth:`branch` index order."""
-        for combo in itertools.product(*(d.clauses for d in self.per_constraint)):
-            yield tuple(conj(*clause) for clause in combo)
-
-    def indexed(self) -> Iterator[tuple[int, tuple[Constraint, ...]]]:
-        """``(index, branch)`` pairs, lazily."""
-        return enumerate(self.branches())
-
-    def chunks(
-        self, size: int
-    ) -> Iterator[list[tuple[int, tuple[Constraint, ...]]]]:
-        """Consecutive ``(index, branch)`` batches of at most ``size``."""
-        if size < 1:
-            raise ValueError("chunk size must be >= 1")
-        batch: list[tuple[int, tuple[Constraint, ...]]] = []
-        for item in self.indexed():
-            batch.append(item)
-            if len(batch) >= size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
-
-
-def split_disjuncts(
-    constraints: list[Constraint] | tuple[Constraint, ...],
-) -> ConstraintSplit:
-    """The branch decomposition of a constraint set (see :class:`ConstraintSplit`)."""
-    return ConstraintSplit(tuple(to_dnf(c) for c in constraints))
 
 
 def dnf_parameters(constraints: list[Constraint]) -> tuple[int, int]:

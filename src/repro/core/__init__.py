@@ -27,14 +27,7 @@ from .engine import ExecutionReport, WorkflowEngine, first_strategy, random_stra
 from .excise import ExciseStats, excise, flat_executable, has_knot
 from .explain import Rejection, explain_rejection, is_allowed
 from .incremental import add_constraint, add_constraints
-from .parallel import (
-    ConsistencyOutcome,
-    FanoutStats,
-    check_consistency,
-    compile_parallel,
-    resolve_jobs,
-    shutdown_pool,
-)
+from .parallel import FanoutStats, resolve_jobs, shutdown_pool
 from .resilience import (
     ChaosOracle,
     FailureRecord,
@@ -89,9 +82,6 @@ __all__ = [
     "VerificationResult",
     "is_redundant",
     "redundant_constraints",
-    "check_consistency",
-    "compile_parallel",
-    "ConsistencyOutcome",
     "FanoutStats",
     "resolve_jobs",
     "shutdown_pool",

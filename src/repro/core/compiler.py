@@ -319,7 +319,6 @@ def compile_workflow(
     rules: RuleBase | None = None,
     obs=None,
     cache: CompileCache | str | os.PathLike | None = None,
-    jobs: int | None = 1,
 ) -> CompiledWorkflow:
     """Compile a workflow specification ``G ∧ C`` into executable form.
 
@@ -343,19 +342,11 @@ def compile_workflow(
     key is computed on the *rule-expanded* goal (:func:`expand_goal`), so
     editing a rule invalidates dependent specifications too.
 
-    ``jobs`` > 1 delegates to
-    :func:`~repro.core.parallel.compile_parallel`: the constraint set's
-    DNF branches compile on worker processes and assemble as their ``∨``.
-    The assembled workflow is trace-equivalent to (but not structurally
-    identical with) the sequential compile; the default ``jobs=1`` is the
-    sequential pipeline, bit for bit.
+    The compile is one sequential pass, and hash-consing shares the
+    subgoals that the ``d^N`` branches of the constraint set have in
+    common. Batches of whole questions parallelize in
+    :mod:`repro.core.parallel`.
     """
-    if jobs != 1:
-        from .parallel import compile_parallel, resolve_jobs
-
-        if resolve_jobs(jobs) > 1:
-            return compile_parallel(goal, constraints, rules=rules,
-                                    jobs=jobs, cache=cache, obs=obs)
     active = obs is not None and obs.active
     metrics = obs.metrics if active else None
     cache = CompileCache.coerce(cache)

@@ -20,20 +20,18 @@ the constraint set (never in the size of the graph — Apply is linear in
 pipeline runs in polynomial time.
 
 The two yes/no questions, consistency and redundancy, need one surviving
-branch of ``Apply(C, G)``, not all ``d^N``: at ``jobs=1`` they search
-with :func:`~repro.core.apply.consistent_branch`, which branches on the
+branch of ``Apply(C, G)``, not all ``d^N``: they search with
+:func:`~repro.core.apply.consistent_branch`, which branches on the
 ``∇``/``¬∇`` disjunctions with the occurrence masks as unit propagation.
 Verification keeps the full compile, because a failing property reports
 the whole most general counterexample.
 
-That NP-hard disjunct space is also embarrassingly parallel: every entry
-point here takes a ``jobs=`` knob that fans the work out across the
-process pool of :mod:`repro.core.parallel` — per DNF branch for a single
-consistency/verification question, per property or per constraint for the
-batch forms. ``jobs=1`` (the default) is exactly the sequential code
-path, and ``jobs=N`` is guaranteed to return identical results (booleans,
-counterexample goals, witness schedules) — see the determinism contract
-in :mod:`repro.core.parallel`.
+Each single question runs sequentially, on one hash-consed memo. The batch
+forms, :func:`verify_properties` and :func:`redundant_constraints`, take a
+``jobs=`` knob that runs one whole question per worker of the process pool
+of :mod:`repro.core.parallel`; ``jobs=N`` returns results identical to
+``jobs=1`` (booleans, counterexample goals, witness schedules) — see the
+determinism contract there.
 """
 
 from __future__ import annotations
@@ -62,26 +60,14 @@ def is_consistent(
     goal: Goal,
     constraints: list[Constraint] | tuple[Constraint, ...] = (),
     rules: RuleBase | None = None,
-    jobs: int | None = 1,
-    cache=None,
 ) -> bool:
     """Theorem 5.8: does ``goal ∧ constraints`` have a legal execution?
 
-    ``jobs=1`` searches (:func:`~repro.core.apply.consistent_branch`): it
-    stops at the first branch of the ``∇``/``¬∇`` disjunctions whose
-    Excise leaf is not ``¬path`` instead of compiling all ``d^N`` branches.
-    The search never reads or writes the compile cache, so ``cache`` feeds
-    only the ``jobs>1`` path, which decides the question by parallel
-    DNF-branch fan-out with first-success early exit. The boolean equals
-    ``compile_workflow(goal, constraints, rules).consistent`` either way.
+    The search (:func:`~repro.core.apply.consistent_branch`) stops at the
+    first branch of the ``∇``/``¬∇`` disjunctions whose Excise leaf is not
+    ``¬path`` instead of compiling all ``d^N`` branches. The boolean equals
+    ``compile_workflow(goal, constraints, rules).consistent``.
     """
-    if jobs != 1:
-        from .parallel import check_consistency, resolve_jobs
-
-        if resolve_jobs(jobs) > 1:
-            return check_consistency(
-                goal, constraints, rules=rules, jobs=jobs, cache=cache
-            ).consistent
     return not is_failure(consistent_branch(constraints, expand_goal(goal, rules)))
 
 
@@ -111,7 +97,6 @@ def verify_property(
     prop: Constraint,
     rules: RuleBase | None = None,
     cache=None,
-    jobs: int | None = 1,
     seed: int | None = None,
 ) -> VerificationResult:
     """Theorem 5.9: check that every legal execution satisfies ``prop``.
@@ -124,21 +109,9 @@ def verify_property(
     ``None`` (the default) keeps the deterministic lexicographic-minimum
     strategy, an integer draws via
     :func:`~repro.core.scheduler.seeded_strategy` — both reproduce the
-    identical witness across reruns, processes, and ``jobs`` settings.
-
-    ``jobs>1`` decides ``holds`` by parallel disjunct fan-out of
-    ``C ∧ ¬Φ`` with first-counterexample early exit; a failing property
-    then materializes the canonical counterexample sequentially so the
-    returned result is bit-for-bit the ``jobs=1`` one.
+    identical witness across reruns, processes, and the ``jobs`` of
+    :func:`verify_properties`.
     """
-    if jobs != 1:
-        from .parallel import resolve_jobs, verify_property_parallel
-
-        if resolve_jobs(jobs) > 1:
-            return verify_property_parallel(
-                goal, constraints, prop, rules=rules, jobs=jobs, cache=cache,
-                seed=seed,
-            )
     negated = negate(prop)
     violating: CompiledWorkflow = compile_workflow(
         goal, list(constraints) + [negated], rules=rules, cache=cache
@@ -171,10 +144,10 @@ def verify_properties(
 ) -> list[VerificationResult]:
     """Theorem 5.9 for a batch of properties (results in ``props`` order).
 
-    With ``jobs>1`` each property verifies on its own worker process (the
-    batch analogue of ``verify --jobs N``); every worker runs the exact
-    sequential :func:`verify_property`, so the batch is bit-for-bit the
-    sequential list at any ``jobs``.
+    With ``jobs>1`` each property verifies on its own worker process (what
+    ``verify --jobs N`` runs); every worker runs the exact sequential
+    :func:`verify_property`, so the batch is bit-for-bit the sequential
+    list at any ``jobs``.
     """
     from .parallel import verify_properties as fanout
 
@@ -187,8 +160,6 @@ def is_redundant(
     constraints: list[Constraint] | tuple[Constraint, ...],
     phi: Constraint,
     rules: RuleBase | None = None,
-    jobs: int | None = 1,
-    cache=None,
 ) -> bool:
     """Theorem 5.10: is ``phi`` implied by the remaining specification?
 
@@ -199,17 +170,15 @@ def is_redundant(
     yes — the duplicate remains) to "is it implied by the others?".
 
     The answer is :func:`is_consistent` of the rest with ``¬phi``,
-    negated: ``jobs=1`` searches and equals
-    ``verify_property(...).holds`` without building the counterexample.
-    As there, ``cache`` feeds only the ``jobs>1`` path.
+    negated: it searches and equals ``verify_property(...).holds`` without
+    building the counterexample.
     """
     remaining = list(constraints)
     try:
         remaining.remove(phi)
     except ValueError:
         raise ValueError("phi is not one of the given constraints") from None
-    return not is_consistent(goal, remaining + [negate(phi)], rules=rules,
-                             jobs=jobs, cache=cache)
+    return not is_consistent(goal, remaining + [negate(phi)], rules=rules)
 
 
 def redundant_constraints(
@@ -224,15 +193,10 @@ def redundant_constraints(
     each be redundant given the other); this reports each constraint's
     redundancy with respect to all the others, as in Theorem 5.10.
 
-    The N checks are independent searches (:func:`is_redundant` at
-    ``jobs=1``); ``jobs>1`` runs one per worker process and returns the
-    identical list.
+    The N checks are independent searches (:func:`is_redundant`); with
+    ``jobs>1`` each runs on its own worker process and the list is
+    identical.
     """
-    if jobs != 1:
-        from .parallel import redundant_constraints as fanout
-        from .parallel import resolve_jobs
+    from .parallel import redundant_constraints as fanout
 
-        if resolve_jobs(jobs) > 1:
-            return fanout(goal, constraints, rules=rules, jobs=jobs)
-    return [phi for phi in constraints
-            if is_redundant(goal, constraints, phi, rules=rules)]
+    return fanout(goal, constraints, rules=rules, jobs=jobs)

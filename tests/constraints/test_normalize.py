@@ -7,9 +7,7 @@ unique-event assumption.
 
 import itertools
 
-import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.constraints.algebra import (
     And,
@@ -145,85 +143,3 @@ def _leaves(constraint):
             yield from _leaves(part)
     else:
         yield constraint
-
-
-class TestSplitDisjuncts:
-    def test_widths_and_total(self):
-        from repro.constraints.normalize import split_disjuncts
-
-        split = split_disjuncts([
-            order("a", "b"),
-            disj(absent("a"), order("a", "b")),
-            disj(must("a"), must("b"), must("c")),
-        ])
-        assert split.widths == (1, 2, 3)
-        assert split.total == 6
-        assert len(list(split.branches())) == 6
-
-    def test_empty_set_has_one_empty_branch(self):
-        from repro.constraints.normalize import split_disjuncts
-
-        split = split_disjuncts([])
-        assert split.total == 1
-        assert list(split.branches()) == [()]
-        assert split.branch(0) == ()
-
-    def test_branch_indexing_matches_iteration(self):
-        from repro.constraints.normalize import split_disjuncts
-
-        split = split_disjuncts([
-            disj(must("a"), must("b")),
-            disj(absent("c"), order("a", "c"), must("c")),
-        ])
-        for index, branch in split.indexed():
-            assert split.branch(index) == branch
-        with pytest.raises(IndexError):
-            split.branch(split.total)
-        with pytest.raises(IndexError):
-            split.branch(-1)
-
-    def test_chunks_cover_all_branches_in_order(self):
-        from repro.constraints.normalize import split_disjuncts
-
-        split = split_disjuncts([
-            disj(must("a"), must("b")),
-            disj(must("c"), must("d"), absent("a")),
-        ])
-        flattened = [item for chunk in split.chunks(4) for item in chunk]
-        assert flattened == list(split.indexed())
-        assert all(len(chunk) <= 4 for chunk in split.chunks(4))
-
-    def test_branches_are_conjunctive(self):
-        from repro.constraints.normalize import split_disjuncts
-        from repro.constraints.algebra import Or
-
-        split = split_disjuncts([
-            disj(conj(must("a"), must("b")), absent("c")),
-            order("a", "b"),
-        ])
-        for branch in split.branches():
-            for constraint in branch:
-                assert not any(isinstance(leaf, Or) for leaf in _leaves(constraint))
-
-    @given(st.data())
-    def test_branch_disjunction_equals_original(self, data):
-        """∨ over the branches of split_disjuncts ≡ ∧ of the originals.
-
-        This is Corollary 3.5 lifted to constraint *sets*: a trace satisfies
-        every Cᵢ iff it satisfies some fully-conjunctive branch — the fact
-        the parallel fan-out relies on.
-        """
-        from repro.constraints.normalize import split_disjuncts
-
-        events = EVENT_POOL[:4]
-        constraints = data.draw(
-            st.lists(constraints_over(events), min_size=1, max_size=3)
-        )
-        split = split_disjuncts(constraints)
-        trace = tuple(data.draw(st.permutations(list(events))))
-        direct = all(satisfies(trace, c) for c in constraints)
-        via_branches = any(
-            all(satisfies(trace, c) for c in branch)
-            for branch in split.branches()
-        )
-        assert via_branches == direct

@@ -1,31 +1,22 @@
-"""Tests for the parallel verification layer (DNF disjunct fan-out).
+"""Tests for the parallel verification layer (the batch pool).
 
-The contract under test: ``jobs=N`` answers exactly what ``jobs=1``
-answers — identical consistency booleans, identical
+The contract under test: a batch at ``jobs=N`` answers exactly what it
+answers at ``jobs=1`` — identical
 :class:`~repro.core.verify.VerificationResult`s (holds, counterexample
-goal, witness), identical redundancy listings — while the fan-out
-machinery (chunking, early-exit cancellation, shared compile cache,
-pool reuse) stays an implementation detail.
+goal, witness) and identical redundancy listings — while the pool (shared
+compile cache, pool reuse, the ``parallel.*`` spans) stays an
+implementation detail.
 """
 
 import os
 import warnings
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.constraints.algebra import absent, conj, disj, must, order
-from repro.core.compiler import CompileCache, compile_workflow
-from repro.core.parallel import (
-    check_consistency,
-    compile_parallel,
-    resolve_jobs,
-    verify_property_parallel,
-)
+from repro.core.compiler import CompileCache
+from repro.core.parallel import resolve_jobs
 from repro.core.verify import (
-    is_consistent,
-    is_redundant,
     redundant_constraints,
     verify_properties,
     verify_property,
@@ -33,21 +24,8 @@ from repro.core.verify import (
 from repro.ctr.formulas import Atom, alt, atoms, par, seq, walk
 from repro.ctr.traces import traces
 from repro.workflows.figure1 import figure1_constraints, figure1_goal
-from tests.conftest import constraints_over, unique_event_goals
 
 A, B, C, D = atoms("a b c d")
-
-# A small corpus spanning the interesting shapes: pure order, disjunctive,
-# inconsistent, choice-heavy, and the paper's Figure 1 workflow.
-CORPUS = [
-    ((A | B) >> C, [order("a", "c")]),
-    ((A | B) >> C, [disj(order("a", "c"), order("b", "c"))]),
-    (alt(A, B) >> C, [disj(must("a"), must("b")), must("c")]),
-    (alt(A >> B, C >> D), [conj(must("a"), must("b"))]),
-    (A | B, [order("a", "b"), order("b", "a")]),  # inconsistent
-    (seq(A, alt(B, C)), [disj(absent("b"), absent("c"))]),
-    (figure1_goal(), figure1_constraints()),
-]
 
 
 class TestResolveJobs:
@@ -99,94 +77,8 @@ class TestResolveJobs:
             assert resolve_jobs(None) == 1
 
 
-class TestConsistencyFanout:
-    @pytest.mark.parametrize("goal,constraints", CORPUS)
-    def test_sequential_probe_matches_full_compile(self, goal, constraints):
-        expected = compile_workflow(goal, constraints).consistent
-        assert check_consistency(goal, constraints, jobs=1).consistent == expected
-
-    @pytest.mark.parametrize("goal,constraints", CORPUS)
-    def test_parallel_probe_matches_full_compile(self, goal, constraints):
-        expected = compile_workflow(goal, constraints).consistent
-        assert check_consistency(goal, constraints, jobs=2).consistent == expected
-
-    def test_is_consistent_jobs_knob(self):
-        for goal, constraints in CORPUS:
-            assert is_consistent(goal, constraints) == is_consistent(
-                goal, constraints, jobs=2
-            )
-
-    def test_early_exit_prunes_branches(self):
-        # First branch (∇a) is already consistent: the remaining branch is
-        # never compiled at jobs=1, and the stats say so.
-        outcome = check_consistency(A >> B, [disj(must("a"), must("b"))], jobs=1)
-        assert outcome.consistent
-        assert outcome.branch_index == 0
-        assert outcome.stats.examined == 1
-        assert outcome.stats.pruned == 1
-        assert outcome.stats.early_exit
-
-    def test_inconsistent_probe_examines_everything(self):
-        constraints = [disj(must("z"), must("y")), must("a")]
-        outcome = check_consistency(A >> B, constraints, jobs=1)
-        assert not outcome.consistent
-        assert outcome.branch_index is None
-        assert outcome.stats.examined == outcome.stats.disjuncts_total == 2
-        assert not outcome.stats.early_exit
-
-    def test_parallel_outcome_reports_workers_and_chunks(self):
-        constraints = [disj(order("a", "c"), order("b", "c")),
-                       disj(must("c"), absent("z"))]
-        outcome = check_consistency((A | B) >> C, constraints, jobs=2,
-                                    chunk_size=1)
-        assert outcome.consistent
-        assert outcome.stats.chunks >= 2
-        assert outcome.stats.workers  # at least one worker pid reported
-
-    def test_shared_cache_warms_per_branch(self, tmp_path):
-        cache_dir = tmp_path / "shared"
-        constraints = [disj(must("z"), must("y"))]  # both branches compiled
-        check_consistency(A >> B, constraints, jobs=2, cache=cache_dir)
-        warm = CompileCache(cache_dir)
-        outcome = check_consistency(A >> B, constraints, jobs=1, cache=warm)
-        assert not outcome.consistent
-        assert warm.hits == 2  # one per disjunct
-
-    def test_obs_counters_recorded(self):
-        from repro.obs import Observability
-
-        obs = Observability.enabled(trace=True, metrics=True, record=False)
-        check_consistency(A >> B, [disj(must("a"), must("b"))], jobs=1, obs=obs)
-        metrics = obs.metrics.to_dict()
-        assert metrics["counters"]["parallel.disjuncts_total"] == 2
-        assert metrics["counters"]["parallel.disjuncts_pruned"] == 1
-        assert metrics["counters"]["parallel.early_exit"] == 1
-        assert metrics["gauges"]["parallel.jobs"] == 1
-        assert any(span.name == "parallel.consistency"
-                   for span in obs.tracer.spans)
-
-
 class TestVerificationParity:
     PROPS = [order("a", "c"), must("c"), absent("z"), order("c", "a")]
-
-    def test_single_property_identical_results(self):
-        goal = (A | B) >> C
-        for prop in self.PROPS:
-            sequential = verify_property(goal, [], prop)
-            fanned = verify_property(goal, [], prop, jobs=2)
-            assert sequential == fanned
-            # Counterexample goals re-intern across the process boundary:
-            # not merely equal but the same canonical object.
-            assert sequential.counterexample is fanned.counterexample
-            assert sequential.witness == fanned.witness
-
-    def test_failing_property_counterexample_is_canonical(self):
-        goal = alt(A, B) >> C
-        sequential = verify_property(goal, [], must("a"))
-        fanned = verify_property_parallel(goal, [], must("a"), jobs=2)
-        assert not sequential.holds and not fanned.holds
-        assert sequential.counterexample is fanned.counterexample
-        assert sequential.witness == fanned.witness
 
     def test_batch_matches_sequential_in_order(self):
         goal = (A | B) >> C
@@ -194,6 +86,10 @@ class TestVerificationParity:
         fanned = verify_properties(goal, [], self.PROPS, jobs=2)
         assert sequential == fanned
         assert [r.property for r in fanned] == self.PROPS
+        # Counterexample goals re-intern across the process boundary:
+        # not merely equal but the same canonical object.
+        assert all(seq_result.counterexample is fan_result.counterexample
+                   for seq_result, fan_result in zip(sequential, fanned))
 
     def test_batch_witness_names_are_the_goal_strings(self):
         # Witnesses come back pickled; their names must be mapped onto the
@@ -229,22 +125,19 @@ class TestVerificationParity:
         assert redundant_constraints(goal, constraints) == \
             redundant_constraints(goal, constraints, jobs=2)
 
-    def test_is_redundant_jobs_knob(self):
-        goal = (A | B) >> C
-        constraints = [order("a", "c"), conj(must("a"), must("c"))]
-        for phi in constraints:
-            assert is_redundant(goal, constraints, phi) == \
-                is_redundant(goal, constraints, phi, jobs=2)
-
 
 class TestSeededWitness:
     def test_seed_is_reproducible_across_jobs_and_reruns(self):
         goal = alt(seq(A, B), seq(B, A), seq(C, A))
         prop = order("a", "b")
+        # Two properties, so the jobs=2 batch crosses the pool (a batch of
+        # one runs sequentially).
+        fanned, _ = verify_properties(goal, [], [prop, order("c", "a")],
+                                      seed=99, jobs=2)
         results = [
             verify_property(goal, [], prop, seed=99),
             verify_property(goal, [], prop, seed=99),
-            verify_property(goal, [], prop, seed=99, jobs=2),
+            fanned,
         ]
         assert not results[0].holds
         assert results[0].witness == results[1].witness == results[2].witness
@@ -264,68 +157,49 @@ class TestSeededWitness:
         assert unseeded.witness == ("b", "a")
 
 
-class TestParallelCompile:
-    @pytest.mark.parametrize("goal,constraints", CORPUS)
-    def test_trace_equivalent_to_sequential(self, goal, constraints):
-        sequential = compile_workflow(goal, constraints)
-        assembled = compile_parallel(goal, constraints, jobs=2)
-        assert assembled.consistent == sequential.consistent
-        if sequential.consistent:
-            assert traces(assembled.goal) == traces(sequential.goal)
+class TestBatchObservability:
+    PROPS = TestVerificationParity.PROPS
 
-    def test_assembly_is_deterministic(self):
-        constraints = [disj(order("a", "c"), order("b", "c"))]
-        one = compile_parallel((A | B) >> C, constraints, jobs=2)
-        two = compile_parallel((A | B) >> C, constraints, jobs=2)
-        assert one.goal is two.goal
+    def test_batch_span_covers_the_fan_out(self):
+        from repro.obs import Observability
 
-    def test_compile_workflow_jobs_knob_routes_here(self):
-        constraints = [disj(order("a", "c"), order("b", "c"))]
-        via_knob = compile_workflow((A | B) >> C, constraints, jobs=2)
-        direct = compile_parallel((A | B) >> C, constraints, jobs=2)
-        assert via_knob.goal is direct.goal
+        obs = Observability.enabled(trace=True, metrics=True, record=False)
+        verify_properties((A | B) >> C, [], self.PROPS, jobs=2, obs=obs)
+        spans = obs.tracer.spans
+        batch = next(s for s in spans if s.name == "parallel.verify_batch")
+        # The span is open from submit to harvest, so it lasts at least as
+        # long as the wall time it reports.
+        assert batch.duration >= 0.9 * batch.attrs["wall_s"]
+        assert batch.attrs["jobs"] == 2
+        assert batch.attrs["tasks"] == len(self.PROPS)
+        assert batch.attrs["busy_s"] > 0
+        workers = [s for s in spans if s.name == "parallel.worker"]
+        assert workers
+        assert all(s.parent_id == batch.span_id for s in workers)
+        gauges = obs.metrics.to_dict()["gauges"]
+        assert gauges["parallel.jobs"] == 2
+        assert "parallel.speedup" in gauges
 
-    def test_scheduler_runs_on_assembled_goal(self):
-        constraints = [disj(order("a", "c"), order("b", "c")), must("c")]
-        assembled = compile_parallel((A | B) >> C, constraints, jobs=2)
-        schedule = assembled.scheduler().run()
-        assert schedule in traces(assembled.source)
+    def test_redundancy_span_covers_the_fan_out(self):
+        from repro.core.parallel import redundant_constraints as fanout
+        from repro.obs import Observability
 
-    def test_inconsistent_assembles_to_neg_path(self):
-        assembled = compile_parallel(A | B, [order("a", "b"), order("b", "a")],
-                                     jobs=2)
-        assert not assembled.consistent
+        obs = Observability.enabled(trace=True, metrics=False, record=False)
+        constraints = [order("a", "c"), conj(must("a"), must("c"))]
+        fanout((A | B) >> C, constraints, jobs=2, obs=obs)
+        span = next(s for s in obs.tracer.spans
+                    if s.name == "parallel.redundancy")
+        assert span.duration >= 0.9 * span.attrs["wall_s"]
+        assert span.attrs["tasks"] == len(constraints)
 
+    def test_metrics_without_tracing(self):
+        from repro.obs import Observability
 
-class TestHypothesisParity:
-    @settings(max_examples=40, deadline=None)
-    @given(unique_event_goals(max_events=4), st.data())
-    def test_branch_decomposition_equals_direct_consistency(self, goal, data):
-        from repro.constraints.normalize import split_disjuncts
-        from repro.ctr.formulas import event_names
-
-        events = tuple(sorted(event_names(goal))) or ("e1", "e2")
-        if len(events) == 1:
-            events = events + ("e_other",)
-        constraint = data.draw(constraints_over(events))
-        split = split_disjuncts([constraint])
-        by_branches = any(
-            compile_workflow(goal, list(branch)).consistent
-            for branch in split.branches()
-        )
-        assert by_branches == is_consistent(goal, [constraint])
-
-    @settings(max_examples=10, deadline=None)
-    @given(unique_event_goals(max_events=3), st.data())
-    def test_jobs4_consistency_matches_jobs1(self, goal, data):
-        from repro.ctr.formulas import event_names
-
-        events = tuple(sorted(event_names(goal))) or ("e1", "e2")
-        if len(events) == 1:
-            events = events + ("e_other",)
-        constraint = data.draw(constraints_over(events))
-        assert check_consistency(goal, [constraint], jobs=4).consistent == \
-            check_consistency(goal, [constraint], jobs=1).consistent
+        obs = Observability.enabled(trace=False, metrics=True, record=False)
+        fanned = verify_properties((A | B) >> C, [], self.PROPS, jobs=2,
+                                   obs=obs)
+        assert fanned == verify_properties((A | B) >> C, [], self.PROPS)
+        assert obs.metrics.to_dict()["gauges"]["parallel.jobs"] == 2
 
 
 class TestCLI:

@@ -26,13 +26,11 @@ from repro.obs.recorder import Decision, ReplayDivergenceError, ReplayStrategy
 
 
 def record_run(goal_text, constraints=(), chaos=None, policies=None,
-               clock=None, jobs=1):
+               clock=None):
     """Run a workflow with a recorder attached and return (trace, report).
 
     Mirrors what ``repro run --trace`` does: header with spec source, chaos
     plan, and policies; summary with schedule, digest, and counters.
-    ``jobs>1`` compiles through the parallel disjunct fan-out instead of
-    the sequential pipeline.
     """
     from repro.spec import parse_specification
 
@@ -44,11 +42,7 @@ def record_run(goal_text, constraints=(), chaos=None, policies=None,
     clock = clock or VirtualClock()
     policies = policies if policies is not None else ResiliencePolicy()
     obs = Observability.enabled(trace=True, metrics=False, record=True)
-    if jobs == 1:
-        compiled = spec.compile()
-    else:
-        compiled = compile_workflow(spec.goal, list(spec.constraints),
-                                    rules=spec.rules, jobs=jobs)
+    compiled = spec.compile()
     engine = WorkflowEngine(compiled, oracle=chaos, policies=policies,
                             clock=clock, obs=obs)
     report = engine.run()
@@ -128,30 +122,6 @@ class TestReplayDeterminism:
         assert dict(result.report.attempts) == dict(report.attempts)
         assert len(result.report.failures) == len(report.failures)
         assert len(result.report.reroutes) == len(report.reroutes)
-
-    def test_parallel_compiled_run_replays_identically(self):
-        # Satellite coverage: a trace recorded from a run whose goal came
-        # out of the *parallel* verifier/compiler (jobs=2, disjunct
-        # fan-out assembly) must still replay — the replay side recompiles
-        # sequentially from the header spec, so this pins the
-        # trace-equivalence contract between the two pipelines.
-        goal_text = "receive * (a | b) * (approve + reject) * archive"
-        constraints = ["precedes(a, approve) or never(approve)"]
-        try:
-            trace_par, report_par = record_run(goal_text, constraints,
-                                               jobs=2)
-        finally:
-            from repro.core.parallel import shutdown_pool
-
-            shutdown_pool()
-        result = replay_trace(trace_par)
-        assert result.matches, result.mismatches
-        # Determinism across jobs settings: the jobs=1 recording of the
-        # same spec produces the identical schedule and database digest.
-        trace_seq, report_seq = record_run(goal_text, constraints, jobs=1)
-        assert report_par.schedule == report_seq.schedule
-        assert report_par.database.digest() == report_seq.database.digest()
-        assert diff_traces(trace_par, trace_seq) == []
 
     def test_replay_covers_failover(self):
         chaos = ChaosOracle(seed=9).fail_event("approve")
