@@ -16,6 +16,12 @@ order constraints — 7! interleavings before pruning):
   run the lexicographically smallest trace; every verification witness
   is a legal trace violating its property; batched
   ``verify_properties`` at ``jobs=2`` equals ``jobs=1``.
+* **K4 — the pro-active guarantee:** over 10,000 seeded specs (random
+  goals over 3–7 events with ``⊙`` density 0/0.3/0.6 and ``◇`` tests on
+  every fourth seed, 1–3 random constraints), every reachable scheduler
+  state of every consistent compile offers exactly the events that can
+  still complete: ``eligible() == viable_events()`` (the specs and walk
+  of ``tests/proactive.py``; tier-1 runs seeds 0–999).
 
 The sweep is saved machine-readably as ``results/BENCH_kernel.json``.
 """
@@ -37,6 +43,7 @@ from repro.ctr.formulas import event_names
 from repro.ctr.kernel import lower_goal
 from repro.ctr.traces import count_traces, traces
 from repro.graph.generators import parallel_chains
+from tests.proactive import dead_end_states, isolation_spec
 
 N = 7
 ENUM_LIMIT = 500_000_000
@@ -127,7 +134,28 @@ def test_k2_zero_divergence():
     _cache.setdefault("divergence", 0)
 
 
-def test_k4_emit_json():
+K4_SPECS = 10_000
+
+
+def test_k4_every_eligible_event_can_complete():
+    consistent = states = violations = 0
+    for seed in range(K4_SPECS):
+        compiled = compile_workflow(*isolation_spec(seed))
+        if compiled.consistent:
+            consistent += 1
+            reached, bad = dead_end_states(compiled.scheduler())
+            states += reached
+            violations += bad
+    _cache["eligible_is_viable"] = {
+        "specs": K4_SPECS,
+        "consistent": consistent,
+        "states": states,
+        "violations": violations,
+    }
+    assert violations == 0, f"{violations} states offer a dead-end event"
+
+
+def test_emit_json():
     results = dict(_measure())
     RESULTS_DIR.mkdir(exist_ok=True)
     out = RESULTS_DIR / "BENCH_kernel.json"

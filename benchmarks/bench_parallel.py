@@ -43,7 +43,7 @@ from repro.analysis.metrics import render_table
 from repro.constraints.algebra import absent, disj, must, order
 from repro.constraints.normalize import to_dnf
 from repro.core.compiler import compile_workflow
-from repro.core.parallel import shutdown_pool
+from repro.core import parallel
 from repro.core.verify import is_consistent, verify_properties
 from repro.ctr.formulas import Atom, alt, par, seq
 
@@ -102,11 +102,14 @@ def _measure() -> dict:
     )
 
     # --- timing sweep over the jobs knob (pool pre-warmed per size so the
-    # one-time fork cost is not billed to the measured batch).
+    # one-time fork cost is not billed to the measured batch: a batch of
+    # `jobs` properties starts the pool, where one property would run
+    # sequentially).
     sweep = []
     base_s = None
     for jobs in JOBS_SWEEP:
-        verify_properties(goal, constraints, props[:1], jobs=jobs)  # warm pool
+        verify_properties(goal, constraints, props[:jobs], jobs=jobs)
+        assert jobs == 1 or parallel._pool is not None, "warm-up left no pool"
         batch_s = time_best_of(
             lambda jobs=jobs: verify_properties(goal, constraints, props,
                                                 jobs=jobs),
@@ -119,7 +122,7 @@ def _measure() -> dict:
             "batch_s": round(batch_s, 6),
             "speedup": round(base_s / batch_s, 2),
         })
-    shutdown_pool()
+    parallel.shutdown_pool()
 
     # --- pruning: the search settles the consistent choice spec on a few
     # of its 128 branches.

@@ -20,11 +20,11 @@ unchanged specifications from the persistent
 :class:`~repro.core.compiler.CompileCache`, and ``--no-cache`` to force
 a from-scratch compile.
 
-``verify --jobs N`` (default ``$REPRO_JOBS``, else 1) verifies the
-file's properties on ``N`` worker processes — one full sequential
-verification per property per worker, so the report is identical at any
-``N`` — and ``--witness-seed`` pins the witness schedule printed for
-failing properties.
+``verify --jobs N`` (default 1, 0 = all cores) verifies the file's
+properties on ``N`` worker processes — one full sequential verification
+per property per worker, so the report is identical at any ``N`` — and
+``--witness-seed`` pins the witness schedule printed for failing
+properties.
 
 ``run --trace FILE`` records the run — spans, every scheduler decision,
 and the final summary — into a JSONL flight-recorder trace whose header
@@ -81,9 +81,9 @@ def _build_parser() -> argparse.ArgumentParser:
             )
         if name == "verify":
             command.add_argument(
-                "--jobs", type=int, default=None, metavar="N",
+                "--jobs", type=int, default=1, metavar="N",
                 help="verify properties on N worker processes "
-                     "(0 = all cores; default: $REPRO_JOBS if set, else 1). "
+                     "(0 = all cores; default: 1). "
                      "Results are identical at any N.",
             )
             command.add_argument(
@@ -134,9 +134,9 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--specs-dir", metavar="DIR", default=None,
                        help="directory of *.workflow/*.spec files to register "
                             "by stem and hot-reload on change")
-    serve.add_argument("--jobs", type=int, default=None, metavar="N",
+    serve.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="worker processes per verification batch "
-                            "(0 = all cores; default: $REPRO_JOBS if set, else 1)")
+                            "(0 = all cores; default: 1)")
     serve.add_argument("--queue-limit", type=int, default=256, metavar="N",
                        help="max queued properties before shedding with 429 "
                             "(default: 256)")
@@ -300,7 +300,7 @@ def _cmd_schedules(spec: Specification, out, limit: int, cache=None) -> int:
     return 0
 
 
-def _cmd_verify(spec: Specification, out, cache=None, jobs=None,
+def _cmd_verify(spec: Specification, out, cache=None, jobs=1,
                 seed=None) -> int:
     if not spec.properties:
         print("specification declares no properties", file=out)
@@ -499,11 +499,6 @@ def _cmd_serve(args, out) -> int:
 
     from .service import VerificationService
 
-    jobs = args.jobs
-    if jobs is None:
-        from .core.parallel import resolve_jobs
-
-        jobs = resolve_jobs(None)
     obs = None
     if args.tracing:
         from .obs import IdSource, Observability
@@ -517,7 +512,7 @@ def _cmd_serve(args, out) -> int:
     service = VerificationService(
         specs_dir=args.specs_dir,
         cache=_cache_from_args(args),
-        jobs=jobs,
+        jobs=args.jobs,
         queue_limit=args.queue_limit,
         default_deadline=args.deadline,
         obs=obs,

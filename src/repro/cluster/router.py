@@ -311,14 +311,9 @@ class ClusterRouter(HttpServerBase):
 
         async def send(worker_id: str):
             handle = self.supervisor.state_of(worker_id).handle
-            if trace_headers is not None:
-                return await handle.request("POST", path, forward,
-                                            timeout=timeout,
-                                            headers=trace_headers)
-            # No kwarg when untraced: scripted fake workers in tests
-            # predate the headers parameter.
             return await handle.request("POST", path, forward,
-                                        timeout=timeout)
+                                        timeout=timeout,
+                                        headers=trace_headers)
 
         try:
             (status, payload), worker_id = await call_with_failover(

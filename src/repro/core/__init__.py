@@ -27,7 +27,7 @@ from .engine import ExecutionReport, WorkflowEngine, first_strategy, random_stra
 from .excise import ExciseStats, excise, flat_executable, has_knot
 from .explain import Rejection, explain_rejection, is_allowed
 from .incremental import add_constraint, add_constraints
-from .parallel import FanoutStats, resolve_jobs, shutdown_pool
+from .parallel import resolve_jobs, shutdown_pool
 from .resilience import (
     ChaosOracle,
     FailureRecord,
@@ -82,7 +82,6 @@ __all__ = [
     "VerificationResult",
     "is_redundant",
     "redundant_constraints",
-    "FanoutStats",
     "resolve_jobs",
     "shutdown_pool",
     "seeded_strategy",

@@ -169,12 +169,12 @@ class CompileCache:
     nodes with attached predicates are *uncacheable* (a callable cannot be
     content-addressed) and silently bypass the cache.
 
-    A cache directory may be shared by many processes at once (the
-    parallel verifier of :mod:`repro.core.parallel` hands every worker
-    the same directory): entry writes are atomic (``mkstemp`` +
-    ``os.replace``), and every stat/unlink tolerates a sibling process
-    having evicted or rewritten the entry first — a vanished file is
-    simply someone else's eviction, never an error.
+    A cache directory may be shared by many processes at once (a batch on
+    the pool of :mod:`repro.core.parallel` hands every worker the cache
+    object, which pickles as its directory and bound): entry writes are
+    atomic (``mkstemp`` + ``os.replace``), and every stat/unlink tolerates
+    a sibling process having evicted or rewritten the entry first — a
+    vanished file is simply someone else's eviction, never an error.
     """
 
     def __init__(self, directory: str | os.PathLike, max_entries: int = 256):
@@ -184,6 +184,11 @@ class CompileCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
+
+    def __reduce__(self):
+        # Another process gets its own handle on the same directory, with
+        # its own hit and miss counts.
+        return type(self), (self.directory, self.max_entries)
 
     # -- keys -----------------------------------------------------------------
 
@@ -344,8 +349,8 @@ def compile_workflow(
 
     The compile is one sequential pass, and hash-consing shares the
     subgoals that the ``d^N`` branches of the constraint set have in
-    common. Batches of whole questions parallelize in
-    :mod:`repro.core.parallel`.
+    common. Batches of whole questions run one per worker of a process
+    pool (:func:`~repro.core.verify.verify_properties`).
     """
     active = obs is not None and obs.active
     metrics = obs.metrics if active else None

@@ -126,8 +126,10 @@ class Scheduler:
         program = (goal if isinstance(goal, KernelProgram)
                    else lower_goal(goal))
         self._program = program
-        self._test = test_hook
-        self._live = test_hook is not None and bool(program.tests)
+        # A goal without conditions never calls the hook: its steps are
+        # the static ones, and every table outlives the query.
+        self._test = test_hook if program.tests else None
+        self._live = self._test is not None
         self._succ: dict = {}
         self._step_table: dict = {}
         self._initial = frozenset((program.initial(),))
@@ -157,9 +159,12 @@ class Scheduler:
 
     def _begin(self) -> None:
         """Start a query: with live conditions, forget everything derived
-        from earlier answers of the hook."""
+        from earlier answers of the hook (the kernel's ``⊙`` verdicts, kept
+        under the key ``None``, hold for any answer and stay)."""
         if self._live:
+            verdicts = self._step_table.get(None, {})
             self._forget()
+            self._step_table[None] = verdicts
             self._viability_key = None
 
     def _names(self, ids) -> frozenset[str]:
@@ -193,11 +198,6 @@ class Scheduler:
     def finished(self) -> bool:
         """No event is eligible any more (the run is over)."""
         return not self.eligible()
-
-    def is_stuck(self) -> bool:
-        """True if the run can neither continue nor finish (should never
-        happen on an excised goal — asserted by the test-suite)."""
-        return not self.eligible() and not self.can_finish()
 
     # -- driving -------------------------------------------------------------
 

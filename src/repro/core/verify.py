@@ -27,24 +27,26 @@ Verification keeps the full compile, because a failing property reports
 the whole most general counterexample.
 
 Each single question runs sequentially, on one hash-consed memo. The batch
-forms, :func:`verify_properties` and :func:`redundant_constraints`, take a
-``jobs=`` knob that runs one whole question per worker of the process pool
-of :mod:`repro.core.parallel`; ``jobs=N`` returns results identical to
-``jobs=1`` (booleans, counterexample goals, witness schedules) — see the
-determinism contract there.
+forms, :func:`verify_properties` and :func:`redundant_constraints`, build
+one argument tuple per question and answer each with the single-question
+function itself: in a loop, or with ``jobs>1`` one per worker of the
+process pool of :mod:`repro.core.parallel`. It is the same function on the
+same arguments either way, so ``jobs=N`` returns what ``jobs=1`` returns
+(booleans, counterexample goals, witness schedules).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from ..constraints.algebra import Constraint
 from ..constraints.normalize import negate
-from ..ctr.formulas import Goal
+from ..ctr.formulas import Goal, event_names
 from ..ctr.rules import RuleBase
 from ..ctr.simplify import is_failure
 from .apply import consistent_branch
 from .compiler import CompiledWorkflow, compile_workflow, expand_goal
+from .parallel import fan_out
 
 __all__ = [
     "is_consistent",
@@ -138,21 +140,32 @@ def verify_properties(
     props: list[Constraint] | tuple[Constraint, ...],
     rules: RuleBase | None = None,
     cache=None,
-    jobs: int | None = 1,
+    jobs: int = 1,
     seed: int | None = None,
     obs=None,
 ) -> list[VerificationResult]:
     """Theorem 5.9 for a batch of properties (results in ``props`` order).
 
-    With ``jobs>1`` each property verifies on its own worker process (what
-    ``verify --jobs N`` runs); every worker runs the exact sequential
-    :func:`verify_property`, so the batch is bit-for-bit the sequential
-    list at any ``jobs``.
+    Each property is one :func:`verify_property` call. With ``jobs>1``
+    (``0`` = all cores) each runs on its own worker process (what
+    ``verify --jobs N`` runs); ``obs`` then traces the fan-out.
     """
-    from .parallel import verify_properties as fanout
-
-    return fanout(goal, constraints, props, rules=rules, jobs=jobs,
-                  cache=cache, seed=seed, obs=obs)
+    if not props:
+        return []
+    expanded = expand_goal(goal, rules)
+    argsets = [(expanded, constraints, prop, None, cache, seed) for prop in props]
+    results = fan_out(verify_property, argsets, jobs, obs)
+    if results is None:
+        return [verify_property(*args) for args in argsets]
+    # Unpickled witnesses hold private copies of every event name; share
+    # the goal's strings instead, as a sequential witness does.
+    names = {name: name for name in event_names(expanded)}
+    return [
+        result if result.witness is None else replace(
+            result, witness=tuple(names.get(event, event)
+                                  for event in result.witness))
+        for result in results
+    ]
 
 
 def is_redundant(
@@ -185,7 +198,7 @@ def redundant_constraints(
     goal: Goal,
     constraints: list[Constraint] | tuple[Constraint, ...],
     rules: RuleBase | None = None,
-    jobs: int | None = 1,
+    jobs: int = 1,
 ) -> list[Constraint]:
     """Every constraint implied by the rest of the specification.
 
@@ -193,10 +206,15 @@ def redundant_constraints(
     each be redundant given the other); this reports each constraint's
     redundancy with respect to all the others, as in Theorem 5.10.
 
-    The N checks are independent searches (:func:`is_redundant`); with
-    ``jobs>1`` each runs on its own worker process and the list is
-    identical.
+    The N checks are independent :func:`is_redundant` searches; with
+    ``jobs>1`` each runs on its own worker process.
     """
-    from .parallel import redundant_constraints as fanout
-
-    return fanout(goal, constraints, rules=rules, jobs=jobs)
+    constraints = list(constraints)
+    if not constraints:
+        return []
+    expanded = expand_goal(goal, rules)
+    argsets = [(expanded, constraints, phi) for phi in constraints]
+    flags = fan_out(is_redundant, argsets, jobs)
+    if flags is None:
+        flags = [is_redundant(*args) for args in argsets]
+    return [phi for phi, flag in zip(constraints, flags) if flag]

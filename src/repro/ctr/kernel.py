@@ -32,7 +32,8 @@ generated and filtered afterwards — on heavily synchronized compiled goals
 this is an exponential reduction in work.
 
 Step derivation is memoized in a *steps table* (token mask → residual →
-steps) that the caller owns: a trace or executability query makes one
+steps, plus which ``⊙`` body states can still finish) that the caller
+owns: a trace or executability query makes one
 for its own walk, and :class:`repro.core.scheduler.Scheduler` — the
 engine's one client — keeps one for its lifetime beside its successor
 table. A program holds nothing but its tables. The object
@@ -104,6 +105,9 @@ K_POSSIBILITY = 10
 #   ``("!", body)``          — a running isolated region (no interleaving).
 DONE = -1
 
+#: Leaves that complete by themselves, every condition passing.
+_SURE = (K_EMPTY, K_ATOM, K_SEND, K_TEST)
+
 #: Decides a transition condition at run time (``True`` = passable).
 TestCallback = Callable[[Test], bool]
 
@@ -120,7 +124,7 @@ class KernelProgram:
 
     __slots__ = (
         "events", "tokens", "tests", "kinds", "args", "lens", "children",
-        "root", "nullable", "event_ids",
+        "root", "nullable", "nullable_from", "block_sends", "event_ids",
     )
 
     def __init__(self, events, tokens, tests, kinds, args, lens, children,
@@ -134,7 +138,18 @@ class KernelProgram:
         self.children = tuple(children)
         self.root = root
         self.event_ids = {name: i for i, name in enumerate(self.events)}
-        self.nullable = self._compute_nullable()
+        self.nullable, self.nullable_from = self._node_bits((K_EMPTY,))
+        # The tokens some ⊙ body sends: any other token a body waits for
+        # must already be in the mask when the block starts.
+        sends = [0] * len(self.kinds)
+        self.block_sends = 0
+        for i, kind in enumerate(self.kinds):
+            off = self.args[i]
+            sends[i] = 1 << off if kind == K_SEND else 0
+            for j in range(self.lens[i]):
+                sends[i] |= sends[self.children[off + j]]
+            if kind == K_ISOLATED:
+                self.block_sends |= sends[i]
 
     # -- lowering --------------------------------------------------------------
 
@@ -224,28 +239,34 @@ class KernelProgram:
         return cls(events, tokens, tests, kinds, args, lens, children,
                    index[id(goal)])
 
-    def _compute_nullable(self) -> bytes:
-        """Per-node "can complete without any step" bit (post-order pass)."""
+    def _node_bits(self, leaves: tuple,
+                   tokens: int = 0) -> tuple[bytes, tuple]:
+        """A per-node bit (post-order pass): set on leaves whose kind is in
+        ``leaves`` and on receives whose token is in ``tokens``, on
+        serial, concurrent and ``⊙`` nodes whose children all have it,
+        and on choices where one child has it; and for each serial node
+        the first position from which every child has it.
+
+        ``nullable`` (can complete without any step) starts from
+        ``K_EMPTY`` alone: ``K_TEST`` is a silent *step* (length-1 path),
+        matching the machine, though usually passable. :meth:`_relaxed`
+        asks for the other readings.
+        """
         out = bytearray(len(self.kinds))
-        for i in range(len(self.kinds)):
-            kind = self.kinds[i]
-            if kind == K_EMPTY:
+        since = [0] * len(self.kinds)
+        for i, kind in enumerate(self.kinds):
+            if kind in leaves or kind == K_RECV and tokens >> self.args[i] & 1:
                 out[i] = 1
-            elif kind in (K_SERIAL, K_CONCURRENT):
+            elif kind in (K_SERIAL, K_CONCURRENT, K_CHOICE, K_ISOLATED):
                 off = self.args[i]
-                out[i] = int(all(
-                    out[self.children[off + j]] for j in range(self.lens[i])
-                ))
-            elif kind == K_CHOICE:
-                off = self.args[i]
-                out[i] = int(any(
-                    out[self.children[off + j]] for j in range(self.lens[i])
-                ))
-            elif kind == K_ISOLATED:
-                out[i] = out[self.children[self.args[i]]]
-            # K_TEST is a silent *step* (length-1 path), matching the
-            # machine: not nullable, though usually passable.
-        return bytes(out)
+                kids = [out[self.children[off + j]] for j in range(self.lens[i])]
+                out[i] = any(kids) if kind == K_CHOICE else all(kids)
+                if kind == K_SERIAL:
+                    start = len(kids)
+                    while start and kids[start - 1]:
+                        start -= 1
+                    since[i] = start
+        return bytes(out), tuple(since)
 
     # -- residual structure ----------------------------------------------------
 
@@ -287,23 +308,36 @@ class KernelProgram:
 
     def rem_nullable(self, rem) -> bool:
         """Can this residual complete without taking any step?"""
-        nullable = self.nullable
+        return self._all_parts(rem, self.nullable, self.nullable_from)
+
+    def _relaxed(self, rem, tokens: int, leaves: tuple, memo: dict) -> bool:
+        """Can every part of ``rem`` complete when the leaves of ``leaves``
+        always pass and a receive passes iff its token is in ``tokens``?
+
+        The bits are derived once per ``(tokens, leaves)`` and kept in
+        ``memo``; a residual is then read in one walk.
+        """
+        key = ("bits", tokens, leaves)
+        bits = memo.get(key)
+        if bits is None:
+            bits = memo[key] = self._node_bits(leaves, tokens)
+        return self._all_parts(rem, *bits)
+
+    def _all_parts(self, rem, bits: bytes, since: tuple) -> bool:
+        """Does every part of this residual have its bit in ``bits``, with
+        the ``since`` positions of :meth:`_node_bits`?"""
         stack = [rem]
         while stack:
             current = stack.pop()
             if isinstance(current, int):
-                if current != DONE and not nullable[current]:
+                if current != DONE and not bits[current]:
                     return False
                 continue
             tag = current[0]
             if tag == "*":
                 _, head, node, position = current
-                # The unstarted tail first: on a long serial spine the
-                # first non-nullable child settles it in O(1).
-                off = self.args[node]
-                for j in range(position, self.lens[node]):
-                    if not nullable[self.children[off + j]]:
-                        return False
+                if position < since[node]:  # an unstarted child lacks it
+                    return False
                 stack.append(head)
             elif tag == "|":
                 stack.extend(current[1])
@@ -342,10 +376,13 @@ class KernelProgram:
         → steps): a query or a scheduler passes one table to every call so
         sub-residuals shared between states are derived once. Entries
         depend on ``test``, so one table serves one callback, and only for
-        as long as the callback's answers hold. Without a table the memo
-        lives for this call only.
+        as long as the callback's answers hold (the ``⊙`` verdicts it also
+        keeps, see :meth:`_finishes`, hold for any). Without a table the
+        memo lives for this call only.
         """
-        memo: dict = {} if table is None else table.setdefault(tok, {})
+        if table is None:
+            table = {}
+        memo: dict = table.setdefault(tok, {})
         stack = [rem]
         while stack:
             current = stack[-1]
@@ -357,7 +394,8 @@ class KernelProgram:
             if pending:
                 stack.extend(pending)
                 continue
-            memo[current] = self._combine_steps(current, tok, memo, test)
+            memo[current] = self._combine_steps(current, tok, memo, test,
+                                                table)
             stack.pop()
         return memo[rem]
 
@@ -396,7 +434,7 @@ class KernelProgram:
         return (rem[1],)  # "!"
 
     def _combine_steps(self, rem, tok: int, memo: dict,
-                       test: TestCallback | None) -> tuple:
+                       test: TestCallback | None, table: dict) -> tuple:
         if rem == DONE:
             return ()
         if isinstance(rem, int):
@@ -440,10 +478,8 @@ class KernelProgram:
                     out.extend(memo[self._child(rem, j)])
                 return tuple(out)
             if kind == K_ISOLATED:
-                return tuple(
-                    (label, DONE if nxt == DONE else ("!", nxt), t2)
-                    for label, nxt, t2 in memo[self._child(rem, 0)]
-                )
+                return self._isolated_steps(memo[self._child(rem, 0)], test,
+                                            table)
             raise SpecificationError(  # pragma: no cover - future kinds
                 f"cannot execute kernel node kind {kind}"
             )
@@ -466,14 +502,52 @@ class KernelProgram:
         # "!" — a running isolated region: only its own steps are offered,
         # plus a silent release once the body may complete.
         body = rem[1]
-        out = []
-        if self.rem_nullable(body):
-            out.append((None, DONE, tok))
-        out.extend(
+        release = ((None, DONE, tok),) if self.rem_nullable(body) else ()
+        return release + self._isolated_steps(memo[body], test, table)
+
+    def _isolated_steps(self, steps: tuple, test: TestCallback | None,
+                        table: dict) -> tuple:
+        """A ``⊙`` body's steps, kept inside the block.
+
+        An isolated block is all-or-nothing, so a step after which the
+        body cannot complete on its own (a ``receive`` whose ``send`` lies
+        outside the block) is not offered: the block starts only if it
+        can finish (:meth:`_finishes`).
+        """
+        return tuple(
             (label, DONE if nxt == DONE else ("!", nxt), t2)
-            for label, nxt, t2 in memo[body]
+            for label, nxt, t2 in steps
+            if nxt == DONE or self._finishes(nxt, t2, test, table)
         )
-        return tuple(out)
+
+    def _finishes(self, rem, tok: int, test: TestCallback | None,
+                  table: dict) -> bool:
+        """Can a ``⊙`` body in state ``(rem, tok)`` complete on its own?
+
+        Judged statically, every condition passing: the body's later
+        conditions are read only after its own activities have run, and
+        conditions only remove executions, so a body that cannot finish
+        so cannot finish under any database. These verdicts hold for any
+        callback: they are kept in ``table`` under the key ``None`` (token
+        masks are ints; a scheduler keeps that entry when a live hook
+        clears the rest), so each body state is decided once per table
+        and a path through a block stays linear. With a callback the
+        search derives its hook-free steps in a table of its own.
+        """
+        verdicts = table.setdefault(None, {})
+        start = (rem, tok)
+        # Settled without a search: yes if every receive the body needs
+        # already has its token (◇ failing), no if one waits on a token
+        # that is neither in the mask nor sent inside any block (◇
+        # passing), since a running block lets nothing else send.
+        if start not in verdicts:
+            if self._relaxed(rem, tok, _SURE, verdicts):
+                verdicts[start] = True
+            elif not self._relaxed(rem, tok | self.block_sends,
+                                   _SURE + (K_POSSIBILITY,), verdicts):
+                verdicts[start] = False
+        steps = table if test is None else {None: verdicts}
+        return self.can_complete(rem, tok, table=steps)
 
     def _concurrent_steps(self, parts: tuple, memo: dict,
                           only: tuple | None = None) -> tuple:
@@ -492,22 +566,48 @@ class KernelProgram:
         return (self.root, 0)
 
     def can_complete(self, rem, tok: int, budget: int | None = None,
-                     test: TestCallback | None = None) -> bool:
-        """Is there *any* full execution from ``(rem, tok)``? (state search)"""
-        table: dict = {}
-        seen = {(rem, tok)}
-        stack = [(rem, tok)]
+                     test: TestCallback | None = None,
+                     table: dict | None = None) -> bool:
+        """Is there *any* full execution from ``(rem, tok)``? (state search)
+
+        Depth first, one step at a time, stopping at the first state that
+        completes: a success settles every state on the stack, an
+        exhausted state settles itself. Every step consumes a leaf of the
+        residual, so no state recurs on the stack. The verdicts go into
+        ``table`` under the key ``None``, so a caller that keeps its steps
+        table (a test-free one: see :meth:`_finishes`) decides each state
+        once. ``budget`` bounds the states expanded.
+        """
+        table = {} if table is None else table
+        verdicts = table.setdefault(None, {})
+        start = (rem, tok)
+        if start not in verdicts and self.rem_nullable(rem):
+            verdicts[start] = True
+        if start in verdicts:
+            return verdicts[start]
+        stack = [(start, iter(self._steps(rem, tok, test, table)))]
+        expanded = 1
         while stack:
-            r, t = stack.pop()
-            if self.rem_nullable(r):
-                return True
-            if budget is not None and len(seen) > budget:
-                raise TooManyTracesError(budget)
-            for _label, nxt, t2 in self._steps(r, t, test, table):
-                state = (nxt, t2)
-                if state not in seen:
-                    seen.add(state)
-                    stack.append(state)
+            state, pending = stack[-1]
+            for _label, nxt, t2 in pending:
+                child = (nxt, t2)
+                found = verdicts.get(child)
+                if found is None and self.rem_nullable(nxt):
+                    found = True
+                if found:
+                    for settled, _ in stack:
+                        verdicts[settled] = True
+                    return True
+                if found is None:
+                    expanded += 1
+                    if budget is not None and expanded > budget:
+                        raise TooManyTracesError(budget)
+                    stack.append(
+                        (child, iter(self._steps(nxt, t2, test, table))))
+                    break
+            else:
+                verdicts[state] = False
+                stack.pop()
         return False
 
     def successors(self, state, test: TestCallback | None = None,

@@ -16,7 +16,9 @@ Steps come in two flavours:
 Isolation (``⊙``) is honoured by wrapping a partially-executed isolated
 body in the internal :class:`Running` marker; while a ``Running`` region
 exists inside a concurrent composition, only steps from within it are
-offered, which is precisely "execute without interleaving".
+offered, which is precisely "execute without interleaving". An isolated
+block is all-or-nothing, so a body step is offered only if the body can
+then complete on its own: a block never starts that it cannot finish.
 
 The machine is deliberately *non-deterministic*: :meth:`Machine.successors`
 returns every option. It is the reference interpreter: the pro-active
@@ -161,6 +163,9 @@ class Machine:
                 raise SpecificationError("`path` cannot appear in an executable goal")
         self.goal = goal
         self.test_hook = test_hook
+        # ⊙ admission is judged with every condition passing (see
+        # _isolated_steps), by a hook-free twin.
+        self._static = self if test_hook is None else Machine(goal)
 
     # -- public API ---------------------------------------------------------
 
@@ -253,10 +258,7 @@ class Machine:
             return
 
         if isinstance(goal, Isolated):
-            for label, nxt in self._steps(goal.body, tokens):
-                residual = nxt.goal
-                wrapped = EMPTY if _is_done(residual) else Running(residual)
-                yield label, Config(wrapped, nxt.tokens)
+            yield from self._isolated_steps(goal.body, tokens)
             return
 
         if isinstance(goal, Running):
@@ -264,10 +266,7 @@ class Machine:
                 # The isolated region may end here (e.g. a trailing optional
                 # branch): release the isolation lock silently.
                 yield None, Config(EMPTY, tokens)
-            for label, nxt in self._steps(goal.body, tokens):
-                residual = nxt.goal
-                wrapped = EMPTY if _is_done(residual) else Running(residual)
-                yield label, Config(wrapped, nxt.tokens)
+            yield from self._isolated_steps(goal.body, tokens)
             return
 
         if isinstance(goal, (Serial, Tail)):
@@ -295,6 +294,17 @@ class Machine:
             return
 
         raise TypeError(f"cannot execute {type(goal).__name__}")  # pragma: no cover
+
+    def _isolated_steps(self, body: Goal, tokens: frozenset[str]) -> Iterator[Step]:
+        """``body``'s steps, kept inside its ``⊙`` block: only those after
+        which the body can still complete on its own, every condition
+        passing (the kernel's ``_finishes`` says why), so a block starts
+        only if it can finish."""
+        for label, nxt in self._steps(body, tokens):
+            if _is_done(nxt.goal):
+                yield label, Config(EMPTY, nxt.tokens)
+            elif self._static.can_complete(nxt):
+                yield label, Config(Running(nxt.goal), nxt.tokens)
 
 
 def _is_done(goal: Goal) -> bool:

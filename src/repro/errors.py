@@ -150,9 +150,7 @@ class ActivityTimeoutError(ReproError):
     The engine detects the overrun on its (injectable) clock after the
     activity returns — it cannot preempt a running update — and treats the
     attempt as failed, rolling its effects back. The name avoids shadowing
-    the builtin ``TimeoutError`` while saying what timed out; the
-    historical alias :data:`TimeoutError_` is kept for compatibility and
-    is deprecated.
+    the builtin ``TimeoutError`` while saying what timed out.
     """
 
     def __init__(self, activity: str, elapsed: float, timeout: float, attempt: int):
@@ -164,10 +162,6 @@ class ActivityTimeoutError(ReproError):
             f"activity {activity!r} attempt {attempt} took {elapsed:g}s, "
             f"over its {timeout:g}s timeout"
         )
-
-
-#: Deprecated alias of :class:`ActivityTimeoutError` (pre-1.1 name).
-TimeoutError_ = ActivityTimeoutError
 
 
 class DatabaseError(ReproError):

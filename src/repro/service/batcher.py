@@ -153,7 +153,7 @@ class VerifyBatcher:
         self,
         registry: SpecRegistry,
         *,
-        jobs: int | None = 1,
+        jobs: int = 1,
         queue_limit: int = 256,
         default_deadline: float | None = 30.0,
         expiry_interval: float = 0.05,

@@ -66,11 +66,6 @@ __all__ = ["VerificationService", "ServiceHandle", "serve_in_thread"]
 #: Hard cap on schedules returned by one ``/schedule`` call.
 MAX_SCHEDULES = 10_000
 
-# Backward-compatible aliases: these predate the extraction of the shared
-# HTTP substrate into repro.service.http.
-_HttpError = HttpError
-_json_body = staticmethod(json_body)
-
 
 class VerificationService(HttpServerBase):
     """The daemon: registry + batcher + HTTP front end, one event loop."""
@@ -83,7 +78,7 @@ class VerificationService(HttpServerBase):
         *,
         specs_dir: str | Path | None = None,
         cache=None,
-        jobs: int | None = 1,
+        jobs: int = 1,
         queue_limit: int = 256,
         default_deadline: float | None = 30.0,
         clock: Clock | None = None,

@@ -71,7 +71,8 @@ class FakeClusterWorker:
             raise WorkerUnavailableError(self.worker_id, "dead")
         return {"status": "ok"}
 
-    async def request(self, method, path, body=None, timeout=30.0):
+    async def request(self, method, path, body=None, timeout=30.0,
+                      headers=None):
         if not self.alive or self.fail:
             raise WorkerUnavailableError(self.worker_id, "dead")
         self.requests.append((path, body))

@@ -288,6 +288,18 @@ class TestMultiprocessSharing:
         # The shared directory actually served cross-round hits.
         assert sum(r[1] for r in results) > 0
 
+    def test_pickles_as_its_directory_and_bound(self, tmp_path):
+        # What a pool worker receives: a fresh handle on the same entries.
+        import pickle
+
+        cache = CompileCache(tmp_path / "shared", max_entries=5)
+        compile_workflow(atoms("a b")[0], [], cache=cache)
+        copy = pickle.loads(pickle.dumps(cache))
+        assert (copy.directory, copy.max_entries) == (cache.directory, 5)
+        assert (copy.hits, copy.misses) == (0, 0)
+        compile_workflow(atoms("a b")[0], [], cache=copy)
+        assert copy.hits == 1
+
     def test_eviction_tolerates_concurrent_unlink(self, tmp_path, monkeypatch):
         """A concurrent evictor unlinking between scandir and stat must not
         blow up this process's eviction pass."""

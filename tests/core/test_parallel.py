@@ -9,9 +9,6 @@ implementation detail.
 """
 
 import os
-import warnings
-
-import pytest
 
 from repro.constraints.algebra import absent, conj, disj, must, order
 from repro.core.compiler import CompileCache
@@ -40,41 +37,6 @@ class TestResolveJobs:
         # A negative count is a caller mistake, not a request for every
         # core: clamp rather than surprise-fork os.cpu_count() workers.
         assert resolve_jobs(-1) == 1
-
-    def test_none_reads_env(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs(None) == 1
-        monkeypatch.setenv("REPRO_JOBS", "5")
-        assert resolve_jobs(None) == 5
-
-    def test_env_tolerates_whitespace(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", " 4 ")
-        assert resolve_jobs(None) == 4
-        monkeypatch.setenv("REPRO_JOBS", "   ")
-        assert resolve_jobs(None) == 1
-
-    def test_env_negative_clamps_and_warns_once(self, monkeypatch):
-        from repro.core import parallel as parallel_module
-
-        monkeypatch.setattr(parallel_module, "_warned_jobs_values", set())
-        monkeypatch.setenv("REPRO_JOBS", "-2")
-        with pytest.warns(RuntimeWarning, match="REPRO_JOBS='-2'"):
-            assert resolve_jobs(None) == 1
-        # The warning fires once per distinct value, not once per call.
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_jobs(None) == 1
-
-    def test_env_non_integer_clamps_and_warns_once(self, monkeypatch):
-        from repro.core import parallel as parallel_module
-
-        monkeypatch.setattr(parallel_module, "_warned_jobs_values", set())
-        monkeypatch.setenv("REPRO_JOBS", "all")
-        with pytest.warns(RuntimeWarning, match="not an integer"):
-            assert resolve_jobs(None) == 1
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert resolve_jobs(None) == 1
 
 
 class TestVerificationParity:
@@ -180,18 +142,6 @@ class TestBatchObservability:
         assert gauges["parallel.jobs"] == 2
         assert "parallel.speedup" in gauges
 
-    def test_redundancy_span_covers_the_fan_out(self):
-        from repro.core.parallel import redundant_constraints as fanout
-        from repro.obs import Observability
-
-        obs = Observability.enabled(trace=True, metrics=False, record=False)
-        constraints = [order("a", "c"), conj(must("a"), must("c"))]
-        fanout((A | B) >> C, constraints, jobs=2, obs=obs)
-        span = next(s for s in obs.tracer.spans
-                    if s.name == "parallel.redundancy")
-        assert span.duration >= 0.9 * span.attrs["wall_s"]
-        assert span.attrs["tasks"] == len(constraints)
-
     def test_metrics_without_tracing(self):
         from repro.obs import Observability
 
@@ -234,14 +184,3 @@ property a_happens: happens(a)
         first = capsys.readouterr().out
         assert main(["verify", spec, "--witness-seed", "3", "--jobs", "2"]) == 1
         assert capsys.readouterr().out == first
-
-    def test_repro_jobs_env_is_the_default(self, tmp_path, capsys, monkeypatch):
-        from repro.cli import main
-
-        monkeypatch.setenv("REPRO_JOBS", "2")
-        spec = self._spec_file(tmp_path)
-        assert main(["verify", spec]) == 1
-        out_env = capsys.readouterr().out
-        monkeypatch.delenv("REPRO_JOBS")
-        assert main(["verify", spec]) == 1
-        assert capsys.readouterr().out == out_env

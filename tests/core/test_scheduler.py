@@ -14,6 +14,7 @@ from repro.ctr.traces import traces
 from repro.graph.generators import serial_chain
 from repro.errors import IneligibleEventError
 from tests.conftest import constraints_over, unique_event_goals
+from tests.proactive import dead_end_states, isolation_spec
 
 A, B, C, D = atoms("a b c d")
 
@@ -290,3 +291,17 @@ class TestCompiledNeverStuck:
         schedule = compiled.scheduler().run()
         assert schedule in traces(goal)
         assert satisfies(schedule, constraint)
+
+    def test_every_eligible_event_lies_on_an_allowed_execution(self):
+        # Section 4's pro-active guarantee, at every reachable state of a
+        # seeded corpus with ⊙ blocks and ◇ tests: what the scheduler
+        # offers is exactly what can still complete.
+        consistent = violations = 0
+        for seed in range(1000):
+            compiled = compile_workflow(*isolation_spec(seed))
+            if compiled.consistent:
+                consistent += 1
+                violations += dead_end_states(compiled.scheduler())[1]
+        assert consistent > 400
+        assert violations == 0
+

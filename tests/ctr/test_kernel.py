@@ -327,12 +327,12 @@ class TestDifferentialVerification:
     def test_worker_crash_falls_back_to_sequential(self, monkeypatch):
         # Every submitted task kills its worker; the BrokenProcessPool
         # fallback must still answer, sequentially.
-        parallel._reset_pool()
-        monkeypatch.setattr(parallel, "_verify_one", _crash_worker)
+        parallel.shutdown_pool(wait_for_workers=False)
+        monkeypatch.setattr(parallel, "_timed", _crash_worker)
         goal = (A | B) >> C
         try:
             results = verify_properties(goal, [], [must("c"), must("z")],
                                         jobs=2)
         finally:
-            parallel._reset_pool()
+            parallel.shutdown_pool(wait_for_workers=False)
         assert [r.holds for r in results] == [True, False]
