@@ -18,6 +18,12 @@ Two sides of the proposition, and a check of the consistency search:
   constraints, ``∇``/``¬∇`` disjunctions and negations) with zero
   divergence, both for consistency and for the redundancy of one drawn
   constraint.
+* **E5d** — the masks only skip work: on E5c's specs, each with and
+  without the negation of an order constraint on two of its events (the
+  shape :func:`~repro.core.verify.verify_property` compiles),
+  :func:`~repro.core.apply.apply_all` returns the very node the unpruned
+  walk of ``tests/apply_reference.py`` builds, which rewrites every node
+  of the goal for each order constraint.
 """
 
 import random
@@ -29,12 +35,14 @@ from repro.analysis.metrics import fit_exponential, fit_power_law, render_table
 from repro.analysis.sat import brute_force_sat, cnf_to_workflow, random_cnf
 from repro.constraints.algebra import absent, disj, must, order
 from repro.constraints.normalize import negate
-from repro.core.apply import consistent_branch
-from repro.core.compiler import compile_workflow
+from repro.core.apply import apply_all, consistent_branch
+from repro.core.compiler import compile_workflow, expand_goal
+from repro.core.sync import TokenFactory
 from repro.core.verify import is_consistent, is_redundant
 from repro.ctr.formulas import event_names, goal_size
 from repro.ctr.simplify import is_failure
 from repro.graph.generators import parallel_chains, random_constraints, random_goal
+from tests.apply_reference import reference_apply_all
 
 
 def test_e5a_consistency_solves_3sat(benchmark):
@@ -170,3 +178,34 @@ def test_e5c_search_matches_the_compile():
     )
     assert verdict_divergences == 0
     assert redundancy_divergences == 0
+
+
+def test_e5d_apply_is_the_reference_walk():
+    applies = failures = order_walks = mismatches = 0
+    for seed in range(E5C_SPECS):
+        goal, constraints = _e5c_spec(seed)
+        goal = expand_goal(goal)
+        first, second = random.Random(f"e5d-{seed}").sample(
+            sorted(event_names(goal)), 2)
+        for spec in (constraints, constraints + [negate(order(first, second))]):
+            tokens = TokenFactory()
+            applied = apply_all(spec, goal, tokens)
+            mismatches += applied is not reference_apply_all(spec, goal, TokenFactory())
+            applies += 1
+            failures += is_failure(applied)
+            # Each order walk mints one token, so the next is xi<walks + 1>.
+            order_walks += int(tokens.fresh()[len("xi"):]) - 1
+    save_table(
+        "E5d_apply_identity",
+        render_table(
+            "E5d: Apply on the occurrence masks vs the unpruned walk",
+            ["specs", "applies", "¬path", "order walks", "mismatches"],
+            [[E5C_SPECS, applies, failures, order_walks, mismatches]],
+            note="E5c's specs (rule-expanded goals), each alone and with "
+            "¬order(α, β) for two of its events; a mismatch is an apply_all "
+            "result that is not (by identity) the node of the reference walk, "
+            "which rebuilds every node for each order constraint. Order walks "
+            "count the tokens apply_all minted.",
+        ),
+    )
+    assert mismatches == 0

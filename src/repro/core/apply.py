@@ -15,7 +15,8 @@ The case analysis follows the paper:
 * **negative primitive** ``¬∇α``: delete every execution in which ``α``
   occurs (each occurrence of ``α`` becomes ``¬path``);
 * **order** ``∇α ⊗ ∇β``: first force both events to occur, then serialise
-  them with a fresh ``send``/``receive`` token (:func:`~repro.core.sync.sync_order`);
+  them with a fresh ``send``/``receive`` token (``sync``, Definition 5.3:
+  :func:`_sync`, public as :func:`~repro.core.sync.sync_order`);
 * ``C₁ ∧ C₂``: apply sequentially; ``C₁ ∨ C₂``: duplicate the goal — this
   duplication is the source of the ``d^N`` factor in Theorem 5.11.
 
@@ -37,9 +38,15 @@ means every execution of ``T`` provides ``α``, so ``∇α`` leaves ``T`` as it
 is (the other components of a unique-event composition cannot provide
 ``α``) and ``¬∇α`` makes it ``¬path``. Only the nodes left in between are
 walked, and the ``⊗``, ``|`` and ``∨`` cases skip the parts that cannot
-provide ``α``. Events inside a ``◇`` never occur, so a ``◇`` has empty
-masks. The result is the node the part-by-part walk of Definition 5.1
-builds (the tests keep that walk as the reference).
+provide ``α``. The order case rewrites only the nodes whose ``may`` holds
+``α`` or ``β`` and keeps every other part object; since send and receive
+are not events, each node it rebuilds inherits the masks of the node it
+replaces, so the next constraint does not compute them again. Events
+inside a ``◇`` never occur, so a ``◇`` has empty masks (and ``sync``
+leaves its body alone). The result is the node the part-by-part walk of
+Definitions 5.1 and 5.3 builds (``tests/apply_reference.py`` keeps that
+walk, which rewrites the whole goal for each order constraint, as the
+reference).
 
 Sharing-awareness: goals are hash-consed, so the ``C₁ ∨ C₂`` duplication
 produces branches that *share* every untouched subterm. One
@@ -71,13 +78,15 @@ from ..ctr.formulas import (
     Goal,
     Isolated,
     NegPath,
+    Receive,
+    Send,
     Serial,
     alt,
     par,
     seq,
 )
 from .excise import excise
-from .sync import TokenFactory, sync_order
+from .sync import TokenFactory
 
 __all__ = ["apply_constraint", "apply_all", "consistent_branch"]
 
@@ -90,11 +99,13 @@ class _ApplyMemo:
     ``masks`` maps ``id(node) -> (node, may, must)``: the events that occur
     on *some* execution of the node and the events that occur on *every*
     execution, as bitmasks over ``bits``, this run's event index (bits are
-    handed out as event names turn up, so no table outlives the run). The
-    entry holds the node itself, so its id cannot be reused while the memo
-    lives and no lookup hashes a node. ``must``/``never`` map ``(bit,
-    id(node)) -> transformed node`` for the primitive cases (always pure;
-    every keyed node already has a mask entry holding it). ``subproblem``
+    handed out as event names turn up, so no table outlives the run;
+    :func:`_sync` enters the nodes it builds with the masks of those they
+    replace). The entry holds the node itself, so its id cannot be reused
+    while the memo lives and no lookup hashes a node. ``must``/``never``
+    map ``(bit, id(node)) -> transformed node`` for the primitive cases
+    (always pure; every keyed node already has a mask entry holding it).
+    ``subproblem``
     maps ``(constraint, node) -> transformed node`` for token-free
     constraint applications. ``token_free`` caches, per constraint object,
     whether it is safe to memoise at all.
@@ -376,7 +387,7 @@ def _apply(
         forced = _apply_must(memo.bit(alpha), _apply_must(memo.bit(beta), goal, memo), memo)
         if isinstance(forced, NegPath):
             return NEG_PATH
-        return sync_order(alpha, beta, forced, tokens.fresh())
+        return _sync(alpha, beta, forced, tokens.fresh(), memo)
 
     cacheable = memo.is_token_free(constraint)
     if cacheable:
@@ -468,3 +479,57 @@ def _apply_never(bit: int, goal: Goal, memo: _ApplyMemo) -> Goal:
 
     memo.never[key] = result
     return result
+
+
+def _sync(alpha: str, beta: str, goal: Goal, token: str, memo: _ApplyMemo) -> Goal:
+    """``sync(α < β, T)`` (Definition 5.3) on ``memo``'s masks.
+
+    Every ``α`` becomes ``α ⊗ send(token)`` and every ``β`` becomes
+    ``receive(token) ⊗ β``. Only the nodes whose ``may`` holds ``α`` or
+    ``β`` are rebuilt, once each per call; every other part object is
+    kept, and a ``◇`` (empty masks) is never entered. A rebuilt ``⊗``
+    takes the parts of a rewritten atom part into its own, as ``seq``
+    would, so on a goal built by ``seq``/``par``/``alt`` the result is
+    the node the whole-goal rewrite builds.
+
+    Send and receive are not events, so each rebuilt node gets the masks
+    of the node it replaces (and the fresh ``send``/``receive`` empty
+    ones): the next constraint's :meth:`_ApplyMemo.occurrence` does not
+    walk it again, and every child of a node with an entry has one.
+    """
+    masks = memo.masks
+    both = memo.bit(alpha) | memo.bit(beta)
+    if not memo.occurrence(goal)[1] & both:
+        return goal
+    send, receive = Send(token), Receive(token)
+    masks[id(send)] = (send, 0, 0)
+    masks[id(receive)] = (receive, 0, 0)
+    done: dict[int, Goal] = {}
+
+    def rewrite(node: Goal) -> Goal:
+        result = done.get(id(node))
+        if result is not None:
+            return result
+        if isinstance(node, Atom):  # α or β: no other atom holds either
+            result = Serial((node, send) if node.name == alpha else (receive, node))
+        elif isinstance(node, Isolated):
+            result = Isolated(rewrite(node.body))
+        else:
+            kind = type(node)
+            parts: list[Goal] = []
+            for part in node.parts:
+                if not masks[id(part)][1] & both:
+                    parts.append(part)
+                    continue
+                new = rewrite(part)
+                if type(new) is kind:
+                    parts.extend(new.parts)
+                else:
+                    parts.append(new)
+            result = kind(tuple(parts))
+        _, may, must = masks[id(node)]
+        masks[id(result)] = (result, may, must)
+        done[id(node)] = result
+        return result
+
+    return rewrite(goal)

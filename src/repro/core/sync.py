@@ -10,6 +10,12 @@ concurrent branches.
 Occurrences inside a ``◇`` (possibility) body are *not* rewritten: those
 executions are hypothetical and must not emit or consume real
 synchronization tokens (see DESIGN.md, "Semantic choices").
+
+The rewrite itself is Apply's order case (:func:`repro.core.apply._sync`),
+which runs on the occurrence masks of its run: it rebuilds only the
+subgoals that can hold ``α`` or ``β``. :func:`sync_order` runs that walk
+on a fresh mask table; this module keeps the public entry point and the
+:class:`TokenFactory` that every compilation threads through.
 """
 
 from __future__ import annotations
@@ -17,20 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from ..ctr.formulas import (
-    Atom,
-    Choice,
-    Concurrent,
-    Goal,
-    Isolated,
-    Possibility,
-    Receive,
-    Send,
-    Serial,
-    alt,
-    par,
-    seq,
-)
+from ..ctr.formulas import Goal
 
 __all__ = ["TokenFactory", "sync_order"]
 
@@ -65,35 +58,10 @@ def sync_order(alpha: str, beta: str, goal: Goal, token: str) -> Goal:
     Every occurrence of ``alpha`` becomes ``alpha ⊗ send(token)``; every
     occurrence of ``beta`` becomes ``receive(token) ⊗ beta``.
 
-    The rewrite is memoised per shared node: hash-consed goals are DAGs,
-    and each distinct subterm needs rewriting exactly once regardless of
-    how many ``∨`` branches reference it.
+    This is Apply's own order walk on a fresh occurrence-mask table: it
+    rebuilds only the subgoals that can hold ``alpha`` or ``beta``, each
+    shared node once, and returns every other subgoal object unchanged.
     """
-    memo: dict[Goal, Goal] = {}
+    from .apply import _ApplyMemo, _sync  # apply imports this module
 
-    def rewrite(node: Goal) -> Goal:
-        if isinstance(node, Atom):
-            if node.name == alpha:
-                return seq(node, Send(token))
-            if node.name == beta:
-                return seq(Receive(token), node)
-            return node
-        cached = memo.get(node)
-        if cached is not None:
-            return cached
-        if isinstance(node, Serial):
-            result: Goal = seq(*(rewrite(p) for p in node.parts))
-        elif isinstance(node, Concurrent):
-            result = par(*(rewrite(p) for p in node.parts))
-        elif isinstance(node, Choice):
-            result = alt(*(rewrite(p) for p in node.parts))
-        elif isinstance(node, Isolated):
-            result = Isolated(rewrite(node.body))
-        elif isinstance(node, Possibility):
-            result = node  # hypothetical executions exchange no real tokens
-        else:
-            result = node
-        memo[node] = result
-        return result
-
-    return rewrite(goal)
+    return _sync(alpha, beta, goal, token, _ApplyMemo())

@@ -114,15 +114,19 @@ class VerificationService(HttpServerBase):
         ``drain=True`` — the graceful path — completes every accepted
         verification batch and every in-flight HTTP response before
         returning. ``drain=False`` abandons the queue (queued waiters see
-        503; the batch already running still answers its own).
+        503; the batch already running still answers its own). Either way
+        it then waits for the in-flight handlers to write their responses:
+        a batch that ends during ``abort`` resolves its waiters' futures
+        just before ``abort`` returns, when their handlers have not yet
+        written. The wait is bounded, as the queued waiters are already
+        failed.
         """
         await self._stop_accepting()
         if drain:
             await self.batcher.aclose()
-            await self._drain_connections()
         else:
             await self.batcher.abort()
-            self._cancel_connections()
+        await self._drain_connections()
         self.executor.shutdown(wait=True)
 
     # -- routing --------------------------------------------------------------

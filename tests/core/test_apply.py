@@ -8,10 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.constraints.algebra import (
-    And,
-    Or,
-    Primitive,
-    SerialConstraint,
     absent,
     conj,
     disj,
@@ -21,11 +17,10 @@ from repro.constraints.algebra import (
 )
 from repro.constraints.normalize import normalize
 from repro.constraints.satisfy import satisfies
-from repro.core.apply import apply_all, apply_constraint
+from repro.core.apply import _apply, _ApplyMemo, _sync, apply_all, apply_constraint
 from repro.core.excise import excise
 from repro.core.sync import TokenFactory, sync_order
 from repro.ctr.formulas import (
-    NEG_PATH,
     Atom,
     Choice,
     Concurrent,
@@ -40,9 +35,10 @@ from repro.ctr.formulas import (
     par,
     seq,
 )
-from repro.ctr.simplify import is_failure, simplify
+from repro.ctr.simplify import is_failure
 from repro.ctr.traces import traces
 from repro.ctr.unique import is_unique_event_goal
+from tests.apply_reference import _reference_sync, reference_apply_all
 from tests.conftest import constraints_over, unique_event_goals
 
 A, B, C, D, ETA, GAMMA, DELTA = atoms("a b c d eta gamma delta")
@@ -192,84 +188,6 @@ class TestCentralTheorem:
             assert is_unique_event_goal(applied)
 
 
-# -- the unpruned walk, kept as the reference for the occurrence masks --------
-#
-# Definition 5.1 applied part by part, without the per-node masks that let
-# Apply skip the subgoals that cannot hold the event. It memoises nothing:
-# every case is a pure function of the (hash-consed) goal, so memoisation
-# changes the cost and never the result, and tokens are minted in the same
-# order because only the constraint's structure decides when.
-
-
-def reference_apply_all(constraints, goal, tokens):
-    result = goal
-    for constraint in constraints:
-        result = _reference_apply(normalize(constraint), result, tokens)
-        if isinstance(result, NegPath):
-            return NEG_PATH
-    return simplify(result)
-
-
-def _reference_apply(constraint, goal, tokens):
-    if isinstance(goal, NegPath):
-        return NEG_PATH
-    if isinstance(constraint, Primitive):
-        if constraint.positive:
-            return _reference_must(constraint.event, goal)
-        return _reference_never(constraint.event, goal)
-    if isinstance(constraint, SerialConstraint):
-        alpha, beta = constraint.events
-        forced = _reference_must(alpha, _reference_must(beta, goal))
-        if isinstance(forced, NegPath):
-            return NEG_PATH
-        return sync_order(alpha, beta, forced, tokens.fresh())
-    if isinstance(constraint, And):
-        result = goal
-        for part in constraint.parts:
-            result = _reference_apply(part, result, tokens)
-            if isinstance(result, NegPath):
-                return NEG_PATH
-        return result
-    assert isinstance(constraint, Or)
-    return alt(*(_reference_apply(part, goal, tokens) for part in constraint.parts))
-
-
-def _reference_must(alpha, goal):
-    if isinstance(goal, Atom):
-        return goal if goal.name == alpha else NEG_PATH
-    if isinstance(goal, (Serial, Concurrent)):
-        build = seq if isinstance(goal, Serial) else par
-        parts = goal.parts
-        branches = []
-        for i, part in enumerate(parts):
-            transformed = _reference_must(alpha, part)
-            if not isinstance(transformed, NegPath):
-                branches.append(build(*parts[:i], transformed, *parts[i + 1:]))
-        return alt(*branches) if branches else NEG_PATH
-    if isinstance(goal, Choice):
-        return alt(*(_reference_must(alpha, part) for part in goal.parts))
-    if isinstance(goal, Isolated):
-        body = _reference_must(alpha, goal.body)
-        return NEG_PATH if isinstance(body, NegPath) else Isolated(body)
-    # ◇, send, receive, test, ε, path, ¬path: α cannot occur here.
-    return NEG_PATH
-
-
-def _reference_never(alpha, goal):
-    if isinstance(goal, Atom):
-        return NEG_PATH if goal.name == alpha else goal
-    if isinstance(goal, Serial):
-        return seq(*(_reference_never(alpha, part) for part in goal.parts))
-    if isinstance(goal, Concurrent):
-        return par(*(_reference_never(alpha, part) for part in goal.parts))
-    if isinstance(goal, Choice):
-        return alt(*(_reference_never(alpha, part) for part in goal.parts))
-    if isinstance(goal, Isolated):
-        body = _reference_never(alpha, goal.body)
-        return NEG_PATH if isinstance(body, NegPath) else Isolated(body)
-    return goal  # a ◇ keeps its hypothetical α; other leaves hold no event
-
-
 @st.composite
 def decorated_goals(draw):
     """``unique_event_goals`` with ◇ bodies, ⊙ blocks and tests mixed in.
@@ -336,3 +254,54 @@ class TestOccurrenceMasks:
         constraints = data.draw(st.lists(mixed_constraints(events), min_size=1, max_size=3))
         pruned = apply_all(constraints, goal, TokenFactory())
         assert pruned is reference_apply_all(constraints, goal, TokenFactory())
+
+    @settings(max_examples=200, deadline=None)
+    @given(decorated_goals(), st.data())
+    def test_order_walk_is_the_whole_goal_walk(self, goal, data):
+        # Compared before any simplify, which would flatten a rebuilt ⊗
+        # the walk left nested.
+        events = sorted(event_names(goal)) + ["e_missing"]
+        first, second = data.draw(st.permutations(events))[:2]
+        assert sync_order(first, second, goal, "t") is _reference_sync(first, second, goal, "t")
+
+    @settings(max_examples=200, deadline=None)
+    @given(decorated_goals(), st.data())
+    def test_order_walk_records_the_masks_occurrence_computes(self, goal, data):
+        events = sorted(event_names(goal))
+        assume(len(events) >= 2)
+        first, second = data.draw(st.permutations(events))[:2]
+        constraints = [order(first, second)] + data.draw(
+            st.lists(mixed_constraints(events + ["e_missing"]), max_size=2))
+        memo = _ApplyMemo()
+        tokens = TokenFactory()
+        for constraint in constraints:
+            goal = _apply(normalize(constraint), goal, tokens, memo)
+        for node, may, must_ in memo.masks.values():
+            fresh = _ApplyMemo()
+            _, fresh_may, fresh_must = fresh.occurrence(node)
+            assert _names(memo, may) == _names(fresh, fresh_may)
+            assert _names(memo, must_) == _names(fresh, fresh_must)
+            # _apply_must reads the children's entries without computing them.
+            if isinstance(node, (Serial, Concurrent, Choice)):
+                assert all(id(part) in memo.masks for part in node.parts)
+            elif isinstance(node, Isolated):
+                assert id(node.body) in memo.masks
+
+    def test_order_walk_leaves_mask_free_subgoals_alone(self):
+        a, b, d = atoms("a b d")
+        chain = seq(*atoms(f"c{i}" for i in range(1, 2001)))
+        goal = seq(par(a, b), par(chain, d))
+        memo = _ApplyMemo()
+        memo.occurrence(goal)
+        before = len(memo.masks)
+        synced = _sync("a", "b", goal, "t", memo)
+        # send(t), receive(t), a ⊗ send(t), receive(t) ⊗ b, their | and the
+        # root ⊗: the 2,001-atom part is neither rebuilt nor walked.
+        assert len(memo.masks) - before == 6
+        assert synced.parts[1] is goal.parts[1]
+        assert synced is _reference_sync("a", "b", goal, "t")
+        assert sync_order("a", "b", goal, "t") is synced
+
+
+def _names(memo, mask):
+    return {event for event, bit in memo.bits.items() if mask & bit}

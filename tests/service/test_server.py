@@ -5,6 +5,7 @@ background thread (the :func:`~repro.service.server.serve_in_thread`
 harness the benchmarks and examples use too).
 """
 
+import asyncio
 import json
 import threading
 import time
@@ -399,6 +400,74 @@ class TestGracefulShutdown:
         assert outcomes["queued"] == [503] * 4
         assert batcher.depth == 0
         assert batcher.stats.coalesced == 3 * 3
+
+    def test_abort_waits_for_answers_still_being_written(self, monkeypatch):
+        handle = serve_in_thread()
+        with handle.client() as setup:
+            setup.register("orders", ORDERS)
+        service = handle.service
+        batcher = service.batcher
+        release = threading.Event()
+        verify_batch = batcher._verify_batch
+
+        def held(*args):
+            release.wait(timeout=30)
+            return verify_batch(*args)
+
+        monkeypatch.setattr(batcher, "_verify_batch", held)
+        write_response = service._write_response
+
+        async def slow_write(*args, **kwargs):
+            # The batch has resolved its waiters' futures, but their
+            # handlers are still writing when abort() returns.
+            await asyncio.sleep(0.2)
+            await write_response(*args, **kwargs)
+
+        monkeypatch.setattr(service, "_write_response", slow_write)
+        outcomes: list = []
+        lock = threading.Lock()
+
+        def worker():
+            client = handle.client()
+            try:
+                out = client.verify(spec="orders")
+            except (ServiceClientError, OSError) as exc:
+                out = exc
+            finally:
+                client.close()
+            with lock:
+                outcomes.append(out)
+
+        # The first request's batch is held; the second joins it.
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        stopper = threading.Thread(target=handle.stop,
+                                   kwargs={"drain": False})
+        try:
+            threads[0].start()
+            deadline = time.monotonic() + 10.0
+            while batcher.stats.batches < 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            threads[1].start()
+            while (batcher.stats.coalesced < 3
+                   and time.monotonic() < deadline):
+                time.sleep(0.001)
+            assert batcher.stats.coalesced == 3
+            stopper.start()
+            while not batcher.draining and time.monotonic() < deadline:
+                time.sleep(0.001)
+            assert batcher.draining
+        finally:
+            release.set()
+            if stopper.ident is None:  # failed before the stop: still stop
+                stopper.start()
+        stopper.join(timeout=60)
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not stopper.is_alive()
+        assert len(outcomes) == 2
+        for out in outcomes:
+            assert isinstance(out, dict), out
+            assert [r["holds"] for r in out["results"]] == [True, True, False]
 
     def test_health_reports_draining(self):
         handle = serve_in_thread()
