@@ -76,9 +76,9 @@ def _profile(goal: Goal) -> Profile:
         return {}
     if isinstance(goal, Possibility):
         from ..core.excise import excise
-        from ..ctr.simplify import is_failure
+        from ..ctr.simplify import is_failure, simplify
 
-        return {} if is_failure(excise(goal.body)) else {0: 1}
+        return {} if is_failure(excise(simplify(goal.body))) else {0: 1}
 
     if isinstance(goal, Serial):
         profile: Profile = {0: 1}

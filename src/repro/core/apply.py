@@ -25,9 +25,13 @@ binary case this coincides with Definition 5.1, and for longer compositions
 it produces the same goal the binary fold would after ``¬path`` absorption,
 just without building the intermediate garbage.
 
-Because the smart constructors ``seq``/``par``/``alt`` absorb ``¬path``
-eagerly (the tautologies of Section 5), the result of :func:`apply_constraint`
-is always either a concurrent-Horn goal or the literal ``NEG_PATH``.
+:func:`apply_all` and :func:`apply_constraint` fold the goal they are
+handed into its normal form (:func:`~repro.ctr.simplify.simplify`) once;
+every node Apply builds after that comes from the smart constructors
+``seq``/``par``/``alt``/``isolated``, which absorb ``¬path`` as they build
+(the tautologies of Section 5) and return a normal form on normal parts.
+So the result is its own normal form by construction, and is always
+either a concurrent-Horn goal or the literal ``NEG_PATH``.
 
 "Cannot provide ``α``" is decided without walking the component: each
 distinct node carries two event bitmasks, ``may`` (the events that occur
@@ -82,9 +86,11 @@ from ..ctr.formulas import (
     Send,
     Serial,
     alt,
+    isolated,
     par,
     seq,
 )
+from ..ctr.simplify import simplify
 from .excise import excise
 from .sync import TokenFactory
 
@@ -183,9 +189,7 @@ def apply_constraint(
     """
     if tokens is None:
         tokens = TokenFactory()
-    from ..ctr.simplify import simplify
-
-    return simplify(_apply(normalize(constraint), goal, tokens, _ApplyMemo()))
+    return _apply(normalize(constraint), simplify(goal), tokens, _ApplyMemo())
 
 
 def apply_all(
@@ -204,10 +208,9 @@ def apply_all(
     if tokens is None:
         tokens = TokenFactory()
     from ..ctr.formulas import goal_size
-    from ..ctr.simplify import simplify
 
     memo = _ApplyMemo()
-    result = goal
+    result = simplify(goal)
     for index, constraint in enumerate(constraints):
         if tracer is None:
             result = _apply(normalize(constraint), result, tokens, memo)
@@ -218,7 +221,7 @@ def apply_all(
                 span.annotate(size_after=goal_size(result))
         if isinstance(result, NegPath):
             return NEG_PATH
-    return simplify(result)
+    return result
 
 
 def consistent_branch(
@@ -227,11 +230,11 @@ def consistent_branch(
     """``Excise(Apply(b, G))`` for the first branch ``b`` whose leaf survives
     Excise, or ``NEG_PATH`` when no branch does (Theorem 5.8).
 
-    ``goal`` must be rule-expanded and unique-event, as for
-    :func:`apply_all`. A branch picks one disjunct of each *token-free*
-    disjunction (one with no order leaf) among the top-level ``∧`` parts
-    of the normalized constraints. The search runs on one memo and one
-    token factory:
+    ``goal`` must be rule-expanded, unique-event and in normal form, as
+    :func:`~repro.core.compiler.expand_goal` returns it. A branch picks
+    one disjunct of each *token-free* disjunction (one with no order leaf)
+    among the top-level ``∧`` parts of the normalized constraints. The
+    search runs on one memo and one token factory:
 
     1. It walks those parts in list order. A part that is not a token-free
        disjunction is applied at its position; an order disjunction is
@@ -267,8 +270,6 @@ def consistent_branch(
     :func:`~repro.core.compiler.compile_workflow`, and its leaf is the
     compiled goal itself.
     """
-    from ..ctr.simplify import simplify
-
     memo = _ApplyMemo()
     tokens = TokenFactory()
     deferred: list[tuple[Constraint, ...]] = []
@@ -294,7 +295,7 @@ def consistent_branch(
         if isinstance(goal, NegPath):
             continue
         if not undecided:
-            leaf = excise(simplify(goal))
+            leaf = excise(goal)
             if not isinstance(leaf, NegPath):
                 return leaf
             continue
@@ -435,8 +436,7 @@ def _apply_must(bit: int, goal: Goal, memo: _ApplyMemo) -> Goal:
         result = alt(*(_apply_must(bit, part, memo) for part in goal.parts
                        if masks[id(part)][1] & bit))
     elif isinstance(goal, Isolated):
-        body = _apply_must(bit, goal.body, memo)
-        result = NEG_PATH if isinstance(body, NegPath) else Isolated(body)
+        result = isolated(_apply_must(bit, goal.body, memo))
     else:
         build = _BUILD[type(goal)]
         parts = goal.parts
@@ -470,8 +470,7 @@ def _apply_never(bit: int, goal: Goal, memo: _ApplyMemo) -> Goal:
 
     masks = memo.masks
     if isinstance(goal, Isolated):
-        body = _apply_never(bit, goal.body, memo)
-        result = NEG_PATH if isinstance(body, NegPath) else Isolated(body)
+        result = isolated(_apply_never(bit, goal.body, memo))
     else:
         result = _BUILD[type(goal)](*(
             _apply_never(bit, part, memo) if masks[id(part)][1] & bit else part

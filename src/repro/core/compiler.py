@@ -146,7 +146,7 @@ class CompiledWorkflow:
 
 # Bump whenever the compiled representation or the pipeline semantics
 # change: stale-format entries then simply miss and get recompiled.
-_CACHE_FORMAT = 1
+_CACHE_FORMAT = 2
 
 
 class CompileCache:

@@ -7,6 +7,12 @@ sub-formula is CTR-equivalent to ``¬path``. Excise rewrites a goal into an
 equivalent knot-free concurrent-Horn goal, or ``¬path`` if no execution
 survives.
 
+Excise takes a normal form, as Apply builds it (see
+:mod:`repro.ctr.simplify`), and builds only normal forms: each node it
+makes comes from the smart constructors, and the path substitution that
+prunes or resolves nested choices rebuilds just the spines down to them,
+in one pass over all paths. No pass re-normalises its result.
+
 Algorithm
 ---------
 For a **choice-free** goal, executability is a reachability question on a
@@ -56,7 +62,9 @@ Choices distribute: ``Excise(G₁ ∨ G₂) = Excise(G₁) ∨ Excise(G₂)``. A
 * if no synchronization token crosses the choice's boundary (the common
   case — in particular every choice Apply itself introduces is either at
   the top level or token-free), its alternatives are excised
-  independently and in place, preserving near-linear total time;
+  independently and in place, preserving near-linear total time. The
+  test reads the tokens off the run's skeletons: those inside the choice
+  against those of the siblings along its path;
 * otherwise the choice is *entangled* with its context and Excise
   enumerates the joint resolutions of the entangled choices, pruning the
   alternatives that are executable under no resolution. If viability is
@@ -70,7 +78,6 @@ Choices distribute: ``Excise(G₁ ∨ G₂) = Excise(G₁) ∨ Excise(G₂)``. A
 from __future__ import annotations
 
 import itertools
-import weakref
 from dataclasses import dataclass
 
 from ..ctr.formulas import (
@@ -89,6 +96,9 @@ from ..ctr.formulas import (
     Serial,
     Test,
     alt,
+    isolated,
+    par,
+    seq,
 )
 from ..ctr.simplify import simplify
 
@@ -134,19 +144,22 @@ class _ExciseRun:
     ``stats`` is the caller's sink (or ``None``); ``flat_memo`` memoises
     :func:`flat_executable` verdicts per (shared) node; ``summaries`` maps
     ``id(node) -> (node, flags, skeleton)`` (see :meth:`summary`), holding
-    the node so its id cannot be reused while the run lives. The run is
-    passed down to every helper and to the re-entrant calls (◇ bodies,
-    entangled-combo resolution), so one pass summarises each distinct node
-    once and never rebuilds the precedence graph of the same shared
-    subgoal twice, and concurrent passes share nothing.
+    the node so its id cannot be reused while the run lives; ``token_sets``
+    maps the id of a composite skeleton (held by its summary) to its
+    tokens (see :meth:`tokens`). The run is passed down to every helper and
+    to the re-entrant calls (◇ bodies, entangled-combo resolution), so one
+    pass summarises each distinct node once and never rebuilds the
+    precedence graph of the same shared subgoal twice, and concurrent
+    passes share nothing.
     """
 
-    __slots__ = ("stats", "flat_memo", "summaries")
+    __slots__ = ("stats", "flat_memo", "summaries", "token_sets")
 
     def __init__(self, stats: ExciseStats | None) -> None:
         self.stats = stats
         self.flat_memo: dict[Goal, bool] = {}
         self.summaries: dict[int, tuple[Goal, int, _Skeleton]] = {}
+        self.token_sets: dict[int, tuple[frozenset[str], frozenset[str]]] = {}
 
     def summary(self, goal: Goal) -> tuple[Goal, int, _Skeleton]:
         """``(goal, flags, skeleton)``, summarising ``goal``'s subgoals first.
@@ -188,10 +201,35 @@ class _ExciseRun:
         entry = self.summaries[id(goal)] = (goal, flags, skeleton)
         return entry
 
+    def tokens(self, skeleton: _Skeleton) -> tuple[frozenset[str], frozenset[str]]:
+        """``(tokens sent, tokens received)`` in ``skeleton``: those of its
+        goal outside every ◇ (a ◇ is a leaf of the skeleton)."""
+        if type(skeleton) is not tuple:
+            if isinstance(skeleton, Send):
+                return frozenset((skeleton.token,)), _NO_TOKENS
+            if isinstance(skeleton, Receive):
+                return _NO_TOKENS, frozenset((skeleton.token,))
+            return _NO_TOKENS, _NO_TOKENS
+        entry = self.token_sets.get(id(skeleton))
+        if entry is None:
+            sends: set[str] = set()
+            receives: set[str] = set()
+            for part in skeleton[1]:
+                part_sends, part_receives = self.tokens(part)
+                sends |= part_sends
+                receives |= part_receives
+            entry = self.token_sets[id(skeleton)] = (frozenset(sends), frozenset(receives))
+        return entry
+
+
+_NO_TOKENS: frozenset[str] = frozenset()
+
 
 def excise(goal: Goal, stats: ExciseStats | None = None) -> Goal:
     """Remove every knotted sub-formula; return the pruned goal or ``¬path``.
 
+    ``goal`` must be a normal form (:func:`~repro.ctr.simplify.simplify`
+    returns it as is), as Apply's output is; the result is one too.
     Pass an :class:`ExciseStats` to collect how much pruning the pass did;
     the default collects nothing and adds no work.
     """
@@ -200,12 +238,12 @@ def excise(goal: Goal, stats: ExciseStats | None = None) -> Goal:
 
 def has_knot(goal: Goal) -> bool:
     """True iff excising ``goal`` changes it (some alternative is knotted)."""
-    return excise(goal) != simplify(goal)
+    goal = simplify(goal)
+    return excise(goal) != goal
 
 
 def _excise(goal: Goal, run: _ExciseRun) -> Goal:
     stats = run.stats
-    goal = simplify(goal)
     if isinstance(goal, (NegPath, Empty)):
         return goal
 
@@ -224,7 +262,7 @@ def _excise(goal: Goal, run: _ExciseRun) -> Goal:
     local_paths: list[tuple[int, ...]] = []
     entangled_paths: list[tuple[int, ...]] = []
     for path in paths:
-        if _tokens_crossing(goal, path):
+        if _tokens_crossing(goal, path, run):
             entangled_paths.append(path)
         else:
             local_paths.append(path)
@@ -235,36 +273,39 @@ def _excise(goal: Goal, run: _ExciseRun) -> Goal:
     # Local choices: no token crosses their boundary, so each alternative's
     # viability is intrinsic — prune them in place (recursion on strict
     # subtrees, so this is well-founded).
-    replacements: list[tuple[tuple[int, ...], Goal]] = []
+    pruned: list[tuple[tuple[int, ...], Goal]] = []
     for path in local_paths:
         subtree = _at(goal, path)
-        pruned = alt(*(_excise(part, run) for part in subtree.parts))
-        if isinstance(pruned, NegPath):
+        alternatives = alt(*(_excise(part, run) for part in subtree.parts))
+        if isinstance(alternatives, NegPath):
             return NEG_PATH  # a mandatory sub-goal with no viable branch
-        replacements.append((path, pruned))
-    pruned_goal = _replace_many(goal, replacements)
+        pruned.append((path, alternatives))
 
     if entangled_paths:
-        return _excise_entangled(pruned_goal, entangled_paths, run)
+        return _excise_entangled(goal, pruned, entangled_paths, run)
 
     # Context executability is independent of how the (token-free) local
     # choices resolve: check the context with them blanked out.
-    context = simplify(_replace_many(pruned_goal, [(p, EMPTY) for p in local_paths]))
+    context = _substitute(goal, [(p, EMPTY) for p in local_paths])
     if isinstance(context, Empty) or _flat_executable(context, run):
-        return simplify(pruned_goal)
+        return _substitute(goal, pruned)
     if stats is not None:
         stats.knots += 1
     return NEG_PATH
 
 
 def _excise_entangled(
-    goal: Goal, paths: list[tuple[int, ...]], run: _ExciseRun
+    goal: Goal,
+    pruned: list[tuple[tuple[int, ...], Goal]],
+    paths: list[tuple[int, ...]],
+    run: _ExciseRun,
 ) -> Goal:
     """Jointly resolve the entangled choices and prune or hoist the result.
 
-    Each substituted resolution removes those choice nodes entirely, so the
-    recursive ``_excise`` call operates on a goal with strictly fewer
-    choices — the recursion is well-founded.
+    ``pruned`` holds the local choices' pruned replacements, made in every
+    goal built here. Each substituted resolution removes the entangled
+    choice nodes entirely, so the recursive ``_excise`` call operates on a
+    goal with strictly fewer choices — the recursion is well-founded.
     """
     stats = run.stats
     alternative_counts = [len(_at(goal, p).parts) for p in paths]
@@ -276,7 +317,7 @@ def _excise_entangled(
         resolution = [
             (path, _at(goal, path).parts[index]) for path, index in zip(paths, combo)
         ]
-        resolved = _excise(_replace_many(goal, resolution), run)
+        resolved = _excise(_substitute(goal, pruned + resolution), run)
         if not isinstance(resolved, NegPath):
             viable_combos.append(combo)
             resolved_by_combo[combo] = resolved
@@ -296,19 +337,16 @@ def _excise_entangled(
     for options in per_choice:
         full_product *= len(options)
     if full_product == len(viable_combos):
-        replacements = []
+        replacements = list(pruned)
         for path, options in zip(paths, per_choice):
             subtree = _at(goal, path)
             replacements.append((path, alt(*(subtree.parts[i] for i in options))))
-        return simplify(_replace_many(goal, replacements))
+        return _substitute(goal, replacements)
 
     return alt(*(resolved_by_combo[combo] for combo in viable_combos))
 
 
 # -- path-addressed tree surgery ----------------------------------------------
-#
-# Replacements use *raw* node constructors so the tree shape (and hence all
-# other paths) stays stable; callers simplify afterwards.
 
 
 def _children(goal: Goal) -> tuple[Goal, ...]:
@@ -319,18 +357,6 @@ def _children(goal: Goal) -> tuple[Goal, ...]:
     return ()
 
 
-def _rebuild_raw(goal: Goal, children: tuple[Goal, ...]) -> Goal:
-    if isinstance(goal, Serial):
-        return Serial(children)
-    if isinstance(goal, Concurrent):
-        return Concurrent(children)
-    if isinstance(goal, Choice):
-        return Choice(children)
-    if isinstance(goal, Isolated):
-        return Isolated(children[0])
-    raise TypeError(f"{type(goal).__name__} has no children")  # pragma: no cover
-
-
 def _at(goal: Goal, path: tuple[int, ...]) -> Goal:
     node = goal
     for index in path:
@@ -338,18 +364,27 @@ def _at(goal: Goal, path: tuple[int, ...]) -> Goal:
     return node
 
 
-def _replace(goal: Goal, path: tuple[int, ...], replacement: Goal) -> Goal:
-    if not path:
-        return replacement
-    children = list(_children(goal))
-    children[path[0]] = _replace(children[path[0]], path[1:], replacement)
-    return _rebuild_raw(goal, tuple(children))
+_BUILD = {Serial: seq, Concurrent: par, Choice: alt}
 
 
-def _replace_many(goal: Goal, replacements: list[tuple[tuple[int, ...], Goal]]) -> Goal:
+def _substitute(goal: Goal, replacements: list[tuple[tuple[int, ...], Goal]]) -> Goal:
+    """``goal`` with the node at each path replaced, in one pass over all paths.
+
+    The paths address ``goal`` itself and none is a prefix of another.
+    Only the spines down to them are rebuilt, with the smart constructors:
+    on a normal form with normal replacements the result is a normal form.
+    """
+    by_child: dict[int, list[tuple[tuple[int, ...], Goal]]] = {}
     for path, replacement in replacements:
-        goal = _replace(goal, path, replacement)
-    return goal
+        if not path:
+            return replacement
+        by_child.setdefault(path[0], []).append((path[1:], replacement))
+    children = list(_children(goal))
+    for index, below in by_child.items():
+        children[index] = _substitute(children[index], below)
+    if isinstance(goal, Isolated):
+        return isolated(children[0])
+    return _BUILD[type(goal)](*children)
 
 
 def _topmost_choices(goal: Goal, run: _ExciseRun) -> list[tuple[int, ...]]:
@@ -371,64 +406,26 @@ def _topmost_choices(goal: Goal, run: _ExciseRun) -> list[tuple[int, ...]]:
     return found
 
 
-# -- token bookkeeping ---------------------------------------------------------
+def _tokens_crossing(goal: Goal, path: tuple[int, ...], run: _ExciseRun) -> bool:
+    """Does any token have one endpoint inside ``goal[path]`` and one outside?
 
-
-# token-uses is a pure function of structure; a weak cache keyed by the
-# (hash-consed) node makes the repeated entanglement checks DAG-sized:
-# `_tokens_crossing` re-walks the goal once per topmost choice, but every
-# shared subterm's answer is computed once and reused across walks, runs,
-# and incremental recompilations.
-_TOKEN_USES_CACHE: "weakref.WeakKeyDictionary[Goal, tuple[frozenset[str], frozenset[str]]]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-def _token_uses(goal: Goal) -> tuple[frozenset[str], frozenset[str]]:
-    """(tokens sent, tokens received) anywhere inside ``goal``."""
-    cached = _TOKEN_USES_CACHE.get(goal)
-    if cached is not None:
-        return cached
-    sends: set[str] = set()
-    receives: set[str] = set()
-    seen: set[int] = set()
-    stack = [goal]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        if node is not goal:
-            sub = _TOKEN_USES_CACHE.get(node)
-            if sub is not None:
-                sends |= sub[0]
-                receives |= sub[1]
-                continue
-        if isinstance(node, Send):
-            sends.add(node.token)
-        elif isinstance(node, Receive):
-            receives.add(node.token)
-        elif isinstance(node, Possibility):
-            continue  # hypothetical: no real tokens
-        else:
-            stack.extend(_children(node))
-    result = (frozenset(sends), frozenset(receives))
-    try:
-        _TOKEN_USES_CACHE[goal] = result
-    except TypeError:  # pragma: no cover - non-weakrefable future node
-        pass
-    return result
-
-
-def _tokens_crossing(goal: Goal, path: tuple[int, ...]) -> bool:
-    """Does any token have one endpoint inside ``goal[path]`` and one outside?"""
-    subtree = _at(goal, path)
-    inner_sends, inner_receives = _token_uses(subtree)
+    Outside is the siblings of the nodes along the path (◇ bodies hold no
+    real tokens).
+    """
+    siblings: list[Goal] = []
+    node = goal
+    for index in path:
+        children = _children(node)
+        siblings += children[:index] + children[index + 1:]
+        node = children[index]
+    inner_sends, inner_receives = run.tokens(run.summary(node)[2])
     if not inner_sends and not inner_receives:
         return False
-    outer = _replace(goal, path, EMPTY)
-    outer_sends, outer_receives = _token_uses(outer)
-    return bool(inner_sends & outer_receives) or bool(inner_receives & outer_sends)
+    for sibling in siblings:
+        sends, receives = run.tokens(run.summary(sibling)[2])
+        if inner_sends & receives or inner_receives & sends:
+            return True
+    return False
 
 
 # -- choice-free executability --------------------------------------------------

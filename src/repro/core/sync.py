@@ -32,17 +32,14 @@ class TokenFactory:
     """Mints fresh synchronization tokens (``xi1``, ``xi2``, …).
 
     One factory is threaded through a whole compilation so tokens never
-    collide across constraints. ``start`` seeds the counter (incremental
-    recompilation continues past the tokens already embedded in a compiled
-    goal) and ``avoid`` is a set of token names that must never be minted —
-    the belt-and-braces guarantee for goals whose existing tokens do not
-    follow the ``prefix + number`` shape.
+    collide across constraints. ``avoid`` is a set of token names that must
+    never be minted: incremental recompilation passes the tokens already
+    embedded in a compiled goal, whatever their shape.
     """
 
-    def __init__(self, prefix: str = "xi", start: int = 1,
-                 avoid: Iterable[str] = ()):
+    def __init__(self, prefix: str = "xi", avoid: Iterable[str] = ()):
         self._prefix = prefix
-        self._counter = itertools.count(start)
+        self._counter = itertools.count(1)
         self._avoid = frozenset(avoid)
 
     def fresh(self) -> str:

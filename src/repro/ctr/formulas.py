@@ -30,8 +30,8 @@ tames the ``d^N`` factor of Theorem 5.11 in practice: the ``C₁ ∨ C₂`` case
 of Apply duplicates the goal, but the duplicates are structurally identical,
 so with interning they are *shared DAG nodes* rather than independent
 trees, structural equality on the hot path is pointer equality, and every
-downstream pass (simplify, Apply itself, Excise, the size metrics) can
-memoise per shared node and visit it once. :func:`goal_size` still reports
+downstream pass (Apply, Excise, the size metrics) can memoise per shared
+node and visit it once. :func:`goal_size` still reports
 the paper's tree measure ``|G|``; :func:`dag_size` reports the number of
 *distinct* nodes actually allocated, and their ratio is the sharing factor
 the benchmarks gate on.
@@ -41,11 +41,14 @@ Interning can be disabled (e.g. to measure its effect) with
 never change — equality remains structural either way, canonical nodes just
 stop being deduplicated.
 
-The constructor helpers :func:`seq`, :func:`par` and :func:`alt` perform
-light structural normalisation (flattening nested connectives of the same
-kind, dropping serial units, unwrapping singletons); deeper simplification —
-in particular the ``¬path`` absorption tautologies of Section 5 — lives in
-:mod:`repro.ctr.simplify`.
+The five constructor helpers :func:`seq`, :func:`par`, :func:`alt`,
+:func:`isolated` and :func:`possible` build normal forms: they apply the
+``¬path`` absorption tautologies of Section 5 and a few structural rules
+(flattening nested connectives of the same kind, dropping units,
+unwrapping singletons, collapsing ``⊙``/``◇`` over what they cannot
+change). On normal parts they return a normal form, so a pass that builds
+only with them never needs :func:`repro.ctr.simplify.simplify`, which is
+their bottom-up fold.
 
 A small operator DSL makes specifications readable::
 
@@ -83,6 +86,8 @@ __all__ = [
     "seq",
     "par",
     "alt",
+    "isolated",
+    "possible",
     "goal_size",
     "dag_size",
     "sharing_ratio",
@@ -610,6 +615,28 @@ def alt(*parts: Goal) -> Goal:
     if len(flat) == 1:
         return flat[0]
     return Choice(tuple(flat))
+
+
+# A ⊙ over one elementary step is a no-op (nothing can interleave inside
+# one step), and ⊙⊙T ≡ ⊙T; ¬path and ε pass through both modalities.
+_ISOLATED_ITSELF = (Atom, Send, Receive, Test, Isolated, NegPath, Empty)
+_POSSIBLE_ITSELF = (Possibility, NegPath, Empty)
+
+
+def isolated(body: Goal) -> Goal:
+    """``⊙ body``, or ``body`` itself where isolating it changes nothing:
+    ``¬path``, ``ε``, a single step, or a ``⊙`` already."""
+    if isinstance(body, _ISOLATED_ITSELF):
+        return body
+    return Isolated(body)
+
+
+def possible(body: Goal) -> Goal:
+    """``◇ body``, or ``body`` itself when it is ``¬path``, ``ε`` or a ``◇``
+    already (``◇◇T ≡ ◇T``)."""
+    if isinstance(body, _POSSIBLE_ITSELF):
+        return body
+    return Possibility(body)
 
 
 def subgoals(goal: Goal) -> tuple[Goal, ...]:

@@ -212,28 +212,39 @@ def goals_to_shared_dict(goals: dict[str, Goal]) -> dict[str, Any]:
     return {"nodes": nodes, "roots": roots}
 
 
+def _shared_node(built: list[Goal], i: Any) -> Goal:
+    """``built[i]``, refusing a negative ``i`` (see :func:`_decode_shared_nodes`)."""
+    if i < 0:
+        raise IndexError(f"negative node reference {i!r}")
+    return built[i]
+
+
+_SHARED_COMPOSITES = {"serial": Serial, "concurrent": Concurrent, "choice": Choice}
+
+
 def _decode_shared_nodes(entries: list[dict[str, Any]]) -> list[Goal]:
     built: list[Goal] = []
-    # Post-order guarantees children precede parents, so ``built[i]`` with
-    # i pointing at a not-yet-decoded node raises IndexError — malformed
-    # references surface as SpecificationError rather than wrong goals.
+    # Post-order puts children before parents, so a reference to a node not
+    # decoded yet raises IndexError, and a negative one, which Python would
+    # count from the end, is refused: malformed references surface as
+    # SpecificationError rather than as wrong goals.
     try:
         for entry in entries:
             kind = entry.get("kind")
-            if kind == "serial":
-                node: Goal = Serial(tuple(built[i] for i in entry["parts"]))
-            elif kind == "concurrent":
-                node = Concurrent(tuple(built[i] for i in entry["parts"]))
-            elif kind == "choice":
-                node = Choice(tuple(built[i] for i in entry["parts"]))
+            if kind in _SHARED_COMPOSITES:
+                refs = entry["parts"]
+                if min(refs) < 0:
+                    raise IndexError(f"negative node reference in {refs!r}")
+                node: Goal = _SHARED_COMPOSITES[kind](tuple(map(built.__getitem__, refs)))
             elif kind == "isolated":
-                node = Isolated(built[entry["body"]])
+                node = Isolated(_shared_node(built, entry["body"]))
             elif kind == "possibility":
-                node = Possibility(built[entry["body"]])
+                node = Possibility(_shared_node(built, entry["body"]))
             else:
                 node = goal_from_dict(entry)
             built.append(node)
-    except (IndexError, TypeError, KeyError) as exc:
+    except (IndexError, TypeError, KeyError, ValueError) as exc:
+        # ValueError: no parts, a one-part composite or an empty atom name.
         raise SpecificationError(f"malformed shared goal encoding: {exc}") from exc
     return built
 
@@ -249,7 +260,7 @@ def goal_from_shared_dict(data: dict[str, Any]) -> Goal:
     """
     built = _decode_shared_nodes(data["nodes"])
     try:
-        return built[data["root"]]
+        return _shared_node(built, data["root"])
     except (IndexError, TypeError, KeyError) as exc:
         raise SpecificationError(f"malformed shared goal encoding: {exc}") from exc
 
@@ -258,7 +269,7 @@ def goals_from_shared_dict(data: dict[str, Any]) -> dict[str, Goal]:
     """Decode :func:`goals_to_shared_dict` output: name → canonical goal."""
     built = _decode_shared_nodes(data["nodes"])
     try:
-        return {name: built[i] for name, i in data["roots"].items()}
+        return {name: _shared_node(built, i) for name, i in data["roots"].items()}
     except (IndexError, TypeError, KeyError) as exc:
         raise SpecificationError(f"malformed shared goal encoding: {exc}") from exc
 

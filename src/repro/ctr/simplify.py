@@ -7,27 +7,25 @@ literals. The paper removes them with the tautologies::
     ¬path | φ ≡ φ | ¬path ≡ ¬path
     ¬path ∨ φ ≡ φ ∨ ¬path ≡ φ
 
-:func:`simplify` applies these bottom-up, together with a handful of
-trivially-sound structural clean-ups (flattening, serial units, duplicate
-choice branches, collapse of ``⊙``/``◇`` over leaves), so the result is
-either a concurrent-Horn goal or the single literal ``NEG_PATH``.
+The five smart constructors of :mod:`repro.ctr.formulas` — ``seq``,
+``par``, ``alt``, ``isolated`` and ``possible`` — apply these as they
+build, together with a handful of trivially-sound structural clean-ups
+(flattening, units, duplicate choice branches, collapse of ``⊙``/``◇``
+over what they cannot change), and on normal parts they return a normal
+form. :func:`simplify` is their bottom-up fold: it rebuilds a goal made
+with the raw node classes (a parsed or hand-written specification) into
+that normal form, which is either a concurrent-Horn goal or the single
+literal ``NEG_PATH``. Apply and Excise build only with the constructors,
+so their outputs need no further pass; the pipeline folds only its input.
 
-Sharing-awareness: goals are hash-consed (see :mod:`repro.ctr.formulas`),
-so the "tree" Apply produces is really a DAG whose shared subterms are the
-same object. Each :func:`simplify` call memoises per *node*, visiting every
-shared subterm once — a tree-sized pass becomes a DAG-sized one. On top of
-that, simplify is idempotent, and every node it *returns* is a fixpoint;
-those are remembered in a weak registry so the repeated re-simplification
-Excise performs on already-normalised subgoals is O(1) per node.
+A fold memoises per distinct node, so it costs the DAG, not the tree; on
+a normal form it returns an equal goal, which hash-consing (see
+:mod:`repro.ctr.formulas`) makes the very same object.
 """
 
 from __future__ import annotations
 
-import weakref
-
 from .formulas import (
-    EMPTY,
-    NEG_PATH,
     Atom,
     Choice,
     Concurrent,
@@ -42,7 +40,9 @@ from .formulas import (
     Serial,
     Test,
     alt,
+    isolated,
     par,
+    possible,
     seq,
 )
 
@@ -54,12 +54,8 @@ def is_failure(goal: Goal) -> bool:
     return isinstance(goal, NegPath)
 
 
-# Nodes known to be simplify-fixpoints (simplify(g) is g). Weak: remembered
-# only while the node is alive elsewhere. Membership is structural, which is
-# exactly as strong as needed — simplify is a function of structure alone.
-_FIXPOINTS: "weakref.WeakSet[Goal]" = weakref.WeakSet()
-
 _LEAVES = (Atom, Send, Receive, Test, Path, NegPath, Empty)
+_FOLD = {Serial: seq, Concurrent: par, Choice: alt}
 
 
 def simplify(goal: Goal) -> Goal:
@@ -69,56 +65,20 @@ def simplify(goal: Goal) -> Goal:
     executions) and is either :data:`~repro.ctr.formulas.NEG_PATH` or free
     of ``¬path`` literals.
     """
-    if isinstance(goal, _LEAVES):
-        return goal
     return _simplify(goal, {})
 
 
-def _simplify(goal: Goal, memo: dict[Goal, Goal]) -> Goal:
+def _simplify(goal: Goal, memo: dict[int, Goal]) -> Goal:
+    # Keyed by id: the input goal holds every node it reaches alive.
     if isinstance(goal, _LEAVES):
         return goal
-    if goal in _FIXPOINTS:
-        return goal
-    cached = memo.get(goal)
-    if cached is not None:
-        return cached
-
-    if isinstance(goal, Serial):
-        result = seq(*(_simplify(p, memo) for p in goal.parts))
-    elif isinstance(goal, Concurrent):
-        result = par(*(_simplify(p, memo) for p in goal.parts))
-    elif isinstance(goal, Choice):
-        result = alt(*(_simplify(p, memo) for p in goal.parts))
-    elif isinstance(goal, Isolated):
-        body = _simplify(goal.body, memo)
-        if isinstance(body, NegPath):
-            result = NEG_PATH
-        elif isinstance(body, Empty):
-            result = EMPTY
-        # ⊙ over a single elementary step is a no-op: nothing can interleave
-        # inside one step anyway; ⊙⊙T ≡ ⊙T.
-        elif isinstance(body, (Atom, Send, Receive, Test, Isolated)):
-            result = body
+    result = memo.get(id(goal))
+    if result is None:
+        if isinstance(goal, Isolated):
+            result = isolated(_simplify(goal.body, memo))
+        elif isinstance(goal, Possibility):
+            result = possible(_simplify(goal.body, memo))
         else:
-            result = Isolated(body)
-    elif isinstance(goal, Possibility):
-        body = _simplify(goal.body, memo)
-        if isinstance(body, NegPath):
-            result = NEG_PATH
-        elif isinstance(body, Empty):
-            result = EMPTY
-        # ◇◇T ≡ ◇T
-        elif isinstance(body, Possibility):
-            result = body
-        else:
-            result = Possibility(body)
-    else:
-        raise TypeError(f"cannot simplify {type(goal).__name__}")  # pragma: no cover
-
-    memo[goal] = result
-    if not isinstance(result, _LEAVES):
-        try:
-            _FIXPOINTS.add(result)
-        except TypeError:  # pragma: no cover - non-weakrefable future node
-            pass
+            result = _FOLD[type(goal)](*(_simplify(p, memo) for p in goal.parts))
+        memo[id(goal)] = result
     return result

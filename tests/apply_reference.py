@@ -26,6 +26,7 @@ from repro.ctr.formulas import (
     Send,
     Serial,
     alt,
+    isolated,
     par,
     seq,
 )
@@ -80,8 +81,7 @@ def _reference_must(alpha, goal):
     if isinstance(goal, Choice):
         return alt(*(_reference_must(alpha, part) for part in goal.parts))
     if isinstance(goal, Isolated):
-        body = _reference_must(alpha, goal.body)
-        return NEG_PATH if isinstance(body, NegPath) else Isolated(body)
+        return isolated(_reference_must(alpha, goal.body))
     # ◇, send, receive, test, ε, path, ¬path: α cannot occur here.
     return NEG_PATH
 
@@ -96,8 +96,7 @@ def _reference_never(alpha, goal):
     if isinstance(goal, Choice):
         return alt(*(_reference_never(alpha, part) for part in goal.parts))
     if isinstance(goal, Isolated):
-        body = _reference_never(alpha, goal.body)
-        return NEG_PATH if isinstance(body, NegPath) else Isolated(body)
+        return isolated(_reference_never(alpha, goal.body))
     return goal  # a ◇ keeps its hypothetical α; other leaves hold no event
 
 

@@ -178,11 +178,25 @@ class TestCorruptEntries:
         goal = A >> B
         compile_workflow(goal, cache=cache)
         (entry,) = cache.directory.glob("*.json")
-        data = json.loads(entry.read_text())
-        data["goals"]["roots"]["goal"] = 99999  # dangling node reference
-        entry.write_text(json.dumps(data))
-        recompiled = compile_workflow(goal, cache=cache)
-        assert recompiled.consistent
+        pristine = entry.read_text()
+
+        def dangling_root(goals):
+            goals["roots"]["goal"] = 99999
+
+        def negative_part(goals):
+            # Parts [0, -2] of a ⊗ b would load as b ⊗ b.
+            serial = next(n for n in goals["nodes"] if n["kind"] == "serial")
+            serial["parts"] = [0, -2]
+
+        for corrupt in (dangling_root, negative_part):
+            data = json.loads(pristine)
+            corrupt(data["goals"])
+            entry.write_text(json.dumps(data))
+            misses = cache.misses
+            recompiled = compile_workflow(goal, cache=cache)
+            assert cache.misses == misses + 1
+            assert recompiled.consistent
+            assert recompiled.goal is goal
 
 
 class TestUncacheableSpecs:

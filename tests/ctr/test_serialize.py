@@ -111,9 +111,12 @@ class TestSharedEncoding:
         assert loaded["two"] is two
 
     def test_dangling_reference_rejected(self):
-        with pytest.raises(SpecificationError):
-            goal_from_shared_dict({"nodes": [{"kind": "atom", "name": "a"}],
-                                   "root": 5})
+        nodes = [{"kind": "atom", "name": "a"}, {"kind": "atom", "name": "b"}]
+        for root in (5, -1):  # -1 would pick the last node
+            with pytest.raises(SpecificationError):
+                goal_from_shared_dict({"nodes": nodes, "root": root})
+            with pytest.raises(SpecificationError):
+                goals_from_shared_dict({"nodes": nodes, "roots": {"goal": root}})
 
     def test_forward_reference_rejected(self):
         with pytest.raises(SpecificationError):
@@ -125,12 +128,14 @@ class TestSharedEncoding:
             })
 
     def test_malformed_parts_rejected(self):
-        with pytest.raises(SpecificationError):
-            goal_from_shared_dict({
-                "nodes": [{"kind": "atom", "name": "a"},
-                          {"kind": "choice", "parts": ["zero", 0]}],
-                "root": 1,
-            })
+        nodes = [{"kind": "atom", "name": "a"}, {"kind": "atom", "name": "b"}]
+        for composite in (
+            {"kind": "choice", "parts": ["zero", 0]},
+            {"kind": "serial", "parts": [-1, 0]},  # would decode to b ⊗ a
+            {"kind": "concurrent", "parts": [0]},  # one part
+        ):
+            with pytest.raises(SpecificationError):
+                goal_from_shared_dict({"nodes": nodes + [composite], "root": 2})
 
 
 class TestConstraints:
