@@ -24,6 +24,14 @@ Two sides of the proposition, and a check of the consistency search:
   :func:`~repro.core.apply.apply_all` returns the very node the unpruned
   walk of ``tests/apply_reference.py`` builds, which rewrites every node
   of the goal for each order constraint.
+* **E5e** — one occurrence table answers every event-set question: on
+  E5c's specs, the unique-event check, ``event_names``, the possible and
+  mandatory events, the guaranteed orderings, the dead activities and the
+  full static report, each read off :class:`~repro.ctr.formulas.EventMasks`,
+  equal the recursive definitions of ``tests/occurrence_reference.py`` on
+  the source, applied and compiled goals; on each source goal with its
+  events folded onto fewer names, the check names the event the recursive
+  check names.
 """
 
 import random
@@ -37,12 +45,20 @@ from repro.constraints.algebra import absent, disj, must, order
 from repro.constraints.normalize import negate
 from repro.core.apply import apply_all, consistent_branch
 from repro.core.compiler import compile_workflow, expand_goal
+from repro.core.excise import excise
 from repro.core.sync import TokenFactory
 from repro.core.verify import is_consistent, is_redundant
 from repro.ctr.formulas import event_names, goal_size
 from repro.ctr.simplify import is_failure
 from repro.graph.generators import parallel_chains, random_constraints, random_goal
 from tests.apply_reference import reference_apply_all
+from tests.occurrence_reference import (
+    folded,
+    goal_mismatches,
+    occurrence_mismatches,
+    reference_occurring_events,
+    unique_verdict,
+)
 
 
 def test_e5a_consistency_solves_3sat(benchmark):
@@ -206,6 +222,35 @@ def test_e5d_apply_is_the_reference_walk():
             "result that is not (by identity) the node of the reference walk, "
             "which rebuilds every node for each order constraint. Order walks "
             "count the tokens apply_all minted.",
+        ),
+    )
+    assert mismatches == 0
+
+
+def test_e5e_occurrence_table_is_the_recursive_reading():
+    goals = violating = mismatches = 0
+    for seed in range(E5C_SPECS):
+        goal, constraints = _e5c_spec(seed)
+        goal = expand_goal(goal)
+        applied = apply_all(constraints, goal)
+        mismatches += bool(occurrence_mismatches(goal, constraints, applied,
+                                                 excise(applied)))
+        broken = folded(goal, 1 + seed % 3)
+        violating += unique_verdict(reference_occurring_events, broken) is not None
+        mismatches += bool(goal_mismatches(broken))
+        goals += 4
+    save_table(
+        "E5e_occurrence_identity",
+        render_table(
+            "E5e: event sets read off the occurrence table vs the recursive definitions",
+            ["specs", "goals", "not unique-event", "mismatches"],
+            [[E5C_SPECS, goals, violating, mismatches]],
+            note="E5c's specs (rule-expanded goals): the source, applied and "
+            "compiled goals of each, and the source with event e<i> renamed "
+            "e<(i - 1) % k + 1>, k = 1 + seed % 3. A mismatch is a goal (or "
+            "compile, for dead_activities and analyze) where some table-backed "
+            "answer differs from tests/occurrence_reference.py; the unique-event "
+            "check must also name the same event.",
         ),
     )
     assert mismatches == 0

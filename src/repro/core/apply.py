@@ -36,7 +36,10 @@ either a concurrent-Horn goal or the literal ``NEG_PATH``.
 "Cannot provide ``α``" is decided without walking the component: each
 distinct node carries two event bitmasks, ``may`` (the events that occur
 on some execution) and ``must`` (those that occur on every execution),
-computed once per run. ``α ∉ may(T)`` means ``T`` cannot provide ``α``, so
+computed once per run in the run's occurrence table
+(:class:`~repro.ctr.formulas.EventMasks`, which the unique-event check,
+``event_names`` and the static reports of :mod:`repro.core.static` read
+as well). ``α ∉ may(T)`` means ``T`` cannot provide ``α``, so
 ``∇α`` makes it ``¬path`` and ``¬∇α`` leaves it as it is; ``α ∈ must(T)``
 means every execution of ``T`` provides ``α``, so ``∇α`` leaves ``T`` as it
 is (the other components of a unique-event composition cannot provide
@@ -46,8 +49,9 @@ provide ``α``. The order case rewrites only the nodes whose ``may`` holds
 ``α`` or ``β`` and keeps every other part object; since send and receive
 are not events, each node it rebuilds inherits the masks of the node it
 replaces, so the next constraint does not compute them again. Events
-inside a ``◇`` never occur, so a ``◇`` has empty masks (and ``sync``
-leaves its body alone). The result is the node the part-by-part walk of
+inside a ``◇`` never occur, so a ``◇`` has empty masks and Apply never
+enters it (the table records its body all the same, for the unique-event
+check). The result is the node the part-by-part walk of
 Definitions 5.1 and 5.3 builds (``tests/apply_reference.py`` keeps that
 walk, which rewrites the whole goal for each order constraint, as the
 reference).
@@ -79,6 +83,7 @@ from ..ctr.formulas import (
     Atom,
     Choice,
     Concurrent,
+    EventMasks,
     Goal,
     Isolated,
     NegPath,
@@ -99,71 +104,27 @@ __all__ = ["apply_constraint", "apply_all", "consistent_branch"]
 _BUILD = {Serial: seq, Concurrent: par, Choice: alt}
 
 
-class _ApplyMemo:
+class _ApplyMemo(EventMasks):
     """Per-run memo tables: one instance per top-level Apply invocation.
 
-    ``masks`` maps ``id(node) -> (node, may, must)``: the events that occur
-    on *some* execution of the node and the events that occur on *every*
-    execution, as bitmasks over ``bits``, this run's event index (bits are
-    handed out as event names turn up, so no table outlives the run;
-    :func:`_sync` enters the nodes it builds with the masks of those they
-    replace). The entry holds the node itself, so its id cannot be reused
-    while the memo lives and no lookup hashes a node. ``must``/``never``
-    map ``(bit, id(node)) -> transformed node`` for the primitive cases
-    (always pure; every keyed node already has a mask entry holding it).
-    ``subproblem``
-    maps ``(constraint, node) -> transformed node`` for token-free
-    constraint applications. ``token_free`` caches, per constraint object,
-    whether it is safe to memoise at all.
+    The inherited occurrence table holds the run's ``may``/``must`` masks
+    (:func:`_sync` enters the nodes it builds with the masks of those they
+    replace). ``must``/``never`` map ``(bit, id(node)) -> transformed
+    node`` for the primitive cases (always pure; every keyed node already
+    has a mask entry holding it). ``subproblem`` maps ``(constraint, node)
+    -> transformed node`` for token-free constraint applications.
+    ``token_free`` caches, per constraint object, whether it is safe to
+    memoise at all.
     """
 
-    __slots__ = ("bits", "masks", "must", "never", "subproblem", "token_free")
+    __slots__ = ("must", "never", "subproblem", "token_free")
 
     def __init__(self) -> None:
-        self.bits: dict[str, int] = {}
-        self.masks: dict[int, tuple[Goal, int, int]] = {}
+        super().__init__()
         self.must: dict[tuple[int, int], Goal] = {}
         self.never: dict[tuple[int, int], Goal] = {}
         self.subproblem: dict[tuple[Constraint, Goal], Goal] = {}
         self.token_free: dict[Constraint, bool] = {}
-
-    def bit(self, event: str) -> int:
-        bit = self.bits.get(event)
-        if bit is None:
-            bit = self.bits[event] = 1 << len(self.bits)
-        return bit
-
-    def occurrence(self, goal: Goal) -> tuple[Goal, int, int]:
-        """``(goal, may, must)``, computing the masks of ``goal``'s subgoals first.
-
-        Atoms contribute their own bit to both masks; ``◇``, send, receive,
-        tests, ``ε``, ``path`` and ``¬path`` contribute nothing (a ``◇`` body
-        never occurs). ``⊗`` and ``|`` OR both masks of their parts, ``∨``
-        ORs ``may`` and ANDs ``must``, and ``⊙`` takes its body's masks.
-        """
-        entry = self.masks.get(id(goal))
-        if entry is not None:
-            return entry
-        if isinstance(goal, Atom):
-            may = must = self.bit(goal.name)
-        elif isinstance(goal, Choice):
-            may, must = 0, -1
-            for part in goal.parts:
-                _, part_may, part_must = self.occurrence(part)
-                may |= part_may
-                must &= part_must
-        elif isinstance(goal, (Serial, Concurrent)):
-            may = must = 0
-            for part in goal.parts:
-                _, part_may, part_must = self.occurrence(part)
-                may |= part_may
-                must |= part_must
-        elif isinstance(goal, Isolated):
-            _, may, must = self.occurrence(goal.body)
-        else:
-            may = must = 0
-        entry = self.masks[id(goal)] = (goal, may, must)
-        return entry
 
     def is_token_free(self, constraint: Constraint) -> bool:
         cached = self.token_free.get(constraint)
@@ -480,7 +441,7 @@ def _apply_never(bit: int, goal: Goal, memo: _ApplyMemo) -> Goal:
     return result
 
 
-def _sync(alpha: str, beta: str, goal: Goal, token: str, memo: _ApplyMemo) -> Goal:
+def _sync(alpha: str, beta: str, goal: Goal, token: str, memo: EventMasks) -> Goal:
     """``sync(α < β, T)`` (Definition 5.3) on ``memo``'s masks.
 
     Every ``α`` becomes ``α ⊗ send(token)`` and every ``β`` becomes
@@ -493,8 +454,8 @@ def _sync(alpha: str, beta: str, goal: Goal, token: str, memo: _ApplyMemo) -> Go
 
     Send and receive are not events, so each rebuilt node gets the masks
     of the node it replaces (and the fresh ``send``/``receive`` empty
-    ones): the next constraint's :meth:`_ApplyMemo.occurrence` does not
-    walk it again, and every child of a node with an entry has one.
+    ones): the next constraint's :meth:`~repro.ctr.formulas.EventMasks.occurrence`
+    does not walk it again, and every child of a node with an entry has one.
     """
     masks = memo.masks
     both = memo.bit(alpha) | memo.bit(beta)

@@ -18,13 +18,13 @@ allowed executions" of Section 4. From it one can
 Compilation is the expensive step (Apply alone is ``O(d^N·|G|)``), and a
 workflow specification is a *value*: the same file compiles to the same
 result every time. :class:`CompileCache` exploits that with a
-content-addressed on-disk cache — the key is a digest of the (rule-expanded
-input, constraint set, format version), the value is the serialized
-:class:`CompiledWorkflow` — so repeated ``run``/``verify`` invocations of
-an unchanged spec skip Apply+Excise entirely. Deserialized goals are
-rebuilt through the hash-consing constructors, so a cache hit yields fully
-interned, maximally shared goals. Entries are evicted LRU beyond
-``max_entries``.
+content-addressed on-disk cache — the key is a digest of the input as
+handed in (goal, rule bodies, constraint set, format version), the value is
+the serialized :class:`CompiledWorkflow` — so repeated ``run``/``verify``
+invocations of an unchanged spec skip expansion, Apply and Excise
+entirely. Deserialized goals are rebuilt through the hash-consing
+constructors, so a cache hit yields fully interned, maximally shared goals.
+Entries are evicted LRU beyond ``max_entries``.
 """
 
 from __future__ import annotations
@@ -146,16 +146,17 @@ class CompiledWorkflow:
 
 # Bump whenever the compiled representation or the pipeline semantics
 # change: stale-format entries then simply miss and get recompiled.
-_CACHE_FORMAT = 2
+_CACHE_FORMAT = 3
 
 
 class CompileCache:
     """Content-addressed on-disk cache of :class:`CompiledWorkflow` results.
 
     The key is a SHA-256 digest of the canonical JSON encoding of the
-    *input* — rule-expanded goal, constraint set, and the cache format
-    version — so any change to the specification changes the key. The value
-    stores the result's goals in the shared (DAG) encoding of
+    *input* as handed in — goal, rule bodies, constraint set, and the cache
+    format version — so any change to the specification changes the key,
+    and reading it needs no expansion. The value stores the result's goals
+    in the shared (DAG) encoding of
     :func:`~repro.ctr.serialize.goal_to_shared_dict` — O(dag_size) bytes
     even for ``d^N``-tree-sized compiled goals — and re-interns on load
     (deserialization runs through the hash-consed constructors), so a hit
@@ -165,9 +166,10 @@ class CompileCache:
     the entry. A store past the bound evicts down to an eighth below it,
     so the stores that follow list the directory but stat no entry.
     Corrupt or unreadable entries are treated as misses and removed.
-    Specifications containing :class:`~repro.ctr.formulas.Test`
-    nodes with attached predicates are *uncacheable* (a callable cannot be
-    content-addressed) and silently bypass the cache.
+    Specifications whose goal or rule bodies contain
+    :class:`~repro.ctr.formulas.Test` nodes with attached predicates are
+    *uncacheable* (a callable cannot be content-addressed) and silently
+    bypass the cache.
 
     A cache directory may be shared by many processes at once (a batch on
     the pool of :mod:`repro.core.parallel` hands every worker the cache
@@ -196,17 +198,27 @@ class CompileCache:
         self,
         goal: Goal,
         constraints: tuple[Constraint, ...] | list[Constraint] = (),
+        rules: RuleBase | None = None,
     ) -> str | None:
-        """Digest of the compilation input, or ``None`` if uncacheable."""
-        from ..ctr.formulas import Test, walk_unique
-        from ..ctr.serialize import constraint_to_dict, goal_to_dict
+        """Digest of the compilation input, or ``None`` if uncacheable.
 
-        for node in walk_unique(goal):
-            if isinstance(node, Test) and node.predicate is not None:
-                return None
+        The expanded goal is a function of ``goal`` and the rule bodies,
+        so the key digests those, not the expansion.
+        """
+        from ..ctr.formulas import Test, walk_unique
+        from ..ctr.serialize import constraint_to_dict, goal_to_dict, rules_to_dict
+
+        roots = [goal]
+        if rules is not None:
+            roots.extend(body for head in rules.heads for body in rules.bodies(head))
+        for root in roots:
+            for node in walk_unique(root):
+                if isinstance(node, Test) and node.predicate is not None:
+                    return None
         payload = {
             "format": _CACHE_FORMAT,
             "goal": goal_to_dict(goal),
+            "rules": rules_to_dict(rules) if rules is not None else {},
             "constraints": [constraint_to_dict(c) for c in constraints],
         }
         encoded = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -343,9 +355,11 @@ def compile_workflow(
     into the metrics registry on every compile.
 
     ``cache`` (a :class:`CompileCache` or a directory path) consults the
-    persistent compile cache first; hits skip Apply and Excise. The cache
-    key is computed on the *rule-expanded* goal (:func:`expand_goal`), so
-    editing a rule invalidates dependent specifications too.
+    persistent compile cache first; hits skip expansion, Apply and Excise.
+    The cache key digests the input as handed in, rule bodies included, so
+    editing a rule invalidates dependent specifications too. A hit skips
+    the unique-event check as well: only a compile that passed it is ever
+    stored.
 
     The compile is one sequential pass, and hash-consing shares the
     subgoals that the ``d^N`` branches of the constraint set have in
@@ -357,7 +371,7 @@ def compile_workflow(
     cache = CompileCache.coerce(cache)
     key = None
     if cache is not None:
-        key = cache.key(expand_goal(goal, rules), tuple(constraints))
+        key = cache.key(goal, tuple(constraints), rules)
         if key is not None:
             hit = cache.load(key)
             if hit is not None:

@@ -100,6 +100,7 @@ from ..ctr.formulas import (
     par,
     seq,
 )
+from ..ctr.kernel import lower_goal
 from ..ctr.simplify import simplify
 
 __all__ = ["ExciseStats", "excise", "has_knot", "flat_executable"]
@@ -582,11 +583,11 @@ def _precedence_check(goal: Goal, run: _ExciseRun) -> bool:
     try:
         graph.build(skeleton, ())
     except _MultiTokenError:
-        # Degenerate hand-written goals may reuse a token; fall back to the
-        # exhaustive machine search, which is always correct.
-        from ..ctr.machine import can_complete
-
-        return can_complete(goal)
+        # Degenerate hand-written goals may reuse a token; fall back to an
+        # exhaustive search of the goal's kernel program, which is always
+        # correct.
+        program = lower_goal(goal)
+        return program.can_complete(*program.initial())
     finally:
         if run.stats is not None:
             run.stats.graph_nodes += len(graph.edges)

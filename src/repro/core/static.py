@@ -16,23 +16,18 @@ goal, where the constraints have already pruned the impossible behaviour:
   structure only, so it is a sound under-approximation on goals containing
   ``send``/``receive`` tokens (tokens can only *add* orderings).
 
-All analyses are linear in the goal size.
+Possible, mandatory and dead events are the ``may``/``must`` masks of the
+goal's occurrence table (:class:`~repro.ctr.formulas.EventMasks`, the one
+Apply reads), so they cost one entry per distinct node. The orderings are
+computed once per distinct node too, and read each part's events off the
+same table.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..ctr.formulas import (
-    Atom,
-    Choice,
-    Concurrent,
-    Goal,
-    Isolated,
-    NegPath,
-    Possibility,
-    Serial,
-)
+from ..ctr.formulas import Choice, Concurrent, EventMasks, Goal, Isolated, Serial, event_names
 from .compiler import CompiledWorkflow
 
 __all__ = [
@@ -44,23 +39,13 @@ __all__ = [
     "analyze",
 ]
 
+_Pairs = frozenset[tuple[str, str]]
+
 
 def possible_events(goal: Goal) -> frozenset[str]:
-    """Events that occur in at least one execution of ``goal``."""
-    if isinstance(goal, NegPath):
-        return frozenset()
-    if isinstance(goal, Atom):
-        return frozenset((goal.name,))
-    if isinstance(goal, Possibility):
-        return frozenset()
-    if isinstance(goal, Isolated):
-        return possible_events(goal.body)
-    if isinstance(goal, (Serial, Concurrent, Choice)):
-        out: frozenset[str] = frozenset()
-        for part in goal.parts:
-            out |= possible_events(part)
-        return out
-    return frozenset()
+    """Events that occur in at least one execution of ``goal``: its
+    :func:`~repro.ctr.formulas.event_names`."""
+    return event_names(goal)
 
 
 def mandatory_events(goal: Goal) -> frozenset[str]:
@@ -70,32 +55,19 @@ def mandatory_events(goal: Goal) -> frozenset[str]:
     there; by convention we return the empty set for it (callers should
     check consistency first).
     """
-    if isinstance(goal, (NegPath, Possibility)):
-        return frozenset()
-    if isinstance(goal, Atom):
-        return frozenset((goal.name,))
-    if isinstance(goal, Isolated):
-        return mandatory_events(goal.body)
-    if isinstance(goal, (Serial, Concurrent)):
-        out: frozenset[str] = frozenset()
-        for part in goal.parts:
-            out |= mandatory_events(part)
-        return out
-    if isinstance(goal, Choice):
-        parts = [mandatory_events(p) for p in goal.parts]
-        out = parts[0]
-        for p in parts[1:]:
-            out &= p
-        return out
-    return frozenset()
+    table = EventMasks()
+    return table.names(table.occurrence(goal)[2])
 
 
 def dead_activities(compiled: CompiledWorkflow) -> frozenset[str]:
     """Source activities that no legal execution can reach."""
-    return possible_events(compiled.source) - possible_events(compiled.goal)
+    table = EventMasks()
+    _, source, _ = table.occurrence(compiled.source)
+    _, legal, _ = table.occurrence(compiled.goal)
+    return table.names(source & ~legal)
 
 
-def guaranteed_orderings(goal: Goal) -> frozenset[tuple[str, str]]:
+def guaranteed_orderings(goal: Goal) -> _Pairs:
     """Pairs ``(e, f)``: ``e`` precedes ``f`` whenever both occur.
 
     Derived from the serial structure: inside ``e₁ ⊗ … ⊗ eₙ`` every event
@@ -103,74 +75,60 @@ def guaranteed_orderings(goal: Goal) -> frozenset[tuple[str, str]]:
     *guaranteed* if the ordering holds in every choice alternative in
     which both events can occur together.
     """
-    both_possible, ordered = _orderings(goal)
+    table = EventMasks()
+    table.occurrence(goal)
+    both_possible, ordered = _orderings(goal, table, {})
     return frozenset(pair for pair in ordered if pair in both_possible)
 
 
 def _orderings(
-    goal: Goal,
-) -> tuple[frozenset[tuple[str, str]], frozenset[tuple[str, str]]]:
-    """(pairs that may co-occur, pairs e<f ordered whenever they co-occur)."""
-    if isinstance(goal, Atom):
-        return frozenset(), frozenset()
-    if isinstance(goal, (NegPath, Possibility)):
-        return frozenset(), frozenset()
-    if isinstance(goal, Isolated):
-        return _orderings(goal.body)
+    goal: Goal, table: EventMasks, memo: dict[int, tuple[_Pairs, _Pairs]]
+) -> tuple[_Pairs, _Pairs]:
+    """(pairs that may co-occur, pairs e<f ordered whenever they co-occur).
 
-    if isinstance(goal, Serial):
+    ``table`` holds every node of the goal (so ids stay valid for
+    ``memo``, which maps a node's id to its answer).
+    """
+    found = memo.get(id(goal))
+    if found is not None:
+        return found
+    if isinstance(goal, Isolated):
+        result = _orderings(goal.body, table, memo)
+    elif isinstance(goal, (Serial, Concurrent)):
+        serial = isinstance(goal, Serial)
         co: set[tuple[str, str]] = set()
         ordered: set[tuple[str, str]] = set()
-        seen_before: frozenset[str] = frozenset()
+        before: frozenset[str] = frozenset()
         for part in goal.parts:
-            part_co, part_ordered = _orderings(part)
+            part_co, part_ordered = _orderings(part, table, memo)
             co |= part_co
             ordered |= part_ordered
-            part_events = possible_events(part)
-            for earlier in seen_before:
+            part_events = table.names(table.masks[id(part)][1])
+            for earlier in before:
                 for later in part_events:
                     if earlier != later:
                         co.add((earlier, later))
                         co.add((later, earlier))
-                        ordered.add((earlier, later))
-            seen_before |= part_events
-        return frozenset(co), frozenset(ordered)
-
-    if isinstance(goal, Concurrent):
-        co = set()
-        ordered = set()
-        events_so_far: frozenset[str] = frozenset()
-        for part in goal.parts:
-            part_co, part_ordered = _orderings(part)
-            co |= part_co
-            ordered |= part_ordered
-            part_events = possible_events(part)
-            for a in events_so_far:
-                for b in part_events:
-                    if a != b:
-                        co.add((a, b))
-                        co.add((b, a))
-            events_so_far |= part_events
-        return frozenset(co), frozenset(ordered)
-
-    if isinstance(goal, Choice):
-        results = [_orderings(p) for p in goal.parts]
+                        if serial:
+                            ordered.add((earlier, later))
+            before |= part_events
+        result = frozenset(co), frozenset(ordered)
+    elif isinstance(goal, Choice):
+        results = [_orderings(p, table, memo) for p in goal.parts]
         co = set().union(*(r[0] for r in results))
         # A pair stays guaranteed iff no alternative can realise the pair
         # unordered or reversed: ordered(e,f) holds overall when every
         # alternative that may co-realise (e,f) orders them (e,f).
-        ordered = set()
-        for e, f in co:
-            fine = True
-            for part_co, part_ordered in results:
-                if (e, f) in part_co and (e, f) not in part_ordered:
-                    fine = False
-                    break
-            if fine:
-                ordered.add((e, f))
-        return frozenset(co), frozenset(ordered)
-
-    return frozenset(), frozenset()
+        ordered = {
+            pair for pair in co
+            if all(pair not in part_co or pair in part_ordered
+                   for part_co, part_ordered in results)
+        }
+        result = frozenset(co), frozenset(ordered)
+    else:
+        result = frozenset(), frozenset()
+    memo[id(goal)] = result
+    return result
 
 
 @dataclass(frozen=True)
@@ -199,22 +157,23 @@ class WorkflowReport:
 
 def analyze(compiled: CompiledWorkflow) -> WorkflowReport:
     """Full static report over a compiled workflow."""
+    table = EventMasks()
+    _, source, _ = table.occurrence(compiled.source)
     if not compiled.consistent:
         return WorkflowReport(
             consistent=False,
             possible=frozenset(),
             mandatory=frozenset(),
             optional=frozenset(),
-            dead=possible_events(compiled.source),
+            dead=table.names(source),
             orderings=frozenset(),
         )
-    possible = possible_events(compiled.goal)
-    mandatory = mandatory_events(compiled.goal)
+    _, may, must = table.occurrence(compiled.goal)
     return WorkflowReport(
         consistent=True,
-        possible=possible,
-        mandatory=mandatory,
-        optional=possible - mandatory,
-        dead=dead_activities(compiled),
+        possible=table.names(may),
+        mandatory=table.names(must),
+        optional=table.names(may & ~must),
+        dead=table.names(source & ~may),
         orderings=guaranteed_orderings(compiled.goal),
     )

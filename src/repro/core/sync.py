@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterable
 
-from ..ctr.formulas import Goal
+from ..ctr.formulas import EventMasks, Goal
 
 __all__ = ["TokenFactory", "sync_order"]
 
@@ -55,10 +55,10 @@ def sync_order(alpha: str, beta: str, goal: Goal, token: str) -> Goal:
     Every occurrence of ``alpha`` becomes ``alpha ⊗ send(token)``; every
     occurrence of ``beta`` becomes ``receive(token) ⊗ beta``.
 
-    This is Apply's own order walk on a fresh occurrence-mask table: it
+    This is Apply's own order walk on a fresh occurrence table: it
     rebuilds only the subgoals that can hold ``alpha`` or ``beta``, each
     shared node once, and returns every other subgoal object unchanged.
     """
-    from .apply import _ApplyMemo, _sync  # apply imports this module
+    from .apply import _sync  # apply imports this module
 
-    return _sync(alpha, beta, goal, token, _ApplyMemo())
+    return _sync(alpha, beta, goal, token, EventMasks())

@@ -91,6 +91,7 @@ __all__ = [
     "goal_size",
     "dag_size",
     "sharing_ratio",
+    "EventMasks",
     "event_names",
     "subgoals",
     "walk",
@@ -722,31 +723,92 @@ def sharing_ratio(goal: Goal) -> float:
     return goal_size(goal) / dag_size(goal)
 
 
-def event_names(goal: Goal, include_hypothetical: bool = False) -> frozenset[str]:
-    """Names of the significant events that may *occur* in an execution.
+class EventMasks:
+    """The occurrence table: which events may and which must occur in each
+    distinct subgoal.
 
-    ``Send``/``Receive``/``Test`` are not significant events. Events under a
-    ``Possibility`` test are hypothetical and excluded unless
-    ``include_hypothetical`` is set.
+    ``masks`` maps ``id(node) -> (node, may, must)``: the events that occur
+    on *some* execution of the node and the events that occur on *every*
+    execution, as bitmasks over ``bits``, the table's event index (bits are
+    handed out as event names turn up, so no table outlives its user). The
+    entry holds the node itself, so its id cannot be reused while the table
+    lives and no lookup hashes a node. :meth:`names` decodes a mask.
+
+    ``clash`` is the first overlap of the ``may`` masks of two parts of a
+    ``⊗`` or ``|`` that :meth:`occurrence` met (``0`` while there is none):
+    a goal has the unique-event property (Definition 3.1) iff its table has
+    no clash. Parts are entered left to right, and each part's overlap with
+    the parts before it is tested as soon as its own subgoals are in, so the
+    first clash is the first violation of observation (3) that a recursive
+    check meets.
     """
-    names: set[str] = set()
-    seen: set[int] = set()
 
-    def visit(node: Goal) -> None:
-        if id(node) in seen:
-            return
-        seen.add(id(node))
-        if isinstance(node, Atom):
-            names.add(node.name)
-        elif isinstance(node, Possibility):
-            if include_hypothetical:
-                visit(node.body)
+    __slots__ = ("bits", "masks", "clash")
+
+    def __init__(self) -> None:
+        self.bits: dict[str, int] = {}
+        self.masks: dict[int, tuple[Goal, int, int]] = {}
+        self.clash = 0
+
+    def bit(self, event: str) -> int:
+        bit = self.bits.get(event)
+        if bit is None:
+            bit = self.bits[event] = 1 << len(self.bits)
+        return bit
+
+    def names(self, mask: int) -> frozenset[str]:
+        """The event names whose bits ``mask`` holds."""
+        return frozenset(event for event, bit in self.bits.items() if mask & bit)
+
+    def occurrence(self, goal: Goal) -> tuple[Goal, int, int]:
+        """``(goal, may, must)``, entering the masks of ``goal``'s subgoals first.
+
+        Atoms contribute their own bit to both masks; ``◇``, send, receive,
+        tests, ``ε``, ``path`` and ``¬path`` contribute nothing. A ``◇``
+        body never occurs, but it is entered where the ``◇`` stands, so its
+        own clashes count. ``⊗`` and ``|`` OR both masks of their parts,
+        ``∨`` ORs ``may`` and ANDs ``must``, and ``⊙`` takes its body's
+        masks.
+        """
+        entry = self.masks.get(id(goal))
+        if entry is not None:
+            return entry
+        if isinstance(goal, Atom):
+            may = must = self.bit(goal.name)
+        elif isinstance(goal, Choice):
+            may, must = 0, -1
+            for part in goal.parts:
+                _, part_may, part_must = self.occurrence(part)
+                may |= part_may
+                must &= part_must
+        elif isinstance(goal, (Serial, Concurrent)):
+            may = must = 0
+            for part in goal.parts:
+                _, part_may, part_must = self.occurrence(part)
+                if may & part_may and not self.clash:
+                    self.clash = may & part_may
+                may |= part_may
+                must |= part_must
+        elif isinstance(goal, Isolated):
+            _, may, must = self.occurrence(goal.body)
+        elif isinstance(goal, Possibility):
+            self.occurrence(goal.body)
+            may = must = 0
         else:
-            for child in subgoals(node):
-                visit(child)
+            may = must = 0
+        entry = self.masks[id(goal)] = (goal, may, must)
+        return entry
 
-    visit(goal)
-    return frozenset(names)
+
+def event_names(goal: Goal) -> frozenset[str]:
+    """Names of the significant events that may *occur* in an execution:
+    the ``may`` set of ``goal``'s occurrence table.
+
+    ``Send``/``Receive``/``Test`` are not significant events, and events
+    under a ``◇`` test are hypothetical.
+    """
+    table = EventMasks()
+    return table.names(table.occurrence(goal)[1])
 
 
 def is_concurrent_horn(goal: Goal) -> bool:

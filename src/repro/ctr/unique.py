@@ -15,21 +15,17 @@ event occurrence inside a unique-event goal is realised by some execution
 between two serial/concurrent siblings really does yield a double
 occurrence on some path.
 
-Events under a ``◇`` test are hypothetical and do not count as occurrences.
+The event sets are the ``may`` masks of the goal's occurrence table
+(:class:`~repro.ctr.formulas.EventMasks`), which Apply reads too: the goal
+is unique-event iff the table met no clash while it was built, one entry
+per distinct node. Events under a ``◇`` test are hypothetical and do not
+count as occurrences, but the ``◇`` body must itself be unique-event.
 """
 
 from __future__ import annotations
 
 from ..errors import UniqueEventError
-from .formulas import (
-    Atom,
-    Choice,
-    Concurrent,
-    Goal,
-    Isolated,
-    Possibility,
-    Serial,
-)
+from .formulas import EventMasks, Goal
 
 __all__ = ["check_unique_events", "is_unique_event_goal", "occurring_events"]
 
@@ -41,51 +37,29 @@ def occurring_events(goal: Goal) -> frozenset[str]:
     property is violated; i.e. this function *is* the checker and returns
     the occurrence set as a byproduct.
     """
-    return _occ(goal)
-
-
-def _occ(goal: Goal) -> frozenset[str]:
-    if isinstance(goal, Atom):
-        return frozenset((goal.name,))
-
-    if isinstance(goal, Possibility):
-        # Hypothetical execution: its events never actually occur, but the
-        # body must itself be well-formed.
-        _occ(goal.body)
-        return frozenset()
-
-    if isinstance(goal, Isolated):
-        return _occ(goal.body)
-
-    if isinstance(goal, (Serial, Concurrent)):
-        seen: set[str] = set()
-        for part in goal.parts:
-            part_events = _occ(part)
-            overlap = seen & part_events
-            if overlap:
-                raise UniqueEventError(min(overlap))
-            seen |= part_events
-        return frozenset(seen)
-
-    if isinstance(goal, Choice):
-        union: set[str] = set()
-        for part in goal.parts:
-            union |= _occ(part)
-        return frozenset(union)
-
-    # Send / Receive / Test / Path / NegPath / Empty carry no events.
-    return frozenset()
+    table, may = _checked_table(goal)
+    return table.names(may)
 
 
 def check_unique_events(goal: Goal) -> None:
-    """Raise :class:`~repro.errors.UniqueEventError` unless ``goal`` is unique-event."""
-    _occ(goal)
+    """Raise :class:`~repro.errors.UniqueEventError` unless ``goal`` is unique-event.
+
+    The error names the smallest event of the first overlap, in the order
+    a recursive check over the parts, left to right, meets it.
+    """
+    _checked_table(goal)
 
 
 def is_unique_event_goal(goal: Goal) -> bool:
     """Boolean form of :func:`check_unique_events`."""
-    try:
-        _occ(goal)
-    except UniqueEventError:
-        return False
-    return True
+    table = EventMasks()
+    table.occurrence(goal)
+    return not table.clash
+
+
+def _checked_table(goal: Goal) -> tuple[EventMasks, int]:
+    table = EventMasks()
+    _, may, _ = table.occurrence(goal)
+    if table.clash:
+        raise UniqueEventError(min(table.names(table.clash)))
+    return table, may

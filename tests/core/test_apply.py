@@ -279,8 +279,8 @@ class TestOccurrenceMasks:
         for node, may, must_ in memo.masks.values():
             fresh = _ApplyMemo()
             _, fresh_may, fresh_must = fresh.occurrence(node)
-            assert _names(memo, may) == _names(fresh, fresh_may)
-            assert _names(memo, must_) == _names(fresh, fresh_must)
+            assert memo.names(may) == fresh.names(fresh_may)
+            assert memo.names(must_) == fresh.names(fresh_must)
             # _apply_must reads the children's entries without computing them.
             if isinstance(node, (Serial, Concurrent, Choice)):
                 assert all(id(part) in memo.masks for part in node.parts)
@@ -301,7 +301,3 @@ class TestOccurrenceMasks:
         assert synced.parts[1] is goal.parts[1]
         assert synced is _reference_sync("a", "b", goal, "t")
         assert sync_order("a", "b", goal, "t") is synced
-
-
-def _names(memo, mask):
-    return {event for event, bit in memo.bits.items() if mask & bit}

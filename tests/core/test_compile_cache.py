@@ -6,8 +6,9 @@ import pytest
 
 from repro.cli import main
 from repro.constraints.algebra import absent, disj, must, order
+from repro.core import compiler, verify
 from repro.core.compiler import CompileCache, compile_workflow
-from repro.core.verify import verify_property
+from repro.core.verify import verify_properties, verify_property
 from repro.ctr.formulas import Test, atoms, seq
 from repro.ctr.rules import Rule, RuleBase
 from repro.ctr.traces import traces
@@ -222,6 +223,60 @@ class TestVerifyWithCache:
         again = verify_property(goal, [absent("b")], must("c"), cache=cache)
         assert again.holds
         assert cache.hits == 1
+
+
+@pytest.fixture
+def expansions(monkeypatch):
+    """Counts ``expand_goal`` calls, wherever the pipeline makes them."""
+    calls = []
+    real = compiler.expand_goal
+
+    def counting(goal, rules=None):
+        calls.append(goal)
+        return real(goal, rules)
+
+    monkeypatch.setattr(compiler, "expand_goal", counting)
+    monkeypatch.setattr(verify, "expand_goal", counting)
+    return calls
+
+
+def _sub_rules(body):
+    rules = RuleBase()
+    rules.add(Rule("sub", body))
+    return rules
+
+
+class TestKeyOnTheInput:
+    def test_warm_verify_properties_expands_once(self, cache, expansions):
+        (sub,) = atoms("sub")
+        goal, rules = seq(A, sub), _sub_rules(B + C)
+        props = [must("a"), must("b"), order("a", "c")]
+        cold = verify_properties(goal, [], props, rules=rules, cache=cache)
+        expansions.clear()
+        warm = verify_properties(goal, [], props, rules=rules, cache=cache)
+        assert len(expansions) == 1
+        assert cache.hits == 3
+        assert warm == cold
+
+    def test_a_miss_expands_once(self, cache, expansions):
+        (sub,) = atoms("sub")
+        compile_workflow(seq(A, sub), [must("b")], rules=_sub_rules(B + C), cache=cache)
+        assert cache.misses == 1
+        assert len(expansions) == 1
+
+    def test_editing_a_rule_body_changes_the_key(self, cache):
+        (sub,) = atoms("sub")
+        goal = seq(A, sub)
+        one = cache.key(goal, [must("b")], _sub_rules(B >> C))
+        two = cache.key(goal, [must("b")], _sub_rules(C >> B))
+        assert None not in (one, two) and one != two
+        assert cache.key(goal, [must("b")], _sub_rules(B >> C)) == one
+
+    def test_predicated_test_in_a_rule_body_is_uncacheable(self, cache):
+        (sub,) = atoms("sub")
+        guarded = _sub_rules(seq(Test("guard", predicate=lambda db: True), B))
+        assert cache.key(seq(A, sub), [], guarded) is None
+        assert cache.key(seq(A, sub), [], _sub_rules(seq(Test("guard"), B))) is not None
 
 
 SPEC = """

@@ -1,18 +1,27 @@
 """Edge-case tests for Excise's precedence-graph machinery."""
 
+import random
+
 from repro.core.excise import excise, flat_executable
 from repro.ctr.formulas import (
     EMPTY,
+    Atom,
+    Concurrent,
     Isolated,
     Possibility,
     Receive,
     Send,
+    Serial,
     atoms,
+    isolated,
+    par,
     seq,
+    walk,
 )
 from repro.ctr.machine import can_complete
 from repro.ctr.simplify import is_failure
 from repro.ctr.traces import traces
+from repro.graph.generators import random_goal
 
 A, B, C, D = atoms("a b c d")
 
@@ -56,6 +65,18 @@ class TestTokenEdgeCases:
         # cannot represent that, so Excise falls back to machine search.
         goal = (Send("t") >> A) | (Send("t") >> B) | (Receive("t") >> C)
         assert flat_executable(goal) == can_complete(goal)
+
+    def test_duplicate_tokens_agree_with_the_machine(self):
+        # Excise decides a goal that reuses a token on the kernel; the
+        # machine's exhaustive search is the oracle.
+        reused = disagreements = 0
+        for seed in range(3000):
+            goal = _with_tokens(seed)
+            sends = [node.token for node in walk(goal) if isinstance(node, Send)]
+            reused += len(sends) != len(set(sends))
+            disagreements += flat_executable(goal) != can_complete(goal)
+        assert disagreements == 0
+        assert reused > 500
 
     def test_self_deadlock_minimal(self):
         assert not flat_executable(seq(Receive("t"), Send("t")))
@@ -102,3 +123,30 @@ class TestChoiceInteractions:
         b1 = Receive("p") >> B >> Send("q")
         goal = (a1 + (Receive("r") >> C)) | b1
         assert is_failure(excise(goal))
+
+
+def _sprinkled(goal, rng):
+    """``goal`` with sends and receives of ``t1``/``t2`` before or after
+    some of its atoms outside ``◇`` bodies (Excise judges a ``◇`` body on
+    its own, the machine at its position, and Apply puts no token there)."""
+    if isinstance(goal, Atom):
+        steps = [goal]
+        for _ in range(rng.choice((0, 0, 1, 2))):
+            step = rng.choice((Send, Receive))(rng.choice(("t1", "t2")))
+            steps.insert(rng.randint(0, len(steps)), step)
+        return seq(*steps)
+    if isinstance(goal, (Serial, Concurrent)):
+        build = seq if isinstance(goal, Serial) else par
+        return build(*(_sprinkled(part, rng) for part in goal.parts))
+    if isinstance(goal, Isolated):
+        return isolated(_sprinkled(goal.body, rng))
+    return goal
+
+
+def _with_tokens(seed):
+    """A choice-free goal of 2–6 events with ``⊙`` blocks and ``◇`` tests,
+    tokens sprinkled over it."""
+    rng = random.Random(seed)
+    goal = random_goal(2 + seed % 5, rng=rng, p_choice=0, p_isolated=0.3,
+                       p_possible=0.1)
+    return _sprinkled(goal, rng)

@@ -149,10 +149,6 @@ class TestEventNames:
         goal = Possibility(B) >> A
         assert event_names(goal) == frozenset({"a"})
 
-    def test_possibility_included_on_request(self):
-        goal = Possibility(B) >> A
-        assert event_names(goal, include_hypothetical=True) == frozenset({"a", "b"})
-
 
 class TestConcurrentHornCheck:
     def test_goals_are_concurrent_horn(self):
