@@ -124,7 +124,7 @@ def _recovery_phase() -> dict:
     try:
         text = _spec_text("r")
         reference = _single_daemon_reference(text)
-        state = handle.router.supervisor.state_of("w0")
+        state = handle.service.supervisor.state_of("w0")
         first_pid = state.handle.pid
         start = time.perf_counter()
         handle.kill_worker("w0")

@@ -9,6 +9,7 @@
     python -m repro show SPEC         # print the compiled goal
     python -m repro trace ...         # record / show / diff / replay run traces
     python -m repro serve             # JSON-over-HTTP verification service
+    python -m repro cluster           # the same service, routed over workers
 
 ``SPEC`` is a text file in the :mod:`repro.spec` format. Exit status is 0
 on success, 1 when the specification is inconsistent, a property fails,
@@ -494,45 +495,65 @@ def _cmd_trace(args, out) -> int:
 
 
 def _cmd_serve(args, out) -> int:
+    """``repro serve`` and ``repro cluster``: assemble the front door, then
+    serve it until SIGINT/SIGTERM."""
+    from .service.server import VerificationService, traced_obs
+
+    cache = _cache_from_args(args)
+    if args.command == "serve":
+        service = VerificationService(
+            specs_dir=args.specs_dir,
+            cache=cache,
+            jobs=args.jobs,
+            queue_limit=args.queue_limit,
+            default_deadline=args.deadline,
+            obs=traced_obs("service", args.ids_seed) if args.tracing else None,
+        )
+        names = service.registry.names()
+        banner = "serving"
+        detail = f" ({len(names)} specs: {', '.join(names)})" if names else ""
+    else:
+        from .cluster.quotas import AdmissionController
+        from .cluster.router import assemble_cluster
+
+        if args.workers < 1:
+            print("error: --workers must be at least 1", file=sys.stderr)
+            return 1
+        service = assemble_cluster(
+            args.workers, args.replicas,
+            specs_dir=args.specs_dir,
+            cache_dir=getattr(cache, "directory", None),
+            worker_jobs=args.jobs,
+            tracing=args.tracing or args.trace_dir is not None,
+            trace_dir=args.trace_dir,
+            ids_seed=args.ids_seed,
+            hedge_delay=args.hedge_delay,
+            admission=(AdmissionController(args.capacity,
+                                           default_share=args.tenant_share)
+                       if args.capacity is not None else None),
+        )
+        banner = "cluster routing"
+        detail = f" ({args.workers} workers, {args.replicas} replicas/key)"
+    return _serve_until_signalled(service, args.host, args.port, out,
+                                  banner, detail)
+
+
+def _serve_until_signalled(service, host, port, out, banner, detail) -> int:
+    """Start ``service``, print ``<banner> on http://host:port<detail>``
+    (workers and benchmarks read the bound port off it), serve until
+    SIGINT or SIGTERM, then drain every accepted request."""
     import asyncio
     import signal
 
-    from .service import VerificationService
-
-    obs = None
-    if args.tracing:
-        from .obs import IdSource, Observability
-
-        obs = Observability.enabled(
-            trace=True, metrics=True, record=False,
-            ids=(IdSource(seed=args.ids_seed)
-                 if args.ids_seed is not None else None),
-            segment="service", max_spans=10_000,
-        )
-    service = VerificationService(
-        specs_dir=args.specs_dir,
-        cache=_cache_from_args(args),
-        jobs=args.jobs,
-        queue_limit=args.queue_limit,
-        default_deadline=args.deadline,
-        obs=obs,
-    )
-
     async def run() -> None:
-        host, port = await service.start(args.host, args.port)
-        names = service.registry.names()
-        print(f"serving on http://{host}:{port}"
-              + (f" ({len(names)} specs: {', '.join(names)})" if names else ""),
+        host_bound, port_bound = await service.start(host, port)
+        print(f"{banner} on http://{host_bound}:{port_bound}{detail}",
               file=out, flush=True)
         loop = asyncio.get_running_loop()
         stop = loop.create_task(service.serve_forever())
-
-        def request_shutdown() -> None:
-            stop.cancel()
-
         for signum in (signal.SIGINT, signal.SIGTERM):
             try:
-                loop.add_signal_handler(signum, request_shutdown)
+                loop.add_signal_handler(signum, stop.cancel)
             except NotImplementedError:  # pragma: no cover - non-Unix
                 pass
         try:
@@ -540,97 +561,6 @@ def _cmd_serve(args, out) -> int:
         finally:
             print("draining...", file=out, flush=True)
             await service.shutdown(drain=True)
-            print("shutdown complete", file=out, flush=True)
-
-    try:
-        asyncio.run(run())
-    except KeyboardInterrupt:  # signal handler unavailable (e.g. Windows)
-        pass
-    return 0
-
-
-def _cmd_cluster(args, out) -> int:
-    import asyncio
-    import signal
-
-    from .cluster.quotas import AdmissionController
-    from .cluster.router import ClusterRouter
-    from .cluster.supervisor import WorkerSupervisor
-    from .cluster.worker import ProcessWorker
-
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 1
-    cache = _cache_from_args(args)
-    tracing = args.tracing or args.trace_dir is not None
-    worker_args = ["--jobs", str(args.jobs)]
-    cache_dir = getattr(cache, "directory", None)
-    if cache_dir is not None:
-        worker_args += ["--cache-dir", str(cache_dir)]
-    if tracing:
-        worker_args.append("--tracing")
-    handles = []
-    for i in range(args.workers):
-        per_worker = list(worker_args)
-        if tracing and args.ids_seed is not None:
-            # Distinct id streams per process: no cross-segment ref
-            # collisions when the router stitches span trees together.
-            per_worker += ["--ids-seed", str(args.ids_seed + 1 + i)]
-        handles.append(ProcessWorker(f"w{i}", extra_args=tuple(per_worker)))
-    supervisor = WorkerSupervisor(handles)
-    admission = None
-    if args.capacity is not None:
-        admission = AdmissionController(
-            args.capacity, default_share=args.tenant_share
-        )
-    obs = None
-    trace_sink = None
-    if tracing:
-        from .obs import IdSource, Observability
-        from .obs.distributed import TraceSink
-
-        obs = Observability.enabled(
-            trace=True, metrics=True, record=False,
-            ids=(IdSource(seed=args.ids_seed)
-                 if args.ids_seed is not None else None),
-            segment="router", max_spans=10_000,
-        )
-        if args.trace_dir is not None:
-            trace_sink = TraceSink(args.trace_dir)
-    router = ClusterRouter(
-        supervisor,
-        specs_dir=args.specs_dir,
-        cache=cache,
-        replicas=args.replicas,
-        hedge_delay=args.hedge_delay,
-        admission=admission,
-        obs=obs,
-        trace_sink=trace_sink,
-    )
-
-    async def run() -> None:
-        host, port = await router.start(args.host, args.port)
-        print(
-            f"cluster routing on http://{host}:{port} "
-            f"({args.workers} workers, {args.replicas} replicas/key)",
-            file=out, flush=True,
-        )
-        loop = asyncio.get_running_loop()
-        stop = loop.create_task(router.serve_forever())
-
-        def request_shutdown() -> None:
-            stop.cancel()
-
-        for signum in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(signum, request_shutdown)
-            except NotImplementedError:  # pragma: no cover - non-Unix
-                pass
-        try:
-            await stop
-        finally:
-            print("draining...", file=out, flush=True)
-            await router.shutdown(drain=True)
             print("shutdown complete", file=out, flush=True)
 
     try:
@@ -676,10 +606,8 @@ def main(argv: Sequence[str] | None = None, out=None) -> int:
     try:
         if args.command == "trace":
             return _cmd_trace(args, out)
-        if args.command == "serve":
+        if args.command in ("serve", "cluster"):
             return _cmd_serve(args, out)
-        if args.command == "cluster":
-            return _cmd_cluster(args, out)
         if args.command == "top":
             from .obs.top import run_top
 

@@ -19,12 +19,18 @@ the exact wire protocol of the single-process daemon — over N supervised
 * degraded mode — when every replica for a key is down, the router
   answers from a bounded in-process verifier, tagging the response
   ``"degraded": true`` rather than dropping the request.
+
+The router is the daemon (:class:`~repro.service.server.
+VerificationService`) plus forwarding; :func:`~repro.cluster.router.
+assemble_cluster` builds it with its workers for ``repro cluster`` and
+:func:`~repro.cluster.router.cluster_in_thread`, whose handle is the
+daemon's :class:`~repro.service.server.ServiceHandle`.
 """
 
 from .failover import AllReplicasFailedError, call_with_failover
 from .placement import HashRing
 from .quotas import AdmissionController, TenantQuotaExceededError
-from .router import ClusterHandle, ClusterRouter, cluster_in_thread
+from .router import ClusterRouter, assemble_cluster, cluster_in_thread
 from .supervisor import CircuitBreaker, WorkerState, WorkerSupervisor
 from .worker import ProcessWorker, WorkerError, WorkerUnavailableError
 
@@ -41,6 +47,6 @@ __all__ = [
     "AdmissionController",
     "TenantQuotaExceededError",
     "ClusterRouter",
-    "ClusterHandle",
+    "assemble_cluster",
     "cluster_in_thread",
 ]

@@ -1,35 +1,46 @@
-"""The cluster front door: consistent-hash routing over supervised workers.
+"""The cluster front door: the daemon, forwarding to supervised workers.
 
-:class:`ClusterRouter` speaks the *exact* wire protocol of the
-single-process daemon (it shares :class:`~repro.service.http.
-HttpServerBase` with it), so any client of ``repro serve`` talks to a
-fleet unchanged. Behind the front door:
+:class:`ClusterRouter` *is* a :class:`~repro.service.server.
+VerificationService` that forwards, so it speaks the daemon's exact wire
+protocol and any client of ``repro serve`` talks to a fleet unchanged.
+It inherits the daemon's route table (request→entry resolution, the
+error→status table it extends with its three cluster errors,
+``/metrics``, ``/specs``, the 404/405 fallthrough) and keeps only what a
+fleet adds:
 
-* the router owns the :class:`~repro.service.registry.SpecRegistry`
-  (registration, hot-reload, tenant namespaces) and forwards the
-  *resolved spec text* inline to workers — workers are stateless with
-  respect to the catalog, so there is no spec-sync protocol to get
-  wrong, while consistent hashing still keeps each worker's inline memo
-  and the shared on-disk compile cache warm for its keys;
-* a :class:`~repro.cluster.placement.HashRing` maps the batch key
-  (``name@version`` / ``inline:<sha16>``) to K replicas; requests walk
-  the replica list via :func:`~repro.cluster.failover.call_with_failover`
-  (verification is pure — Corollary 3.5 — so a retry on the next replica
-  is safe and bit-identical);
+* tenant scoping: the ``X-Repro-Tenant`` header picks a
+  :class:`~repro.service.registry.TenantView` of the router's registry
+  (registration, hot-reload, tenant namespaces), and an optional
+  :class:`~repro.cluster.quotas.AdmissionController` meters per-tenant
+  in-flight cost (429 on fair shed);
+* forwarding: the router ships the *resolved spec text* inline to
+  workers — workers are stateless with respect to the catalog, so there
+  is no spec-sync protocol to get wrong, while consistent hashing still
+  keeps each worker's inline memo and the shared on-disk compile cache
+  warm for its keys. A :class:`~repro.cluster.placement.HashRing` maps
+  the batch key (``name@version`` / ``inline:<sha16>``) to K replicas,
+  and requests walk the replica list via
+  :func:`~repro.cluster.failover.call_with_failover` (verification is
+  pure — Corollary 3.5 — so a retry on the next replica is safe and
+  bit-identical);
 * a :class:`~repro.cluster.supervisor.WorkerSupervisor` keeps workers
   alive and feeds ring membership through its up/down callbacks;
-* an optional :class:`~repro.cluster.quotas.AdmissionController` meters
-  per-tenant in-flight cost (429 on fair shed);
-* when *every* replica for a key is down, the router degrades rather
-  than drops: the request runs on a bounded in-process fallback service
-  (one sequential verifier sharing the router's registry and cache) and
-  the response is tagged ``"degraded": true``. Slow beats unavailable.
+* its own ``/healthz``, the ``/cluster/*`` fleet views and the
+  collection of cross-process traces;
+* degraded mode: when *every* replica for a key is down, the router
+  answers through the inherited handler, with the entry it already
+  resolved, on its own bounded batcher (one sequential verifier sharing
+  the router's registry and cache), and tags the response
+  ``"degraded": true``. Slow beats unavailable.
+
+:func:`assemble_cluster` builds the router, its workers' command lines,
+the supervisor and the tracing for both ``repro cluster`` and
+:func:`cluster_in_thread`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 
 from ..errors import ReproError
 from ..obs.config import Observability
@@ -39,43 +50,39 @@ from ..obs.context import (
     format_trace_header,
 )
 from ..obs.distributed import TraceSink, merge_segments, segment_spans
-from ..obs.metrics import (
-    MetricsRegistry,
-    render_federated_prometheus,
-    sum_scrapes,
-)
+from ..obs.metrics import render_federated_prometheus, sum_scrapes
 from ..obs.slo import SLOMonitor
-from ..service.batcher import (
-    DeadlineExceededError,
-    QueueFullError,
-    ServiceDrainingError,
+from ..service.http import HttpError, json_body
+from ..service.registry import SpecEntry, SpecRegistry, TENANT_SEP
+from ..service.server import (
+    ServiceHandle,
+    VerificationService,
+    resolve_entry,
+    run_in_thread,
+    traced_obs,
 )
-from ..service.http import HttpError, HttpServerBase, json_body
-from ..service.registry import (
-    SpecEntry,
-    SpecRegistry,
-    TENANT_SEP,
-    UnknownSpecError,
-)
-from ..service.server import VerificationService
 from .failover import AllReplicasFailedError, call_with_failover
 from .quotas import AdmissionController, TenantQuotaExceededError
 from .supervisor import WorkerSupervisor
 from .worker import WorkerError
 from .placement import HashRing
 
-__all__ = ["ClusterRouter", "ClusterHandle", "cluster_in_thread"]
+__all__ = ["ClusterRouter", "assemble_cluster", "cluster_in_thread"]
 
 #: Header carrying the tenant namespace (absent → the default tenant).
 TENANT_HEADER = "x-repro-tenant"
 
-_FORWARDED_PATHS = ("/compile", "/consistency", "/verify", "/schedule")
 
-
-class ClusterRouter(HttpServerBase):
-    """HTTP front door routing spec keys onto a supervised worker fleet."""
+class ClusterRouter(VerificationService):
+    """The daemon's front door, routing spec keys onto a supervised worker
+    fleet."""
 
     metrics_prefix = "cluster"
+    error_statuses = VerificationService.error_statuses + (
+        (TenantQuotaExceededError, 429),
+        ((AllReplicasFailedError, WorkerError), 502),
+    )
+    paths = (*VerificationService.paths, "/cluster/status", "/cluster/metrics")
 
     def __init__(
         self,
@@ -93,10 +100,11 @@ class ClusterRouter(HttpServerBase):
         slo: SLOMonitor | None = None,
         trace_sink: TraceSink | None = None,
     ):
-        super().__init__(obs=obs)
+        # The inherited batcher answers in degraded mode only: one
+        # sequential verifier with a short queue.
+        super().__init__(registry, specs_dir=specs_dir, cache=cache, jobs=1,
+                         queue_limit=16, obs=obs)
         self.supervisor = supervisor
-        self.registry = registry or SpecRegistry(specs_dir=specs_dir,
-                                                cache=cache)
         self.ring = HashRing(replicas=replicas)
         self.retry_budget = retry_budget
         self.hedge_delay = hedge_delay
@@ -108,12 +116,6 @@ class ClusterRouter(HttpServerBase):
         #: Optional on-disk store for assembled distributed traces
         #: (written on every /traces/<id> collection).
         self.trace_sink = trace_sink
-        # The degraded-mode fallback: a bounded in-process service sharing
-        # the router's registry (and therefore its compile memo and disk
-        # cache). Its HTTP server never starts; only its handler is used.
-        self._fallback = VerificationService(
-            registry=self.registry, jobs=1, queue_limit=16, obs=self.obs
-        )
         # Ring membership follows supervisor health transitions.
         supervisor.on_up = self._worker_up
         supervisor.on_down = self._worker_down
@@ -121,21 +123,18 @@ class ClusterRouter(HttpServerBase):
     # -- lifecycle ------------------------------------------------------------
 
     async def start(self, host: str = "127.0.0.1", port: int = 0):
-        """Start workers, supervision, the fallback, and the front door."""
+        """Start workers, supervision, and the front door."""
         await self.supervisor.start()
         self.supervisor.start_loop()
-        self._fallback.batcher.start()
         return await super().start(host, port)
 
     async def shutdown(self, drain: bool = True) -> None:
-        await self._stop_accepting()
-        if drain:
-            await self._drain_connections()
-        else:
+        """The daemon's shutdown, then the fleet's; ``drain=False`` also
+        cuts the forwarded requests still in flight."""
+        if not drain:
             self._cancel_connections()
+        await super().shutdown(drain)
         await self.supervisor.stop()
-        await self._fallback.batcher.aclose()
-        self._fallback.executor.shutdown(wait=True)
 
     # -- ring membership ------------------------------------------------------
 
@@ -154,127 +153,63 @@ class ClusterRouter(HttpServerBase):
 
     # -- routing --------------------------------------------------------------
 
-    def _error_status(self, exc: ReproError) -> int:
-        if isinstance(exc, (TenantQuotaExceededError, QueueFullError)):
-            return 429
-        if isinstance(exc, ServiceDrainingError):
-            return 503
-        if isinstance(exc, DeadlineExceededError):
-            return 504
-        if isinstance(exc, UnknownSpecError):
-            return 404
-        if isinstance(exc, (AllReplicasFailedError, WorkerError)):
-            return 502
-        return super()._error_status(exc)
-
     async def _handle(self, method, path, query, headers, body):
         tenant = headers.get(TENANT_HEADER) or None
-        if tenant is not None and TENANT_SEP in tenant:
+        if tenant is None:
+            catalog = self.registry
+        elif TENANT_SEP in tenant:
             raise HttpError(400, f"tenant may not contain {TENANT_SEP!r}")
-        catalog = (self.registry.namespaced(tenant)
-                   if tenant is not None else self.registry)
-
-        if path == "/healthz" and method == "GET":
-            healthy = self.supervisor.healthy_workers()
-            return 200, {
-                "status": "draining" if self._shutting_down else "ok",
-                "role": "router",
-                "workers": len(self.supervisor.workers),
-                "healthy_workers": len(healthy),
-                "ring": len(self.ring),
-                "specs": len(self.registry),
-            }, "application/json"
-        if path == "/metrics" and method == "GET":
-            self._export_derived_gauges()
-            registry = self.obs.metrics or MetricsRegistry()
-            if query.get("format") == "json":
-                return 200, registry.to_dict(), "application/json"
-            return 200, registry.render_prometheus(), \
-                "text/plain; version=0.0.4"
-        if path == "/cluster/metrics" and method == "GET":
-            return await self._cluster_metrics(query)
-        if path == "/cluster/status" and method == "GET":
-            self.slo.export_gauges(self.obs.metrics)
-            return 200, {
-                "workers": self.supervisor.status(),
-                "ring": list(self.ring.workers),
-                "replicas": self.ring.replicas,
-                "admission": (self.admission.snapshot()
-                              if self.admission is not None else None),
-                "slo": self.slo.snapshot(),
-            }, "application/json"
-        if path == "/traces" and method == "GET":
-            traces = list(self.obs.tracer.trace_ids())
-            if self.trace_sink is not None:
-                seen = set(traces)
-                traces += [t for t in self.trace_sink.trace_ids()
-                           if t not in seen]
-            return 200, {"traces": traces}, "application/json"
-        if path.startswith("/traces/") and method == "GET":
-            return await self._collect_trace(path[len("/traces/"):])
-        if path == "/specs" and method == "GET":
-            return 200, {"specs": self._list_specs(tenant, catalog)}, \
-                "application/json"
-        if path == "/specs" and method == "POST":
+        else:
+            catalog = self.registry.namespaced(tenant)
+        if method == "POST" and path in self.entry_paths:
             data = json_body(body)
-            name, text = data.get("name"), data.get("text")
-            if not isinstance(name, str) or not isinstance(text, str):
-                raise HttpError(400,
-                                "POST /specs needs string 'name' and 'text'")
-            entry = catalog.register(name, text)
+            entry = resolve_entry(catalog, data)
             public = (catalog.public_name(entry)
                       if tenant is not None else entry.name)
-            return 200, {"name": public, "version": entry.version}, \
-                "application/json"
-
-        if method != "POST" or path not in _FORWARDED_PATHS:
-            known = ("/healthz", "/metrics", "/specs", "/cluster/status",
-                     "/cluster/metrics", "/traces", *_FORWARDED_PATHS)
-            if path in known:
-                raise HttpError(405, f"method {method} not allowed on {path}")
-            raise HttpError(404, f"no such endpoint {path}")
-
-        data = json_body(body)
-        entry = self._resolve_entry(catalog, data)
-        public = (catalog.public_name(entry)
-                  if tenant is not None else entry.name)
-        cost = self._cost(path, entry, data)
-        if self.admission is not None:
-            self.admission.admit(tenant, cost)
-        try:
-            return await self._route_forward(path, entry, public, data)
-        finally:
+            cost = self._cost(path, entry, data)
             if self.admission is not None:
-                self.admission.release(tenant, cost)
-
-    def _list_specs(self, tenant, catalog) -> list[dict]:
-        names = (catalog.names() if tenant is not None
-                 else [n for n in self.registry.names()
-                       if TENANT_SEP not in n])
-        specs = []
-        for name in names:
+                self.admission.admit(tenant, cost)
             try:
-                entry = catalog.get(name)
-            except UnknownSpecError:
-                continue  # raced an unregister
-            specs.append({
-                "name": name,
-                "version": entry.version,
-                "properties": [p for p, _ in entry.spec.properties],
-            })
-        return specs
-
-    def _resolve_entry(self, catalog, data) -> SpecEntry:
-        name, text = data.get("spec"), data.get("text")
-        if (name is None) == (text is None):
-            raise HttpError(400, "provide exactly one of 'spec' or 'text'")
-        if name is not None:
-            if not isinstance(name, str):
-                raise HttpError(400, "'spec' must be a string")
-            return catalog.get(name)
-        if not isinstance(text, str):
-            raise HttpError(400, "'text' must be a string")
-        return catalog.resolve_inline(text)
+                return await self._route_forward(path, entry, public, data)
+            finally:
+                if self.admission is not None:
+                    self.admission.release(tenant, cost)
+        if method == "GET":
+            if path == "/healthz":
+                healthy = self.supervisor.healthy_workers()
+                return 200, {
+                    "status": "draining" if self._shutting_down else "ok",
+                    "role": "router",
+                    "workers": len(self.supervisor.workers),
+                    "healthy_workers": len(healthy),
+                    "ring": len(self.ring),
+                    "specs": len(self.registry),
+                }, "application/json"
+            if path == "/metrics":
+                self._export_derived_gauges()  # then the daemon's exposition
+            elif path == "/cluster/metrics":
+                return await self._cluster_metrics(query)
+            elif path == "/cluster/status":
+                self.slo.export_gauges(self.obs.metrics)
+                return 200, {
+                    "workers": self.supervisor.status(),
+                    "ring": list(self.ring.workers),
+                    "replicas": self.ring.replicas,
+                    "admission": (self.admission.snapshot()
+                                  if self.admission is not None else None),
+                    "slo": self.slo.snapshot(),
+                }, "application/json"
+            elif path == "/traces":
+                traces = list(self.obs.tracer.trace_ids())
+                if self.trace_sink is not None:
+                    seen = set(traces)
+                    traces += [t for t in self.trace_sink.trace_ids()
+                               if t not in seen]
+                return 200, {"traces": traces}, "application/json"
+            elif path.startswith("/traces/"):
+                return await self._collect_trace(path[len("/traces/"):])
+        return await super()._handle(method, path, query, headers, body,
+                                     catalog)
 
     @staticmethod
     def _cost(path: str, entry: SpecEntry, data) -> int:
@@ -327,27 +262,22 @@ class ClusterRouter(HttpServerBase):
                 ),
             )
         except AllReplicasFailedError:
+            # Answer in-process, tagged, rather than drop.
             self._metric("cluster.router.degraded")
-            return await self._degraded(path, forward, entry, public)
+            status, payload, content_type = await self._answer(path, entry, data)
+            payload = self._rebrand(payload, entry, public)
+            payload["degraded"] = True
+            return status, payload, content_type
         self._metric("cluster.router.forwarded")
         if isinstance(payload, dict):
             payload = self._rebrand(payload, entry, public)
             payload["worker"] = worker_id
         return status, payload, "application/json"
 
-    async def _degraded(self, path, forward, entry: SpecEntry, public: str):
-        """All replicas down: answer in-process, tagged, rather than drop."""
-        status, payload, content_type = await self._fallback._handle(
-            "POST", path, {}, {}, _encode(forward)
-        )
-        if isinstance(payload, dict):
-            payload = self._rebrand(payload, entry, public)
-            payload["degraded"] = True
-        return status, payload, content_type
-
     def _rebrand(self, payload: dict, entry: SpecEntry, public: str) -> dict:
-        """Workers answered for the inline-shipped text; restore the
-        client-facing name and registry version."""
+        """Restore the client-facing name and registry version (workers
+        answered for the inline-shipped text, a tenant's entry carries its
+        namespace)."""
         payload = dict(payload)
         if "spec" in payload:
             payload["spec"] = public
@@ -514,64 +444,9 @@ class ClusterRouter(HttpServerBase):
             "application/json"
 
 
-def _encode(data: dict) -> bytes:
-    import json
-
-    return json.dumps(data).encode("utf-8")
-
-
-# -- the synchronous harness ---------------------------------------------------
-
-
-class ClusterHandle:
-    """A running cluster (router + workers) on a background thread."""
-
-    def __init__(self, router: ClusterRouter, loop, thread):
-        self.router = router
-        self._loop = loop
-        self._thread = thread
-        self.host, self.port = router.address
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
-
-    def client(self, timeout: float = 30.0, **kwargs):
-        from ..service.client import ServiceClient
-
-        return ServiceClient(self.host, self.port, timeout=timeout, **kwargs)
-
-    def run(self, coro, timeout: float = 60.0):
-        """Run ``coro`` on the cluster's event loop (chaos-test seam)."""
-        future = asyncio.run_coroutine_threadsafe(coro, self._loop)
-        return future.result(timeout=timeout)
-
-    def kill_worker(self, worker_id: str) -> None:
-        """SIGKILL one worker from outside the loop (the chaos lever)."""
-        self.router.supervisor.state_of(worker_id).handle.kill()
-
-    def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
-        if not self._thread.is_alive():
-            return
-        future = asyncio.run_coroutine_threadsafe(
-            self.router.shutdown(drain=drain), self._loop
-        )
-        future.result(timeout=timeout)
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._thread.join(timeout=timeout)
-
-    def __enter__(self) -> "ClusterHandle":
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
-
-
-def cluster_in_thread(
+def assemble_cluster(
     workers: int = 2,
     replicas: int = 2,
-    host: str = "127.0.0.1",
-    port: int = 0,
     *,
     specs_dir=None,
     cache_dir=None,
@@ -582,79 +457,60 @@ def cluster_in_thread(
     trace_dir=None,
     ids_seed: int | None = None,
     **router_kwargs,
-) -> ClusterHandle:
-    """Start a full cluster — N subprocess workers, supervisor, router —
-    on a daemon thread; returns a :class:`ClusterHandle`.
+) -> ClusterRouter:
+    """A router over ``workers`` supervised ``repro serve`` subprocesses,
+    not yet started: what ``repro cluster`` and :func:`cluster_in_thread`
+    run.
 
-    ``cache_dir`` is shared by every worker and the router's fallback:
-    the content-addressed compile cache is what makes a restarted worker
-    warm. ``worker_args`` appends raw ``repro serve`` flags.
+    ``cache_dir`` is shared by every worker and the router's degraded
+    mode: the content-addressed compile cache is what makes a restarted
+    worker warm. ``worker_args`` appends raw ``repro serve`` flags.
 
     ``tracing=True`` turns on distributed tracing end to end: the router
     traces with segment ``router`` and every worker daemon gets
-    ``--tracing``. ``ids_seed`` seeds every id source deterministically
-    (worker ``i`` gets ``ids_seed + 1 + i`` — distinct streams, so span
-    refs never collide across segments). ``trace_dir`` adds an on-disk
+    ``--tracing``. Trace ids are random unless ``ids_seed`` seeds every
+    id source (worker ``i`` gets ``ids_seed + 1 + i`` — distinct streams,
+    so span refs never collide across segments), which makes them
+    replayable. ``trace_dir`` adds an on-disk
     :class:`~repro.obs.distributed.TraceSink` the router persists
     assembled traces into.
     """
-    from ..obs.context import IdSource
     from .worker import ProcessWorker
 
-    extra = ["--jobs", str(worker_jobs)]
+    argv = ["--jobs", str(worker_jobs)]
     if cache_dir is not None:
-        extra += ["--cache-dir", str(cache_dir)]
-
+        argv += ["--cache-dir", str(cache_dir)]
+    if tracing:
+        argv.append("--tracing")
+        router_kwargs.setdefault("obs", traced_obs("router", ids_seed))
+    if trace_dir is not None:
+        router_kwargs.setdefault("trace_sink", TraceSink(trace_dir))
     handles = []
     for i in range(workers):
-        worker_extra = list(extra)
-        if tracing:
-            worker_extra += ["--tracing"]
-            if ids_seed is not None:
-                worker_extra += ["--ids-seed", str(ids_seed + 1 + i)]
+        seed = (["--ids-seed", str(ids_seed + 1 + i)]
+                if tracing and ids_seed is not None else [])
         handles.append(ProcessWorker(
-            f"w{i}", extra_args=tuple(worker_extra + list(worker_args))
+            f"w{i}", extra_args=tuple(argv + seed + list(worker_args))
         ))
-    if tracing and "obs" not in router_kwargs:
-        router_kwargs["obs"] = Observability.enabled(
-            trace=True, metrics=True, record=False,
-            ids=IdSource(seed=ids_seed), segment="router",
-            max_spans=10_000,
-        )
-    if trace_dir is not None and "trace_sink" not in router_kwargs:
-        router_kwargs["trace_sink"] = TraceSink(trace_dir)
     supervisor = WorkerSupervisor(handles, **(supervisor_kwargs or {}))
-    router = ClusterRouter(
-        supervisor,
-        specs_dir=specs_dir,
-        cache=cache_dir,
-        replicas=replicas,
-        **router_kwargs,
-    )
+    return ClusterRouter(supervisor, specs_dir=specs_dir, cache=cache_dir,
+                         replicas=replicas, **router_kwargs)
 
-    loop = asyncio.new_event_loop()
-    started = threading.Event()
-    failure: list[BaseException] = []
 
-    def runner() -> None:
-        asyncio.set_event_loop(loop)
-        try:
-            loop.run_until_complete(router.start(host, port))
-        except BaseException as exc:
-            failure.append(exc)
-            loop.close()
-            started.set()
-            return
-        started.set()
-        try:
-            loop.run_forever()
-        finally:
-            loop.run_until_complete(loop.shutdown_asyncgens())
-            loop.close()
+def cluster_in_thread(
+    workers: int = 2,
+    replicas: int = 2,
+    host: str = "127.0.0.1",
+    port: int = 0,
+    **cluster_kwargs,
+) -> ServiceHandle:
+    """Start a full cluster — N subprocess workers, supervisor, router —
+    on a daemon thread; returns its :class:`~repro.service.server.
+    ServiceHandle`.
 
-    thread = threading.Thread(target=runner, name="repro-cluster", daemon=True)
-    thread.start()
-    started.wait()
-    if failure:
-        raise failure[0]
-    return ClusterHandle(router, loop, thread)
+    The keywords are :func:`assemble_cluster`'s (``specs_dir``,
+    ``cache_dir``, ``worker_jobs``, ``worker_args``, ``supervisor_kwargs``,
+    ``tracing``, ``trace_dir``, ``ids_seed``) and the router's.
+    """
+    router = assemble_cluster(workers, replicas, **cluster_kwargs)
+    return run_in_thread(router, host, port)

@@ -417,7 +417,8 @@ def expand_goal(goal: Goal, rules: RuleBase | None = None) -> Goal:
     compiles into.
 
     Raises :class:`~repro.errors.UniqueEventError` when the expanded goal
-    lacks the unique-event property (Definition 3.1).
+    lacks the unique-event property (Definition 3.1), and
+    :class:`~repro.errors.SpecificationError` when it holds ``path``.
     """
     expanded = simplify(rules.expand(goal) if rules is not None else goal)
     check_unique_events(expanded)

@@ -30,7 +30,10 @@ them, with edges
   wait for a concurrent sender).
 
 The goal is executable iff every ``receive`` has a matching ``send``, no
-``◇`` body excises to ``¬path``, and the graph is acyclic.
+``◇`` body excises to ``¬path``, and the graph is acyclic. A ``◇`` body
+that holds a ``send`` or ``receive`` is read where the test stands, with
+the tokens sent so far, so a goal with one is decided by an exhaustive
+search of its kernel program instead (Apply never puts a token there).
 
 The graph is built from the goal's *token skeleton*, not from the goal: the
 sends and receives, the ``⊙`` blocks around them, the ``◇`` tests whose
@@ -203,13 +206,15 @@ class _ExciseRun:
         return entry
 
     def tokens(self, skeleton: _Skeleton) -> tuple[frozenset[str], frozenset[str]]:
-        """``(tokens sent, tokens received)`` in ``skeleton``: those of its
-        goal outside every ◇ (a ◇ is a leaf of the skeleton)."""
+        """``(tokens sent, tokens received)`` in ``skeleton``'s goal, a ◇
+        (a leaf of the skeleton) holding those of its body."""
         if type(skeleton) is not tuple:
             if isinstance(skeleton, Send):
                 return frozenset((skeleton.token,)), _NO_TOKENS
             if isinstance(skeleton, Receive):
                 return _NO_TOKENS, frozenset((skeleton.token,))
+            if isinstance(skeleton, Possibility):
+                return self.tokens(self.summary(skeleton.body)[2])
             return _NO_TOKENS, _NO_TOKENS
         entry = self.token_sets.get(id(skeleton))
         if entry is None:
@@ -410,8 +415,8 @@ def _topmost_choices(goal: Goal, run: _ExciseRun) -> list[tuple[int, ...]]:
 def _tokens_crossing(goal: Goal, path: tuple[int, ...], run: _ExciseRun) -> bool:
     """Does any token have one endpoint inside ``goal[path]`` and one outside?
 
-    Outside is the siblings of the nodes along the path (◇ bodies hold no
-    real tokens).
+    Outside is the siblings of the nodes along the path. A token in a ◇
+    body counts where the ◇ stands, as the kernel reads it there.
     """
     siblings: list[Goal] = []
     node = goal
@@ -577,23 +582,30 @@ def _precedence_check(goal: Goal, run: _ExciseRun) -> bool:
         return True  # no token, no ◇ test: a series-parallel order
     if flags & _POSSIBILITY:
         for body in _possibility_bodies(skeleton):
+            if any(run.tokens(run.summary(body)[2])):
+                # Hand-written: the body reads the tokens sent before it.
+                return _searched(goal)
             if isinstance(_excise(body, run), NegPath):
                 return False
     graph = _PrecedenceGraph()
     try:
         graph.build(skeleton, ())
     except _MultiTokenError:
-        # Degenerate hand-written goals may reuse a token; fall back to an
-        # exhaustive search of the goal's kernel program, which is always
-        # correct.
-        program = lower_goal(goal)
-        return program.can_complete(*program.initial())
+        # Degenerate hand-written goals may reuse a token.
+        return _searched(goal)
     finally:
         if run.stats is not None:
             run.stats.graph_nodes += len(graph.edges)
     if not graph.add_token_edges():
         return False
     return graph.acyclic()
+
+
+def _searched(goal: Goal) -> bool:
+    """Executability by an exhaustive search of ``goal``'s kernel program,
+    which is always correct."""
+    program = lower_goal(goal)
+    return program.can_complete(*program.initial())
 
 
 def _possibility_bodies(skeleton: _Skeleton):

@@ -19,8 +19,8 @@ goal, where the constraints have already pruned the impossible behaviour:
 Possible, mandatory and dead events are the ``may``/``must`` masks of the
 goal's occurrence table (:class:`~repro.ctr.formulas.EventMasks`, the one
 Apply reads), so they cost one entry per distinct node. The orderings are
-computed once per distinct node too, and read each part's events off the
-same table.
+computed once per distinct node too, as per-event masks over the same
+table's bits, and decoded to name pairs once at the end.
 """
 
 from __future__ import annotations
@@ -77,58 +77,58 @@ def guaranteed_orderings(goal: Goal) -> _Pairs:
     """
     table = EventMasks()
     table.occurrence(goal)
-    both_possible, ordered = _orderings(goal, table, {})
-    return frozenset(pair for pair in ordered if pair in both_possible)
+    _, ordered = _orderings(goal, table, {})
+    return frozenset((e, f) for e, bit in table.bits.items()
+                     for f in table.names(ordered.get(bit, 0)))
 
 
-def _orderings(
-    goal: Goal, table: EventMasks, memo: dict[int, tuple[_Pairs, _Pairs]]
-) -> tuple[_Pairs, _Pairs]:
-    """(pairs that may co-occur, pairs e<f ordered whenever they co-occur).
-
-    ``table`` holds every node of the goal (so ids stay valid for
-    ``memo``, which maps a node's id to its answer).
+def _orderings(goal: Goal, table: EventMasks, memo: dict) -> tuple[dict, dict]:
+    """Per event bit ``e``: (the events that may co-occur with ``e``, the
+    events ``e`` precedes whenever both occur), as masks over ``table``'s
+    bits. ``memo`` maps the id of a node in ``table`` to its answer.
     """
     found = memo.get(id(goal))
     if found is not None:
         return found
     if isinstance(goal, Isolated):
-        result = _orderings(goal.body, table, memo)
-    elif isinstance(goal, (Serial, Concurrent)):
-        serial = isinstance(goal, Serial)
-        co: set[tuple[str, str]] = set()
-        ordered: set[tuple[str, str]] = set()
-        before: frozenset[str] = frozenset()
+        return _orderings(goal.body, table, memo)
+    co, ordered = {}, {}
+    if isinstance(goal, (Serial, Concurrent)):
+        events = [table.masks[id(part)][1] for part in goal.parts]
+        after = [0] * len(events)  # after[i]: the events of the parts after part i
+        for i in range(len(events) - 1, 0, -1):
+            after[i - 1] = after[i] | events[i]
+        before = 0
+        for part, mask, later in zip(goal.parts, events, after):
+            part_co, part_ordered = _orderings(part, table, memo)
+            _union(co, part_co)
+            _union(ordered, part_ordered)
+            for e in _bits(mask):
+                co[e] = co.get(e, 0) | (before | later) & ~e
+                if isinstance(goal, Serial):
+                    ordered[e] = ordered.get(e, 0) | later & ~e
+            before |= mask
+    elif isinstance(goal, Choice):
+        # A pair stays guaranteed iff no alternative realises it unordered or reversed.
+        loose = {}
         for part in goal.parts:
             part_co, part_ordered = _orderings(part, table, memo)
-            co |= part_co
-            ordered |= part_ordered
-            part_events = table.names(table.masks[id(part)][1])
-            for earlier in before:
-                for later in part_events:
-                    if earlier != later:
-                        co.add((earlier, later))
-                        co.add((later, earlier))
-                        if serial:
-                            ordered.add((earlier, later))
-            before |= part_events
-        result = frozenset(co), frozenset(ordered)
-    elif isinstance(goal, Choice):
-        results = [_orderings(p, table, memo) for p in goal.parts]
-        co = set().union(*(r[0] for r in results))
-        # A pair stays guaranteed iff no alternative can realise the pair
-        # unordered or reversed: ordered(e,f) holds overall when every
-        # alternative that may co-realise (e,f) orders them (e,f).
-        ordered = {
-            pair for pair in co
-            if all(pair not in part_co or pair in part_ordered
-                   for part_co, part_ordered in results)
-        }
-        result = frozenset(co), frozenset(ordered)
-    else:
-        result = frozenset(), frozenset()
-    memo[id(goal)] = result
-    return result
+            _union(co, part_co)
+            _union(loose, {e: m & ~part_ordered.get(e, 0) for e, m in part_co.items()})
+        ordered = {e: m & ~loose[e] for e, m in co.items()}
+    memo[id(goal)] = co, ordered
+    return co, ordered
+
+
+def _union(into: dict, masks: dict) -> None:
+    for e, mask in masks.items():
+        into[e] = into.get(e, 0) | mask
+
+
+def _bits(mask: int):
+    while mask:
+        yield mask & -mask
+        mask &= mask - 1
 
 
 @dataclass(frozen=True)

@@ -740,15 +740,17 @@ class EventMasks:
     no clash. Parts are entered left to right, and each part's overlap with
     the parts before it is tested as soon as its own subgoals are in, so the
     first clash is the first violation of observation (3) that a recursive
-    check meets.
+    check meets. ``path`` says whether the table met the proposition
+    ``path``, which admits arbitrary executions and so is no workflow goal.
     """
 
-    __slots__ = ("bits", "masks", "clash")
+    __slots__ = ("bits", "masks", "clash", "path")
 
     def __init__(self) -> None:
         self.bits: dict[str, int] = {}
         self.masks: dict[int, tuple[Goal, int, int]] = {}
         self.clash = 0
+        self.path = False
 
     def bit(self, event: str) -> int:
         bit = self.bits.get(event)
@@ -795,6 +797,7 @@ class EventMasks:
             self.occurrence(goal.body)
             may = must = 0
         else:
+            self.path = self.path or isinstance(goal, Path)
             may = must = 0
         entry = self.masks[id(goal)] = (goal, may, must)
         return entry

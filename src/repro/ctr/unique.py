@@ -20,11 +20,13 @@ The event sets are the ``may`` masks of the goal's occurrence table
 is unique-event iff the table met no clash while it was built, one entry
 per distinct node. Events under a ``◇`` test are hypothetical and do not
 count as occurrences, but the ``◇`` body must itself be unique-event.
+The same pass refuses the proposition ``path``: it admits arbitrary
+executions, so it belongs in constraints, not goals.
 """
 
 from __future__ import annotations
 
-from ..errors import UniqueEventError
+from ..errors import SpecificationError, UniqueEventError
 from .formulas import EventMasks, Goal
 
 __all__ = ["check_unique_events", "is_unique_event_goal", "occurring_events"]
@@ -45,7 +47,8 @@ def check_unique_events(goal: Goal) -> None:
     """Raise :class:`~repro.errors.UniqueEventError` unless ``goal`` is unique-event.
 
     The error names the smallest event of the first overlap, in the order
-    a recursive check over the parts, left to right, meets it.
+    a recursive check over the parts, left to right, meets it. A goal that
+    holds ``path`` raises :class:`~repro.errors.SpecificationError`.
     """
     _checked_table(goal)
 
@@ -60,6 +63,11 @@ def is_unique_event_goal(goal: Goal) -> bool:
 def _checked_table(goal: Goal) -> tuple[EventMasks, int]:
     table = EventMasks()
     _, may, _ = table.occurrence(goal)
+    if table.path:
+        raise SpecificationError(
+            "the proposition `path` admits arbitrary executions; it belongs "
+            "in constraints, not goals"
+        )
     if table.clash:
         raise UniqueEventError(min(table.names(table.clash)))
     return table, may

@@ -1,10 +1,10 @@
-"""Shared HTTP/1.1 plumbing for the service daemon and the cluster router.
+"""HTTP/1.1 plumbing under the front door.
 
-Both front doors — the single-process :class:`~repro.service.server.
-VerificationService` and the :class:`~repro.cluster.router.ClusterRouter`
-— speak the same wire protocol: JSON bodies over hand-rolled HTTP/1.1
-with keep-alive, on :func:`asyncio.start_server`, zero dependencies
-beyond the standard library. This module is that shared substrate:
+The :class:`~repro.service.server.VerificationService` — and the
+:class:`~repro.cluster.router.ClusterRouter`, which is one — speaks JSON
+bodies over hand-rolled HTTP/1.1 with keep-alive, on
+:func:`asyncio.start_server`, zero dependencies beyond the standard
+library. This module is that substrate:
 
 * :class:`HttpServerBase` — connection lifecycle (accept, keep-alive
   loop, graceful half of shutdown), request parsing with body-size
@@ -15,7 +15,7 @@ beyond the standard library. This module is that shared substrate:
   raise to produce a JSON error response;
 * :func:`json_body` — strict JSON-object body parsing.
 
-Subclasses implement :meth:`HttpServerBase._handle` (the router table)
+Subclasses implement :meth:`HttpServerBase._handle` (the route table)
 and may override :attr:`HttpServerBase.metrics_prefix` so their request
 counters and latency histograms land under their own namespace
 (``service.http.*`` vs ``cluster.http.*``).
@@ -90,12 +90,15 @@ class HttpServerBase:
       returning ``(status, payload, content_type)`` — ``payload`` is a
       ``str`` (sent verbatim) or any JSON-serializable object;
     * raise :class:`HttpError` for protocol-level rejections, or any
-      :class:`~repro.errors.ReproError` to have :meth:`_error_status`
-      map it (override to extend the mapping);
+      :class:`~repro.errors.ReproError` to have :attr:`error_statuses`
+      map it;
     * optionally set :attr:`metrics_prefix` for the metrics namespace.
     """
 
     metrics_prefix = "service"
+    #: ``(error class or classes, status)`` rows, first match wins; any
+    #: other library error is the client's (400).
+    error_statuses: tuple = ()
 
     def __init__(self, obs: Observability | None = None):
         self.obs = obs if obs is not None else Observability(
@@ -320,7 +323,8 @@ class HttpServerBase:
                     )
                     error_type = type(exc).__name__
                 except ReproError as exc:
-                    status = self._error_status(exc)
+                    status = next((code for kinds, code in self.error_statuses
+                                   if isinstance(exc, kinds)), 400)
                     payload = {"error": str(exc), "kind": type(exc).__name__}
                     content_type = "application/json"
                     error_type = type(exc).__name__
@@ -351,11 +355,3 @@ class HttpServerBase:
 
     async def _handle(self, method, path, query, headers, body):
         raise NotImplementedError
-
-    def _error_status(self, exc: ReproError) -> int:
-        """Map a library error to an HTTP status; subclasses extend."""
-        from ..errors import ParseError
-
-        if isinstance(exc, ParseError):
-            return 400
-        return 400

@@ -34,11 +34,16 @@ accepting connections and new verify work first, then drains every
 accepted batch and lets in-flight handlers write their responses: an
 accepted request is never dropped.
 
-The HTTP substrate (connection lifecycle, request parsing, per-endpoint
-metrics and spans) lives in :class:`~repro.service.http.HttpServerBase`,
-shared with the :class:`~repro.cluster.router.ClusterRouter` — the
-cluster front door speaks this exact protocol, so anything that can talk
-to one daemon can talk to a fleet.
+This is the one front door. The
+:class:`~repro.cluster.router.ClusterRouter` *is* a
+:class:`VerificationService` that forwards: it inherits the route table
+below (request→entry resolution, the error→status table, ``/metrics``,
+``/specs``, the 404/405 fallthrough), scopes it to a tenant, adds its own
+``/healthz``, ``/cluster/*`` and trace collection, and answers from the
+inherited handler when every replica is down. :func:`run_in_thread` is
+the thread harness of both, behind one :class:`ServiceHandle`. The HTTP
+substrate (connection lifecycle, request parsing, per-endpoint metrics
+and spans) lives in :class:`~repro.service.http.HttpServerBase`.
 """
 
 from __future__ import annotations
@@ -49,8 +54,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from ..core.resilience import Clock
-from ..errors import ReproError
 from ..obs.config import Observability
+from ..obs.context import IdSource
 from ..obs.metrics import MetricsRegistry
 from .batcher import (
     DeadlineExceededError,
@@ -59,18 +64,63 @@ from .batcher import (
     VerifyBatcher,
 )
 from .http import HttpError, HttpServerBase, json_body
-from .registry import SpecEntry, SpecRegistry, UnknownSpecError
+from .registry import TENANT_SEP, SpecEntry, SpecRegistry, UnknownSpecError
 
-__all__ = ["VerificationService", "ServiceHandle", "serve_in_thread"]
+__all__ = [
+    "VerificationService",
+    "ServiceHandle",
+    "serve_in_thread",
+    "run_in_thread",
+    "resolve_entry",
+    "traced_obs",
+]
 
 #: Hard cap on schedules returned by one ``/schedule`` call.
 MAX_SCHEDULES = 10_000
+
+_JSON = "application/json"
+
+
+def traced_obs(segment: str, ids_seed: int | None = None) -> Observability:
+    """Distributed tracing for a front door named ``segment``: every span
+    gets a trace id, from ids seeded by ``ids_seed`` (replayable) or random
+    ones, plus metrics and bounded span retention."""
+    return Observability.enabled(
+        trace=True, metrics=True, record=False,
+        ids=IdSource(seed=ids_seed), segment=segment, max_spans=10_000,
+    )
+
+
+def resolve_entry(catalog, data) -> SpecEntry:
+    """The entry a request body names: ``{"spec": name}`` looked up in
+    ``catalog`` (a registry or a tenant's view of one), or ``{"text": ...}``
+    resolved inline."""
+    name, text = data.get("spec"), data.get("text")
+    if (name is None) == (text is None):
+        raise HttpError(400, "provide exactly one of 'spec' or 'text'")
+    if name is not None:
+        if not isinstance(name, str):
+            raise HttpError(400, "'spec' must be a string")
+        return catalog.get(name)
+    if not isinstance(text, str):
+        raise HttpError(400, "'text' must be a string")
+    return catalog.resolve_inline(text)
 
 
 class VerificationService(HttpServerBase):
     """The daemon: registry + batcher + HTTP front end, one event loop."""
 
     metrics_prefix = "service"
+    error_statuses = (
+        (QueueFullError, 429),
+        (ServiceDrainingError, 503),
+        (DeadlineExceededError, 504),
+        (UnknownSpecError, 404),
+    )
+    #: The POST endpoints that answer for one resolved entry.
+    entry_paths = ("/compile", "/consistency", "/verify", "/schedule")
+    #: Every endpoint: a path outside it is 404, a wrong method on it 405.
+    paths = ("/healthz", "/metrics", "/specs", "/traces", *entry_paths)
 
     def __init__(
         self,
@@ -131,81 +181,71 @@ class VerificationService(HttpServerBase):
 
     # -- routing --------------------------------------------------------------
 
-    def _error_status(self, exc: ReproError) -> int:
-        if isinstance(exc, QueueFullError):
-            return 429
-        if isinstance(exc, ServiceDrainingError):
-            return 503
-        if isinstance(exc, DeadlineExceededError):
-            return 504
-        if isinstance(exc, UnknownSpecError):
-            return 404
-        return super()._error_status(exc)
+    async def _handle(self, method, path, query, headers, body, catalog=None):
+        """The route table; ``catalog`` is the registry the spec endpoints
+        read (the router passes a tenant's view of it)."""
+        if catalog is None:
+            catalog = self.registry
+        if method == "POST" and path in self.entry_paths:
+            data = json_body(body)
+            return await self._answer(path, resolve_entry(catalog, data), data)
+        if method == "GET":
+            if path == "/healthz":
+                return 200, {
+                    "status": "draining" if self._shutting_down else "ok",
+                    "specs": len(self.registry),
+                    "queue_depth": self.batcher.depth,
+                    "queue_limit": self.batcher.queue_limit,
+                }, _JSON
+            if path == "/metrics":
+                registry = self.obs.metrics or MetricsRegistry()
+                if query.get("format") == "json":
+                    return 200, registry.to_dict(), _JSON
+                return 200, registry.render_prometheus(), \
+                    "text/plain; version=0.0.4"
+            if path == "/traces":
+                return 200, {"traces": self.obs.tracer.trace_ids()}, _JSON
+            if path.startswith("/traces/"):
+                from ..obs.distributed import segment_spans
 
-    async def _handle(self, method, path, query, headers, body):
-        if path == "/healthz" and method == "GET":
-            return 200, {
-                "status": "draining" if self._shutting_down else "ok",
-                "specs": len(self.registry),
-                "queue_depth": self.batcher.depth,
-                "queue_limit": self.batcher.queue_limit,
-            }, "application/json"
-        if path == "/metrics" and method == "GET":
-            registry = self.obs.metrics or MetricsRegistry()
-            if query.get("format") == "json":
-                return 200, registry.to_dict(), "application/json"
-            return 200, registry.render_prometheus(), "text/plain; version=0.0.4"
-        if path == "/traces" and method == "GET":
-            return 200, {"traces": self.obs.tracer.trace_ids()}, \
-                "application/json"
-        if path.startswith("/traces/") and method == "GET":
-            from ..obs.distributed import segment_spans
-
-            trace_id = path[len("/traces/"):]
-            spans = self.obs.tracer.spans_for(trace_id)
-            return 200, {
-                "trace_id": trace_id,
-                "segment": getattr(self.obs.tracer, "segment", "local"),
-                "spans": segment_spans(
-                    spans, getattr(self.obs.tracer, "segment", "local")
-                ),
-            }, "application/json"
-        if path == "/specs" and method == "GET":
-            specs = []
-            for name in self.registry.names():
-                entry = self.registry.get(name)
-                specs.append({
-                    "name": entry.name,
-                    "version": entry.version,
-                    "properties": [p_name for p_name, _ in entry.spec.properties],
-                })
-            return 200, {"specs": specs}, "application/json"
+                trace_id = path[len("/traces/"):]
+                segment = getattr(self.obs.tracer, "segment", "local")
+                spans = self.obs.tracer.spans_for(trace_id)
+                return 200, {
+                    "trace_id": trace_id,
+                    "segment": segment,
+                    "spans": segment_spans(spans, segment),
+                }, _JSON
+            if path == "/specs":
+                return 200, {"specs": _listing(catalog)}, _JSON
         if path == "/specs" and method == "POST":
             data = json_body(body)
             name, text = data.get("name"), data.get("text")
             if not isinstance(name, str) or not isinstance(text, str):
                 raise HttpError(400, "POST /specs needs string 'name' and 'text'")
-            entry = self.registry.register(name, text)
-            return 200, {"name": entry.name, "version": entry.version}, \
-                "application/json"
-        if method != "POST" or path not in (
-            "/compile", "/consistency", "/verify", "/schedule"
-        ):
-            known = ("/healthz", "/metrics", "/specs", "/traces", "/compile",
-                     "/consistency", "/verify", "/schedule")
-            if path in known:
-                raise HttpError(405, f"method {method} not allowed on {path}")
-            raise HttpError(404, f"no such endpoint {path}")
+            if TENANT_SEP in name:  # a tenant's namespace: only its view writes it
+                raise HttpError(400, f"spec name may not contain {TENANT_SEP!r}")
+            entry = catalog.register(name, text)
+            return 200, {"name": name, "version": entry.version}, _JSON
+        if path in self.paths:
+            raise HttpError(405, f"method {method} not allowed on {path}")
+        raise HttpError(404, f"no such endpoint {path}")
 
-        data = json_body(body)
-        entry = self._resolve_entry(data)
+    async def _answer(self, path: str, entry: SpecEntry, data):
+        """``POST path`` for the resolved ``entry``: the daemon's answer, and
+        the router's when every replica is down."""
         if path == "/verify":
-            return await self._handle_verify(entry, data)
+            return await self._verify(entry, data)
+        if path == "/schedule":
+            limit = data.get("limit", 1)
+            if not isinstance(limit, int) or limit < 1:
+                raise HttpError(400, "'limit' must be a positive integer")
+            limit = min(limit, MAX_SCHEDULES)
         loop = asyncio.get_running_loop()
+        compiled = await loop.run_in_executor(
+            self.executor, self.registry.compiled, entry
+        )
         if path == "/compile":
-            compiled = await loop.run_in_executor(
-                self.executor, self.registry.compiled, entry
-            )
             from ..ctr.formulas import goal_size
             from ..ctr.pretty import pretty
 
@@ -217,26 +257,15 @@ class VerificationService(HttpServerBase):
                 "applied_size": compiled.applied_size,
                 "compiled_size": compiled.compiled_size,
                 "compiled": pretty(compiled.goal),
-            }, "application/json"
+            }, _JSON
         if path == "/consistency":
-            compiled = await loop.run_in_executor(
-                self.executor, self.registry.compiled, entry
-            )
             return 200, {
                 "spec": entry.name,
                 "consistent": compiled.consistent,
-            }, "application/json"
-        # /schedule
-        limit = data.get("limit", 1)
-        if not isinstance(limit, int) or limit < 1:
-            raise HttpError(400, "'limit' must be a positive integer")
-        limit = min(limit, MAX_SCHEDULES)
-        compiled = await loop.run_in_executor(
-            self.executor, self.registry.compiled, entry
-        )
+            }, _JSON
         if not compiled.consistent:
             return 200, {"spec": entry.name, "consistent": False,
-                         "schedules": []}, "application/json"
+                         "schedules": []}, _JSON
 
         def enumerate_schedules():
             out = []
@@ -248,9 +277,9 @@ class VerificationService(HttpServerBase):
 
         schedules = await loop.run_in_executor(self.executor, enumerate_schedules)
         return 200, {"spec": entry.name, "consistent": True,
-                     "schedules": schedules}, "application/json"
+                     "schedules": schedules}, _JSON
 
-    async def _handle_verify(self, entry: SpecEntry, data):
+    async def _verify(self, entry: SpecEntry, data):
         from ..constraints.parser import parse_constraint
 
         requested = data.get("properties")
@@ -265,7 +294,7 @@ class VerificationService(HttpServerBase):
             names = list(requested)
             props = [parse_constraint(p) for p in requested]
         if not props:
-            return 200, {"spec": entry.name, "results": []}, "application/json"
+            return 200, {"spec": entry.name, "results": []}, _JSON
         deadline = data.get("timeout")
         if deadline is not None and not isinstance(deadline, (int, float)):
             raise HttpError(400, "'timeout' must be a number of seconds")
@@ -287,29 +316,40 @@ class VerificationService(HttpServerBase):
                 }
                 for name, result in zip(names, results)
             ],
-        }, "application/json"
+        }, _JSON
 
-    def _resolve_entry(self, data) -> SpecEntry:
-        name, text = data.get("spec"), data.get("text")
-        if (name is None) == (text is None):
-            raise HttpError(400, "provide exactly one of 'spec' or 'text'")
-        if name is not None:
-            if not isinstance(name, str):
-                raise HttpError(400, "'spec' must be a string")
-            return self.registry.get(name)
-        if not isinstance(text, str):
-            raise HttpError(400, "'text' must be a string")
-        return self.registry.resolve_inline(text)
+
+def _listing(catalog) -> list[dict]:
+    """``GET /specs``: the specifications ``catalog`` shows. A tenant's
+    ``tenant::name`` entries show only through that tenant's view, as
+    only that view registers them."""
+    specs = []
+    for name in catalog.names():
+        if TENANT_SEP in name:
+            continue
+        try:
+            entry = catalog.get(name)
+        except UnknownSpecError:
+            continue  # raced an unregister
+        specs.append({
+            "name": name,
+            "version": entry.version,
+            "properties": [p_name for p_name, _ in entry.spec.properties],
+        })
+    return specs
 
 
 # -- the synchronous harness ---------------------------------------------------
 
 
 class ServiceHandle:
-    """A running service on a background thread (tests, benchmarks, examples).
+    """A running front door — a daemon, or a cluster router and its
+    workers — on a background thread (tests, benchmarks, examples).
 
-    Obtained from :func:`serve_in_thread`; ``stop()`` performs the
-    graceful (draining) shutdown by default.
+    Obtained from :func:`serve_in_thread` or
+    :func:`~repro.cluster.router.cluster_in_thread`; ``service`` is the
+    daemon or the router. ``stop()`` performs the graceful (draining)
+    shutdown by default.
     """
 
     def __init__(self, service: VerificationService, loop, thread):
@@ -322,12 +362,16 @@ class ServiceHandle:
     def url(self) -> str:
         return f"http://{self.host}:{self.port}"
 
-    def client(self, timeout: float = 30.0):
+    def client(self, timeout: float = 30.0, **kwargs):
         from .client import ServiceClient
 
-        return ServiceClient(self.host, self.port, timeout=timeout)
+        return ServiceClient(self.host, self.port, timeout=timeout, **kwargs)
 
-    def stop(self, drain: bool = True, timeout: float = 30.0) -> None:
+    def kill_worker(self, worker_id: str) -> None:
+        """SIGKILL one cluster worker from outside the loop (the chaos lever)."""
+        self.service.supervisor.state_of(worker_id).handle.kill()
+
+    def stop(self, drain: bool = True, timeout: float = 60.0) -> None:
         if not self._thread.is_alive():
             return
         future = asyncio.run_coroutine_threadsafe(
@@ -344,17 +388,16 @@ class ServiceHandle:
         self.stop()
 
 
-def serve_in_thread(
-    host: str = "127.0.0.1", port: int = 0, **service_kwargs
-) -> ServiceHandle:
-    """Start a :class:`VerificationService` on a daemon thread.
+def run_in_thread(service: VerificationService, host: str = "127.0.0.1",
+                  port: int = 0) -> ServiceHandle:
+    """Start ``service`` (a daemon or a cluster router) on a daemon thread
+    with its own event loop; returns its :class:`ServiceHandle`.
 
     ``port=0`` binds an ephemeral port; the bound address is on the
-    returned handle. The caller talks to it with any HTTP client —
-    :meth:`ServiceHandle.client` hands out the bundled blocking one.
+    handle. A failure to start (bind, specs dir, worker spawn) is raised
+    here.
     """
     loop = asyncio.new_event_loop()
-    service = VerificationService(**service_kwargs)
     started = threading.Event()
     failure: list[BaseException] = []
 
@@ -382,3 +425,15 @@ def serve_in_thread(
     if failure:
         raise failure[0]
     return ServiceHandle(service, loop, thread)
+
+
+def serve_in_thread(
+    host: str = "127.0.0.1", port: int = 0, **service_kwargs
+) -> ServiceHandle:
+    """Start a :class:`VerificationService` on a daemon thread.
+
+    ``port=0`` binds an ephemeral port; the bound address is on the
+    returned handle. The caller talks to it with any HTTP client —
+    :meth:`ServiceHandle.client` hands out the bundled blocking one.
+    """
+    return run_in_thread(VerificationService(**service_kwargs), host, port)

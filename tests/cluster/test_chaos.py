@@ -67,8 +67,8 @@ def single_daemon_reference(text: str, **verify_kwargs) -> dict:
 
 
 def primary_and_backup(handle, text: str) -> tuple[str, str]:
-    entry = handle.router.registry.resolve_inline(text)
-    replicas = handle.router.ring.replicas_for(entry.key)
+    entry = handle.service.registry.resolve_inline(text)
+    replicas = handle.service.ring.replicas_for(entry.key)
     assert len(replicas) == 2
     return replicas
 
@@ -86,7 +86,7 @@ class TestRestartAfterKill:
             },
         )
         try:
-            state = handle.router.supervisor.state_of("w0")
+            state = handle.service.supervisor.state_of("w0")
             first_pid = state.handle.pid
             handle.kill_worker("w0")
             # Envelope: detection ≤ ~health interval, restart delay ≤
@@ -134,7 +134,7 @@ class TestFailoverBitIdentical:
         reference = single_daemon_reference(ORDERS, seed=11)
         assert result_rows(out) == result_rows(reference)
         # The supervisor learned about the crash from the router.
-        assert not handle.router.supervisor.state_of(primary).healthy
+        assert not handle.service.supervisor.state_of(primary).healthy
 
     def test_concurrent_inflight_requests_all_answer(self, quiet_cluster):
         handle = quiet_cluster
@@ -179,14 +179,14 @@ class TestDegradedPath:
             },
         )
         try:
-            for worker_id in handle.router.supervisor.workers:
+            for worker_id in handle.service.supervisor.workers:
                 handle.kill_worker(worker_id)
             deadline = time.monotonic() + 10.0
             while time.monotonic() < deadline:
-                if not handle.router.supervisor.healthy_workers():
+                if not handle.service.supervisor.healthy_workers():
                     break
                 time.sleep(0.05)
-            assert handle.router.supervisor.healthy_workers() == ()
+            assert handle.service.supervisor.healthy_workers() == ()
             with handle.client() as client:
                 out = client.verify(text=ORDERS, seed=11)
             # Answered — degraded, tagged, and still bit-identical.

@@ -92,12 +92,23 @@ class TestDistributedTrace:
         assert [g["name"] for g in worker_request["children"]] == \
             ["service.verify.batch"]
 
+    def test_unseeded_tracing_reaches_the_workers(self):
+        # Without ids_seed the router and every worker draw random ids,
+        # so the worker still records its segment of the trace.
+        handle = cluster_in_thread(workers=1, replicas=1, tracing=True)
+        try:
+            trace_id = verify_traced(handle)
+            segments = {s["segment"] for s in collect_trace(handle, trace_id)}
+        finally:
+            handle.stop()
+        assert segments == {"router", "w0"}
+
     def test_collection_persists_to_the_sink(self, traced_cluster):
         trace_id = verify_traced(traced_cluster, seed=7)
         collect_trace(traced_cluster, trace_id)
         path = traced_cluster.trace_dir / f"{trace_id}.trace.jsonl"
         assert path.exists()
-        assert trace_id in traced_cluster.router.trace_sink.trace_ids()
+        assert trace_id in traced_cluster.service.trace_sink.trace_ids()
 
     def test_cli_renders_the_persisted_tree(self, traced_cluster):
         trace_id = verify_traced(traced_cluster, seed=8)

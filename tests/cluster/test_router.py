@@ -175,7 +175,7 @@ class TestDegraded:
         async def scenario():
             router, workers, sup = make_router(n_workers=2)
             await sup.start()
-            router._fallback.batcher.start()
+            router.batcher.start()
             try:
                 for worker in workers:
                     worker.fail = True
@@ -183,7 +183,7 @@ class TestDegraded:
                     router, "POST", "/verify", {"text": ORDERS}
                 )
             finally:
-                await router._fallback.batcher.aclose()
+                await router.batcher.aclose()
             assert status == 200
             assert payload["degraded"] is True
             holds = {r["name"]: r["holds"] for r in payload["results"]}
@@ -197,14 +197,14 @@ class TestDegraded:
         async def scenario():
             router, workers, sup = make_router(n_workers=1)
             await sup.start()
-            router._fallback.batcher.start()
+            router.batcher.start()
             try:
                 workers[0].fail = True
                 _, payload, _ = await handle(
                     router, "POST", "/verify", {"text": ORDERS}
                 )
             finally:
-                await router._fallback.batcher.aclose()
+                await router.batcher.aclose()
             spec = parse_specification(ORDERS)
             for item in payload["results"]:
                 prop = dict(spec.properties)[item["name"]]
@@ -248,6 +248,24 @@ class TestTenancy:
             )
             assert status == 200
             assert payload["spec"] == "private"  # not "acme::private"
+
+        run(scenario())
+
+    def test_default_tenant_cannot_write_into_a_namespace(self):
+        async def scenario():
+            router, _, sup = make_router()
+            await sup.start()
+            from repro.service.http import HttpError
+
+            await handle(router, "POST", "/specs",
+                         {"name": "private", "text": CLAIMS}, tenant="acme")
+            with pytest.raises(HttpError) as info:
+                await handle(router, "POST", "/specs",
+                             {"name": "acme::private", "text": ORDERS})
+            assert info.value.status == 400
+            _, listing, _ = await handle(router, "GET", "/specs",
+                                         tenant="acme")
+            assert listing["specs"][0]["version"] == 1
 
         run(scenario())
 

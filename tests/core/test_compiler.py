@@ -4,9 +4,9 @@ import pytest
 
 from repro.constraints.algebra import must, order
 from repro.core.compiler import compile_workflow
-from repro.ctr.formulas import atoms
+from repro.ctr.formulas import PATH, atoms
 from repro.ctr.rules import Rule, RuleBase
-from repro.errors import InconsistentWorkflowError, UniqueEventError
+from repro.errors import InconsistentWorkflowError, SpecificationError, UniqueEventError
 
 A, B, C, D = atoms("a b c d")
 
@@ -37,6 +37,11 @@ class TestCompileWorkflow:
     def test_unique_event_violation_detected(self):
         with pytest.raises(UniqueEventError):
             compile_workflow(A >> A)
+
+    def test_path_in_a_goal_is_a_specification_error(self):
+        # `path` admits arbitrary executions: it belongs in constraints.
+        with pytest.raises(SpecificationError, match="not goals"):
+            compile_workflow(A >> PATH)
 
     def test_rules_are_expanded(self):
         rules = RuleBase([Rule("sub", B + C)])

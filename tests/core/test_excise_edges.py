@@ -19,6 +19,7 @@ from repro.ctr.formulas import (
     walk,
 )
 from repro.ctr.machine import can_complete
+from repro.ctr.parser import parse_goal
 from repro.ctr.simplify import is_failure
 from repro.ctr.traces import traces
 from repro.graph.generators import random_goal
@@ -78,6 +79,36 @@ class TestTokenEdgeCases:
         assert disagreements == 0
         assert reused > 500
 
+    def test_tokens_in_possibility_bodies_agree_with_the_machine(self):
+        # A ◇ body that holds a token reads the tokens sent before the
+        # test; Excise decides such a goal on the kernel, where the machine
+        # reads it too.
+        in_tests = disagreements = 0
+        for seed in range(3000):
+            goal = _with_tokens(seed, into_tests=True)
+            in_tests += any(
+                isinstance(node, (Send, Receive))
+                for test in walk(goal) if isinstance(test, Possibility)
+                for node in walk(test.body)
+            )
+            disagreements += flat_executable(goal) != can_complete(goal)
+        assert disagreements == 0
+        assert in_tests > 100
+
+    def test_possibility_body_reads_the_tokens_sent_before_it(self):
+        goal = parse_goal(
+            "send(t1) * e2 * send(t2) | e3 | [<receive(t1) * e1> * e1 * e6]"
+            " | [<e6> * receive(t2) * e4 * e5]"
+        )
+        assert can_complete(goal)
+        assert flat_executable(goal)
+        assert excise(goal) == goal
+
+    def test_choice_feeding_a_possibility_body_is_entangled(self):
+        # The ◇ passes only after the send, so only that branch survives.
+        goal = parse_goal("(send(t1) + a) * <receive(t1)> * b")
+        assert excise(goal) == parse_goal("send(t1) * <receive(t1)> * b")
+
     def test_self_deadlock_minimal(self):
         assert not flat_executable(seq(Receive("t"), Send("t")))
 
@@ -125,10 +156,10 @@ class TestChoiceInteractions:
         assert is_failure(excise(goal))
 
 
-def _sprinkled(goal, rng):
+def _sprinkled(goal, rng, into_tests=False):
     """``goal`` with sends and receives of ``t1``/``t2`` before or after
-    some of its atoms outside ``◇`` bodies (Excise judges a ``◇`` body on
-    its own, the machine at its position, and Apply puts no token there)."""
+    some of its atoms, inside ``◇`` bodies too when ``into_tests`` (Apply
+    puts no token there; a hand-written goal may)."""
     if isinstance(goal, Atom):
         steps = [goal]
         for _ in range(rng.choice((0, 0, 1, 2))):
@@ -137,16 +168,18 @@ def _sprinkled(goal, rng):
         return seq(*steps)
     if isinstance(goal, (Serial, Concurrent)):
         build = seq if isinstance(goal, Serial) else par
-        return build(*(_sprinkled(part, rng) for part in goal.parts))
+        return build(*(_sprinkled(part, rng, into_tests) for part in goal.parts))
     if isinstance(goal, Isolated):
-        return isolated(_sprinkled(goal.body, rng))
+        return isolated(_sprinkled(goal.body, rng, into_tests))
+    if isinstance(goal, Possibility) and into_tests:
+        return Possibility(_sprinkled(goal.body, rng, into_tests))
     return goal
 
 
-def _with_tokens(seed):
+def _with_tokens(seed, into_tests=False):
     """A choice-free goal of 2–6 events with ``⊙`` blocks and ``◇`` tests,
     tokens sprinkled over it."""
     rng = random.Random(seed)
     goal = random_goal(2 + seed % 5, rng=rng, p_choice=0, p_isolated=0.3,
                        p_possible=0.1)
-    return _sprinkled(goal, rng)
+    return _sprinkled(goal, rng, into_tests)

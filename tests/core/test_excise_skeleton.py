@@ -158,6 +158,8 @@ def _tree_possibility_bodies(goal):
 
 def _tree_precedence_check(goal, run):
     for body in _tree_possibility_bodies(goal):
+        if any(isinstance(node, (Send, Receive)) for node in walk_unique(body)):
+            return can_complete(goal)  # the body reads the tokens sent before it
         if isinstance(excise_module._excise(body, run), NegPath):
             return False
     builder = _TreeGraphBuilder()
@@ -285,7 +287,9 @@ class TestHandCases:
         goal = seq(A, knotted, C)
         result, stats = _assert_matches_tree_walk(goal)
         assert result is NEG_PATH
-        assert stats.knots == 2  # the body, then the goal holding it
+        # One knot, the goal: a body that holds a token is read where the
+        # test stands, by the search, not excised on its own.
+        assert stats.knots == 1
         result, _ = _assert_matches_tree_walk(goal + D)
         assert result is D
 
@@ -339,10 +343,12 @@ class TestHandCases:
                 flat_executable(goal)
 
     def test_possibility_inside_a_choice_is_checked_before_the_rejection(self):
+        # The ◇ body holds a token, so the goal goes to the search before
+        # its choice is rejected, and the search reads the whole goal.
         goal = alt(Possibility(Receive("never")) >> A, B)
-        assert flat_executable(goal) is False
+        assert flat_executable(goal) is True
         with _tree_walks():
-            assert flat_executable(goal) is False
+            assert flat_executable(goal) is True
 
     def test_entangled_choices(self):
         # A token crosses each choice: the combos resolve through flat checks.

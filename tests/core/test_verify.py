@@ -13,8 +13,9 @@ from repro.core.verify import (
     redundant_constraints,
     verify_property,
 )
-from repro.ctr.formulas import atoms, event_names
+from repro.ctr.formulas import PATH, atoms, event_names
 from repro.ctr.traces import traces
+from repro.errors import SpecificationError
 from tests.conftest import constraints_over, unique_event_goals
 
 A, B, C, D = atoms("a b c d")
@@ -42,6 +43,16 @@ class TestConsistency:
         constraint = data.draw(constraints_over(events))
         brute = any(satisfies(t, constraint) for t in traces(goal))
         assert is_consistent(goal, [constraint]) == brute
+
+
+class TestPathInAGoal:
+    def test_consistency_refuses_path(self):
+        with pytest.raises(SpecificationError, match="not goals"):
+            is_consistent(A >> PATH, [order("a", "b")])
+
+    def test_failing_verification_refuses_path(self):
+        with pytest.raises(SpecificationError, match="not goals"):
+            verify_property(A | PATH, [], must("b"))
 
 
 class TestVerification:

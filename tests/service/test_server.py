@@ -162,6 +162,13 @@ class TestErrorMapping:
                 client.verify(text="goal: ((((\n")
         assert excinfo.value.status == 400
 
+    def test_path_in_a_goal_is_400(self, service):
+        with service.client() as client:
+            with pytest.raises(ServiceClientError) as excinfo:
+                client.compile(text="goal: a * path\n")
+        assert excinfo.value.status == 400
+        assert excinfo.value.payload["kind"] == "SpecificationError"
+
     def test_missing_target_is_400(self, service):
         with service.client() as client:
             with pytest.raises(ServiceClientError) as excinfo:
