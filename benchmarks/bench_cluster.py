@@ -3,7 +3,8 @@
 Workload: the service benchmark's shape (concurrent event pairs under
 width-2 disjunctive order constraints, every property holding so each
 forces a full ``G ∧ C ∧ ¬Φ`` compile), served by a router consistent-
-hashing keys onto real subprocess workers. No persistent compile cache:
+hashing keys onto real subprocess workers. No persistent compile cache,
+and so no answer memo (a daemon keeps one only beside a compile cache):
 whatever a worker answers, it computed.
 
 Three gates:

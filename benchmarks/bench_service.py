@@ -5,9 +5,11 @@ width-2 disjunctive order constraints; every request verifies the same
 five properties, each of which *holds* — so each one forces a full
 (inconsistent) ``G ∧ C ∧ ¬Φ`` compile and represents maximal, uniform
 verification work. The service runs with **no** persistent compile
-cache: every verification the daemon actually performs is real
-Apply/Excise work, and whatever the batcher saves, it saves by
-coalescing — not by hiding behind the disk cache.
+cache, and so with no answer memo either (a daemon keeps one only
+beside a compile cache): every request reaches the batcher, every
+verification the daemon actually performs is real Apply/Excise work,
+and whatever the batcher saves, it saves by coalescing — not by hiding
+behind the disk cache or remembered answers.
 
 Three gates:
 
@@ -210,7 +212,9 @@ def _measure() -> dict:
     try:
         with handle.client() as setup:
             setup.register("bench", text)
-            setup.verify(spec="bench")  # warm the registry's compile memo
+            # Warm-up: pays the lazy imports. /verify keeps no compile
+            # memo, and without a compile cache no answer memo either.
+            setup.verify(spec="bench")
         for index in range(PAIRS):
             order = (("sequential", "batched") if index % 2 == 0
                      else ("batched", "sequential"))

@@ -2,9 +2,13 @@
 
 Verification is the service's expensive operation — each property is an
 Apply/Excise compile of ``G ∧ C ∧ ¬Φ`` (Theorem 5.9), NP-hard in the
-constraint set. It is also, for a service, highly *coalescible*: many
-concurrent requests ask about the same specification, often about the
-same properties. The :class:`VerifyBatcher` exploits that:
+constraint set. A daemon with a compile cache answers the properties it
+has answered before from the registry's answer memo, so a warm read
+never reaches the batcher; what arrives here is the properties the memo
+lacks (every property, without a cache). Verification is also, for a
+service, highly *coalescible*: many concurrent requests ask about the
+same specification, often about the same properties. The
+:class:`VerifyBatcher` exploits that:
 
 * requests are grouped by the specification's batch key (``name@version``
   from the :class:`~repro.service.registry.SpecRegistry`, so a

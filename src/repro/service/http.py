@@ -24,6 +24,7 @@ counters and latency histograms land under their own namespace
 from __future__ import annotations
 
 import asyncio
+import contextvars
 import json
 
 from ..errors import ReproError
@@ -50,6 +51,12 @@ REQUEST_ID_HEADER = "X-Repro-Request-Id"
 
 #: Largest accepted request body; a specification is text, not a payload.
 MAX_BODY_BYTES = 1 << 20
+
+#: The ``http.<endpoint>`` span of the request the current task serves, set
+#: only while tracing: each connection is its own task, so this is per request.
+_REQUEST_SPAN: contextvars.ContextVar = contextvars.ContextVar(
+    "repro_request_span", default=None
+)
 
 _REASONS = {
     200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -92,7 +99,9 @@ class HttpServerBase:
     * raise :class:`HttpError` for protocol-level rejections, or any
       :class:`~repro.errors.ReproError` to have :attr:`error_statuses`
       map it;
-    * optionally set :attr:`metrics_prefix` for the metrics namespace.
+    * optionally set :attr:`metrics_prefix` for the metrics namespace,
+      and call :meth:`_annotate_request` to put attributes on the
+      request's span.
     """
 
     metrics_prefix = "service"
@@ -305,7 +314,7 @@ class HttpServerBase:
             or self._request_ids.request_id()
         )
         error_type: str | None = None
-        token = None
+        token = span_token = None
         try:
             with self.obs.tracer.span(
                 f"http.{endpoint}", method=method, ctx=ctx, root=True
@@ -313,6 +322,8 @@ class HttpServerBase:
                 own_ctx = getattr(span, "context", None)
                 if own_ctx is not None:
                     token = set_trace_context(own_ctx)
+                if self.obs.tracer.enabled:
+                    span_token = _REQUEST_SPAN.set(span)
                 try:
                     status, payload, content_type = await self._handle(
                         method, path, query, headers, body
@@ -339,6 +350,8 @@ class HttpServerBase:
         finally:
             if token is not None:
                 reset_trace_context(token)
+            if span_token is not None:
+                _REQUEST_SPAN.reset(span_token)
         latency = asyncio.get_running_loop().time() - started
         if metrics is not None:
             prefix = self.metrics_prefix
@@ -352,6 +365,14 @@ class HttpServerBase:
     def _observe_outcome(self, endpoint: str, status: int,
                          latency: float) -> None:
         """Per-request hook; the router feeds its SLO monitor here."""
+
+    @staticmethod
+    def _annotate_request(**attrs) -> None:
+        """Attach ``attrs`` to the span of the request being handled (a
+        no-op while tracing is off)."""
+        span = _REQUEST_SPAN.get()
+        if span is not None:
+            span.annotate(**attrs)
 
     async def _handle(self, method, path, query, headers, body):
         raise NotImplementedError

@@ -8,12 +8,27 @@ is what keeps the batching and caching layers honest:
 * every registration that changes a specification's text bumps its
   version, and the batch key the :class:`~repro.service.batcher`
   groups requests under embeds that version — so requests racing a
-  re-registration can never be coalesced with requests for the old text;
+  re-registration can never be coalesced with requests for the old text.
+  Versions only grow: a name keeps its last version across
+  :meth:`SpecRegistry.unregister`, so no key is ever reused;
 * the in-memory memo of compiled workflows is keyed by the same
   ``name@version`` pair and dropped on re-registration, while the
   persistent :class:`~repro.core.compiler.CompileCache` underneath is
   content-addressed and needs no invalidation at all (the old entry
   simply stops being asked for).
+
+A registry with a compile cache also keeps a bounded *answer memo*:
+what ``/verify`` answers for one property of one specification under
+one witness seed — the property's canonical text, whether it holds and
+the witness, never the counterexample goal. By Theorem 5.9 (and, for
+the witness, its seed) that answer is fixed by the specification's text,
+so the memo is content-addressed by :attr:`SpecEntry.digest` and needs
+no invalidation either: an edited spec gets a new digest, switching back
+to old text finds its answers again, and the least recently used answers
+are evicted past :data:`_ANSWER_MEMO_EVENTS`. The daemon answers a
+request the memo covers without reaching the batcher. A registry without
+a cache (the default, and ``--no-cache``) keeps no answers: whatever it
+serves, it computed.
 
 Entries loaded from a specs directory *hot-reload*: every lookup stats
 the backing file and re-registers it when its mtime changed, so editing
@@ -41,6 +56,7 @@ import logging
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from ..errors import ReproError
@@ -59,6 +75,11 @@ SPEC_SUFFIXES = (".workflow", ".spec")
 #: How many anonymous (inline-text) entries to remember; content-addressed,
 #: so eviction only costs a re-parse.
 _INLINE_MEMO = 64
+
+#: How many witness events the answer memo holds before it evicts the least
+#: recently used answers. An answer weighs one plus its witness's length, so
+#: a property that holds (no witness) still counts.
+_ANSWER_MEMO_EVENTS = 1 << 16
 
 
 class UnknownSpecError(ReproError, KeyError):
@@ -90,6 +111,11 @@ class SpecEntry:
         across re-registrations with different text."""
         return f"{self.name}@{self.version}"
 
+    @cached_property
+    def digest(self) -> str:
+        """SHA-256 of the text, computed once: the answer memo's address."""
+        return hashlib.sha256(self.text.encode("utf-8")).hexdigest()
+
 
 class SpecRegistry:
     """Thread-safe catalog of named specifications with compiled memos.
@@ -109,8 +135,14 @@ class SpecRegistry:
         self.specs_dir = Path(specs_dir) if specs_dir is not None else None
         self._lock = threading.Lock()
         self._entries: dict[str, SpecEntry] = {}
+        self._versions: dict[str, int] = {}  # name -> last version, kept on unregister
         self._compiled: dict[str, object] = {}  # SpecEntry.key -> CompiledWorkflow
         self._inline: OrderedDict[str, SpecEntry] = OrderedDict()
+        # (digest, property, seed) -> (canonical text, holds, witness)
+        self._answers: OrderedDict | None = (
+            OrderedDict() if self.cache is not None else None
+        )
+        self._answer_events = 0
         self._dir_missing = False  # log the disappearance once, not per lookup
         if self.specs_dir is not None:
             self.load_directory()
@@ -123,7 +155,9 @@ class SpecRegistry:
 
         Re-registering identical text is a no-op returning the existing
         entry (same version, memo intact). Different text bumps the
-        version and drops the old version's compiled memo.
+        version and drops the old version's compiled memo; so does a
+        registration after :meth:`unregister`, whose version follows the
+        name's last one.
         """
         spec = parse_specification(text)  # parse errors propagate pre-mutation
         with self._lock:
@@ -137,7 +171,8 @@ class SpecRegistry:
                     self._entries[name] = entry
                     return entry
                 return previous
-            version = 1 if previous is None else previous.version + 1
+            version = self._versions.get(name, 0) + 1
+            self._versions[name] = version
             entry = SpecEntry(name, version, text, spec, source=source, mtime=mtime)
             self._entries[name] = entry
             if previous is not None:
@@ -145,7 +180,8 @@ class SpecRegistry:
             return entry
 
     def unregister(self, name: str) -> bool:
-        """Drop ``name``; returns whether it was registered."""
+        """Drop ``name``; returns whether it was registered. The name keeps
+        its last version, so registering it again starts a new one."""
         with self._lock:
             entry = self._entries.pop(name, None)
             if entry is not None:
@@ -277,8 +313,8 @@ class SpecRegistry:
     def namespaced(self, tenant: str) -> "TenantView":
         """A :class:`TenantView` scoping this catalog to ``tenant``.
 
-        Views share the underlying maps, compile memo, and disk cache —
-        a namespace is a key prefix, not a copy.
+        Views share the underlying maps, compile memo, answer memo and
+        disk cache — a namespace is a key prefix, not a copy.
         """
         return TenantView(self, tenant)
 
@@ -321,6 +357,50 @@ class SpecRegistry:
                 if current is not None and current.key == entry.key:
                     self._compiled[entry.key] = compiled
         return compiled
+
+    # -- answers --------------------------------------------------------------
+
+    def answers(self, entry: SpecEntry, props, seed: int | None) -> list:
+        """The memoized answers for ``props`` of ``entry`` under witness
+        ``seed``, in order, ``None`` for each one the memo lacks (every one,
+        without a compile cache). A hit becomes the most recently used."""
+        if self._answers is None:
+            return [None] * len(props)
+        digest = entry.digest  # hashed once per entry, outside the lock
+        found = []
+        with self._lock:
+            for prop in props:
+                key = (digest, prop, seed)
+                answer = self._answers.get(key)
+                if answer is not None:
+                    self._answers.move_to_end(key)
+                found.append(answer)
+        return found
+
+    def remember(self, entry: SpecEntry, seed: int | None, result) -> tuple:
+        """The answer ``/verify`` gives for ``result`` — a
+        :class:`~repro.core.verify.VerificationResult` computed for
+        ``entry`` under witness ``seed`` — as ``(canonical text, holds,
+        witness)``, memoized when the registry has a compile cache."""
+        answer = (str(result.property), result.holds, result.witness)
+        if self._answers is None:
+            return answer
+        key = (entry.digest, result.property, seed)
+        with self._lock:
+            if key in self._answers:  # a concurrent request stored it first
+                self._answers.move_to_end(key)
+                return answer
+            self._answers[key] = answer
+            self._answer_events += _weight(answer)
+            while self._answer_events > _ANSWER_MEMO_EVENTS:
+                _, evicted = self._answers.popitem(last=False)
+                self._answer_events -= _weight(evicted)
+        return answer
+
+
+def _weight(answer: tuple) -> int:
+    """An answer's share of :data:`_ANSWER_MEMO_EVENTS`."""
+    return 1 + len(answer[2] or ())
 
 
 class TenantView:

@@ -19,14 +19,20 @@ POST      ``/verify``        Theorem 5.9, *batched* — see below
 POST      ``/schedule``      enumerate allowed executions (``limit`` capped)
 ========  =================  ==================================================
 
-``/verify`` goes through the :class:`~repro.service.batcher.VerifyBatcher`:
-an idle daemon dispatches a request at once; a request that the running
-batch already covers joins it, and the rest that arrive meanwhile
-coalesce into the next :func:`~repro.core.verify.verify_properties`
-fan-out, with bounded-queue admission (429 when shedding, 503 while
-draining, 504 past the per-request deadline). The other POST endpoints
-run directly on the executor — they are single compiles against the
-registry's memo and the persistent compile cache.
+``/verify`` reads the registry's answer memo first (a registry with a
+compile cache keeps one, see :mod:`~repro.service.registry`): a warm
+read, one whose every property the memo holds, is answered on the event
+loop and never reaches the batcher. The properties the memo lacks go
+through the :class:`~repro.service.batcher.VerifyBatcher`: an idle
+daemon dispatches a request at once; a request that the running batch
+already covers joins it, and the rest that arrive meanwhile coalesce
+into the next :func:`~repro.core.verify.verify_properties` fan-out, with
+bounded-queue admission (429 when shedding, 503 while draining, 504 past
+the per-request deadline); their answers are then memoized. The
+``service.verify.memo_hits`` counter, and the same attribute on a traced
+request's span, count the properties the memo answered. The other POST
+endpoints run directly on the executor — they are single compiles
+against the registry's memo and the persistent compile cache.
 
 Graceful shutdown (:meth:`VerificationService.shutdown` with
 ``drain=True``, the default, wired to SIGINT/SIGTERM by the CLI) stops
@@ -301,20 +307,37 @@ class VerificationService(HttpServerBase):
         seed = data.get("seed")
         if seed is not None and not isinstance(seed, int):
             raise HttpError(400, "'seed' must be an integer")
-        results = await self.batcher.submit(
-            entry, props, deadline=deadline, seed=seed
-        )
+        # A draining daemon answers nothing, from the memo or otherwise:
+        # the batcher refuses (and counts) the whole request.
+        answers = ([None] * len(props) if self.batcher.draining
+                   else self.registry.answers(entry, props, seed))
+        missing = [prop for prop, answer in zip(props, answers) if answer is None]
+        if missing:
+            fresh = iter(await self.batcher.submit(
+                entry, missing, deadline=deadline, seed=seed
+            ))
+            answers = [
+                answer if answer is not None
+                else self.registry.remember(entry, seed, next(fresh))
+                for answer in answers
+            ]
+        hits = len(props) - len(missing)
+        if hits:
+            if self.obs.metrics is not None:
+                self.obs.metrics.inc("service.verify.memo_hits", hits)
+            if self.obs.tracer.enabled:
+                self._annotate_request(memo_hits=hits)
         return 200, {
             "spec": entry.name,
             "version": entry.version,
             "results": [
                 {
                     "name": name,
-                    "property": str(result.property),
-                    "holds": result.holds,
-                    "witness": list(result.witness) if result.witness else None,
+                    "property": text,
+                    "holds": holds,
+                    "witness": list(witness) if witness else None,
                 }
-                for name, result in zip(names, results)
+                for name, (text, holds, witness) in zip(names, answers)
             ],
         }, _JSON
 

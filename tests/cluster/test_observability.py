@@ -181,6 +181,21 @@ class TestFederatedMetrics:
                and name.endswith(".verify_p95")]
         assert p95, f"no per-replica p95 gauges in {sorted(gauges)}"
 
+    def test_totals_sum_the_workers_memo_hits(self, tmp_path):
+        # Workers with a compile cache answer a repeated verify from
+        # their answer memo; the federated totals count it.
+        handle = cluster_in_thread(workers=1, replicas=1, cache_dir=tmp_path)
+        try:
+            with handle.client() as client:
+                first = client.verify(text=ORDERS)
+                second = client.verify(text=ORDERS)
+                data = client.cluster_metrics(format="json")
+        finally:
+            handle.stop()
+        assert second["results"] == first["results"]
+        assert data["totals"] == sum_scrapes(data["workers"])
+        assert data["totals"]["counters"]["service.verify.memo_hits"] == 2
+
 
 class TestClusterStatus:
     def test_status_reports_slo_objectives(self, traced_cluster):

@@ -17,6 +17,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.constraints.parser import parse_constraint
 from repro.core.resilience import VirtualClock
 from repro.core.verify import verify_property
 from repro.obs import Observability
@@ -529,6 +530,35 @@ class TestJoin:
         assert [r.holds for r in seeded] == [True, False]
         assert [r.holds for r in reregistered] == [True, False]
         assert seeded[1] is not first[1]
+
+    def test_text_registered_again_under_its_name_does_not_join(self):
+        # unregister + register gives the name a new version, so a request
+        # for the new text cannot join the old text's batch, still held.
+        async def scenario():
+            registry = SpecRegistry()
+            old = registry.register("x", "goal: a * b\n")
+            executor = GatedExecutor()
+            batcher = VerifyBatcher(registry, executor=executor)
+            prop = parse_constraint("happens(b)")
+            waiter = asyncio.ensure_future(batcher.submit(old, [prop]))
+            await asyncio.sleep(0)
+            flushing = asyncio.ensure_future(batcher.flush())
+            await until(lambda: batcher._running)
+            registry.unregister("x")
+            new = registry.register("x", "goal: a * (b + c)\n")
+            fresh = asyncio.ensure_future(batcher.submit(new, [prop]))
+            await asyncio.sleep(0)
+            executor.gate.set()
+            await flushing
+            executor.shutdown()
+            return new, prop, await waiter, await fresh
+
+        new, prop, (first,), (fresh,) = run(scenario())
+        assert first.holds
+        direct = verify_property(new.spec.goal, list(new.spec.constraints),
+                                 prop)
+        assert fresh.holds is direct.holds is False
+        assert fresh.witness == direct.witness
 
     def test_partial_overlap_queues_whole(self):
         async def scenario():

@@ -68,6 +68,15 @@ class TestRegistration:
         assert registry.unregister("orders") is False
         assert len(registry) == 0
 
+    def test_versions_only_grow_across_unregister(self):
+        # A key is never reused: the batcher and both memos rely on it.
+        registry = SpecRegistry()
+        keys = []
+        for text in (ORDERS_V1, ORDERS_V2, ORDERS_V1):
+            keys.append(registry.register("orders", text).key)
+            registry.unregister("orders")
+        assert keys == ["orders@1", "orders@2", "orders@3"]
+
 
 class TestCompiledMemo:
     def test_compile_is_memoized_per_version(self):
@@ -106,6 +115,47 @@ class TestCompiledMemo:
         other_entry = other.register("orders", ORDERS_V1)
         other.compiled(other_entry)
         assert other.cache.hits == 1
+
+
+class TestAnswerMemo:
+    def test_concurrent_answers_keep_the_bound_exact(self, tmp_path,
+                                                     monkeypatch):
+        import sys
+        import threading
+
+        from repro.constraints.algebra import must
+        from repro.core.verify import VerificationResult
+        from repro.service import registry as registry_module
+
+        monkeypatch.setattr(registry_module, "_ANSWER_MEMO_EVENTS", 40)
+        registry = SpecRegistry(cache=tmp_path)
+        entry = registry.register("orders", ORDERS_V1)
+        results = [VerificationResult(must(f"e{i}"), holds=i % 3 == 0,
+                                      witness=None if i % 3 == 0
+                                      else ("receive",) * (i % 5))
+                   for i in range(64)]
+
+        def worker(offset):
+            for round_ in range(200):
+                result = results[(offset * 7 + round_) % len(results)]
+                registry.answers(entry, [result.property], None)
+                registry.remember(entry, None, result)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        stored = registry._answers.values()
+        weight = sum(1 + len(witness or ()) for _, _, witness in stored)
+        assert registry._answer_events == weight <= 40
 
 
 class TestHotReload:

@@ -6,14 +6,17 @@ harness the benchmarks and examples use too).
 """
 
 import asyncio
+import http.client
 import json
 import threading
 import time
 
 import pytest
 
+from repro.constraints.parser import parse_constraint
 from repro.core.verify import verify_property
 from repro.service import ServiceClientError, serve_in_thread
+from repro.service import registry as registry_module
 from repro.spec import parse_specification
 
 ORDERS = """
@@ -267,6 +270,206 @@ class TestSpecsDirectory:
                 assert client.verify(spec="orders")["version"] == 2
         finally:
             handle.stop()
+
+
+def post_verify(handle, body: dict) -> bytes:
+    """``POST /verify`` on a fresh connection; the raw response body."""
+    conn = http.client.HTTPConnection(handle.host, handle.port, timeout=30.0)
+    try:
+        conn.request("POST", "/verify", body=json.dumps(body),
+                     headers={"Content-Type": "application/json"})
+        response = conn.getresponse()
+        raw = response.read()
+    finally:
+        conn.close()
+    assert response.status == 200, raw
+    return raw
+
+
+def memo_hits(handle) -> float:
+    with handle.client() as client:
+        counters = client.metrics(format="json")["counters"]
+    return counters.get("service.verify.memo_hits", 0)
+
+
+def direct_results(text: str, properties=None, seed=None) -> list[dict]:
+    """What ``/verify`` must answer, from direct library calls."""
+    spec = parse_specification(text)
+    named = (spec.properties if properties is None
+             else [(p, parse_constraint(p)) for p in properties])
+    out = []
+    for name, prop in named:
+        direct = verify_property(spec.goal, list(spec.constraints), prop,
+                                 rules=spec.rules, seed=seed)
+        out.append({"name": name, "property": str(prop),
+                    "holds": direct.holds,
+                    "witness": list(direct.witness) if direct.witness
+                    else None})
+    return out
+
+
+FLIP = "goal: a * b\nproperty p: precedes(a, b)\n"
+FLOP = "goal: b * a\nproperty p: precedes(a, b)\n"
+
+
+@pytest.fixture
+def cached(tmp_path):
+    handle = serve_in_thread(cache=tmp_path / "cache")
+    with handle.client() as client:
+        client.register("orders", ORDERS)
+    yield handle
+    handle.stop()
+
+
+class TestAnswerMemo:
+    """A daemon with a compile cache answers a repeated ``/verify`` from
+    its answer memo; one without a cache verifies every request."""
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    def test_repeated_verify_is_answered_from_the_memo(self, cached, seed):
+        body = {"spec": "orders"} if seed is None else {"spec": "orders",
+                                                        "seed": seed}
+        stats = cached.service.batcher.stats
+        first = post_verify(cached, body)
+        verified = stats.verified
+        second = post_verify(cached, body)
+        assert stats.verified == verified  # the batcher was never asked
+        assert memo_hits(cached) == 3
+        expected = {"spec": "orders", "version": 1,
+                    "results": direct_results(ORDERS, seed=seed)}
+        assert second == first == json.dumps(expected).encode("utf-8")
+
+    def test_hot_reloaded_file_gets_fresh_answers_and_old_text_hits(
+        self, tmp_path
+    ):
+        import os
+
+        path = tmp_path / "flip.workflow"
+        handle = serve_in_thread(specs_dir=tmp_path,
+                                 cache=tmp_path / "cache")
+        stats = handle.service.batcher.stats
+        answers = []
+        try:
+            for mtime, text in ((100.0, FLIP), (200.0, FLOP), (300.0, FLIP)):
+                path.write_text(text)
+                os.utime(path, (mtime, mtime))
+                verified = stats.verified
+                out = json.loads(post_verify(handle, {"spec": "flip"}))
+                assert out["results"] == direct_results(text)
+                answers.append((out["version"], stats.verified - verified))
+            hits = memo_hits(handle)
+        finally:
+            handle.stop()
+        # The edit verifies afresh; switching back is a memo hit.
+        assert answers == [(1, 1), (2, 1), (3, 0)]
+        assert hits == 1
+
+    def test_reposted_spec_gets_fresh_answers_and_old_text_hits(self, cached):
+        stats = cached.service.batcher.stats
+        outcomes = []
+        with cached.client() as client:
+            for text in (FLIP, FLOP, FLIP):
+                client.register("flip", text)
+                verified = stats.verified
+                out = client.verify(spec="flip")
+                assert out["results"] == direct_results(text)
+                outcomes.append(stats.verified - verified)
+        assert outcomes == [1, 1, 0]
+        assert memo_hits(cached) == 1
+
+    def test_only_the_new_property_is_submitted(self, cached):
+        stats = cached.service.batcher.stats
+        known, new = "happens(receive)", "precedes(stock, credit)"
+        with cached.client() as client:
+            client.verify(spec="orders", properties=[known])
+            submitted = stats.submitted
+            out = client.verify(spec="orders", properties=[known, new])
+        assert stats.submitted - submitted == 1
+        assert memo_hits(cached) == 1
+        assert out["results"] == direct_results(ORDERS, [known, new])
+
+    def test_bound_evicts_the_least_recently_used(self, cached, monkeypatch):
+        # Holding properties weigh one event each: the memo keeps two.
+        monkeypatch.setattr(registry_module, "_ANSWER_MEMO_EVENTS", 2,
+                            raising=False)
+        stats = cached.service.batcher.stats
+        verified = []
+        with cached.client() as client:
+            for prop in ("happens(receive)", "happens(approve)",
+                         "happens(receive)", "happens(archive)",
+                         "happens(receive)", "happens(approve)"):
+                before = stats.verified
+                out = client.verify(spec="orders", properties=[prop])
+                assert out["results"][0]["holds"] is True
+                verified.append(stats.verified - before)
+        # receive was used after approve, so archive evicted approve.
+        assert verified == [1, 1, 0, 1, 0, 1]
+        assert memo_hits(cached) == 2
+
+    def test_daemon_without_a_cache_verifies_every_request(self):
+        handle = serve_in_thread()
+        try:
+            with handle.client() as client:
+                client.register("orders", ORDERS)
+                stats = handle.service.batcher.stats
+                outs = []
+                for _ in range(3):
+                    verified = stats.verified
+                    outs.append(client.verify(spec="orders"))
+                    assert stats.verified - verified == 3
+            hits = memo_hits(handle)
+        finally:
+            handle.stop()
+        assert hits == 0
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_draining_daemon_answers_a_memoized_verify_with_503(
+        self, cached, monkeypatch
+    ):
+        batcher = cached.service.batcher
+        with cached.client() as client:
+            client.verify(spec="orders")  # every answer memoized
+        release = threading.Event()
+        verify_batch = batcher._verify_batch
+
+        def held(*args):
+            release.wait(timeout=30)
+            return verify_batch(*args)
+
+        monkeypatch.setattr(batcher, "_verify_batch", held)
+        # A miss held on the executor keeps the drain open, and an
+        # already-open keep-alive connection asks during it.
+        keep_alive = cached.client(retries=0)
+        keep_alive.healthz()
+        held_out: list = []
+
+        def verify_a_miss():
+            with cached.client() as client:
+                held_out.append(client.verify(
+                    spec="orders", properties=["never(archive)"]))
+
+        miss = threading.Thread(target=verify_a_miss)
+        stopper = threading.Thread(target=cached.stop)
+        try:
+            miss.start()
+            deadline = time.monotonic() + 10.0
+            while not batcher._running and time.monotonic() < deadline:
+                time.sleep(0.001)
+            stopper.start()
+            while not batcher.draining and time.monotonic() < deadline:
+                time.sleep(0.001)
+            with pytest.raises(ServiceClientError) as excinfo:
+                keep_alive.verify(spec="orders")
+        finally:
+            release.set()
+            if stopper.ident is None:
+                stopper.start()
+            keep_alive.close()
+        stopper.join(timeout=60)
+        miss.join(timeout=60)
+        assert not stopper.is_alive() and not miss.is_alive()
+        assert excinfo.value.status == 503
+        assert [r["holds"] for r in held_out[0]["results"]] == [False]
 
 
 class TestGracefulShutdown:

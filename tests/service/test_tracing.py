@@ -114,6 +114,23 @@ class TestPropagation:
         assert health[-1].parent_ref is None  # a root: no remote parent
 
 
+class TestMemoHits:
+    def test_a_warm_read_is_answered_on_the_request_span(self, tmp_path):
+        handle = serve_in_thread(obs=traced_obs(41), cache=tmp_path)
+        client = traced_client(handle)
+        try:
+            client.register("orders", ORDERS)
+            client.verify(spec="orders")
+            client.verify(spec="orders")
+            spans = client.trace(client.last_trace_id)["spans"]
+        finally:
+            client.close()
+            handle.stop()
+        # No batch span: the memo answered both properties in the handler.
+        assert [s["name"] for s in spans] == ["http.verify"]
+        assert spans[0]["attrs"]["memo_hits"] == 2
+
+
 class TestErrorOutcomes:
     def test_error_spans_record_status_and_error_type(self, service):
         with service.client() as client:

@@ -76,6 +76,25 @@ class TestServe:
         assert status == 0
 
 
+    def test_cached_daemon_answers_a_repeated_verify_from_memory(
+        self, tmp_path
+    ):
+        process, banner = start("serve", "--cache-dir", str(tmp_path))
+        try:
+            client = client_for(banner)
+            try:
+                first = client.verify(text=ORDERS)
+                second = client.verify(text=ORDERS)
+                counters = client.metrics(format="json")["counters"]
+            finally:
+                client.close()
+        finally:
+            rest, status = drain(process)
+        assert second == first
+        assert counters["service.verify.memo_hits"] == 2
+        assert status == 0
+
+
 class TestCluster:
     def test_traced_cluster_serves_and_drains(self):
         process, banner = start("cluster", "--workers", "1", "--tracing")
