@@ -1,17 +1,18 @@
-"""K: the flat kernel vs the object oracle.
+"""K: the flat kernel vs the object interpreters.
 
 Two gates over N=7 concurrent workloads (seven parallel tasks with
 order constraints — 7! interleavings before pruning):
 
 * **K1 — speedup:** the kernel answers the verify-side query
   (``count_traces`` over the compiled goal, two constraints) at least 5x
-  faster than the object trace semantics of :mod:`repro.ctr.traces`. The
+  faster than the object trace enumeration kept as K1's comparator in
+  ``tests/trace_reference.py``, and both count the same traces. The
   object enumeration shuffles every interleaving the Apply-transformed
   goal denotes before filtering; the kernel's pruned integer-table search
   never materializes a prefix the constraints already killed — each added
   constraint *slows* the object enumeration and *speeds* the kernel.
-* **K2 — zero divergence:** against the oracle (N=6 keeps the object
-  enumeration CI-sized): kernel traces equal ``ctr.traces.traces``; the
+* **K2 — zero divergence:** against the oracle, the step machine (N=6
+  keeps its search CI-sized): kernel traces equal ``machine_traces``; the
   scheduler's enumeration is exactly the sorted trace set and its default
   run the lexicographically smallest trace; every verification witness
   is a legal trace violating its property; batched
@@ -22,6 +23,13 @@ order constraints — 7! interleavings before pruning):
   state of every consistent compile offers exactly the events that can
   still complete: ``eligible() == viable_events()`` (the specs and walk
   of ``tests/proactive.py``; tier-1 runs seeds 0–999).
+* **K5 — the kernel is the machine on shapes Apply never builds:** over
+  3,000 seeds of each of ``tests/proactive.py``'s two token generators
+  (choice-free goals over 2–6 events with ``⊙`` blocks, ``◇`` tests and
+  ``t1``/``t2`` tokens, reused, and in the second generator inside ``◇``
+  bodies too), the kernel's ``traces``, exact ``count_traces``,
+  ``is_executable`` and the scheduler's ``enumerate_schedules`` equal the
+  step machine's answers on every goal (tier-1 runs seeds 0–79).
 
 The sweep is saved machine-readably as ``results/BENCH_kernel.json``.
 """
@@ -40,10 +48,16 @@ from repro.core.compiler import compile_workflow
 from repro.core.scheduler import Scheduler
 from repro.core.verify import verify_properties, verify_property
 from repro.ctr.formulas import event_names
-from repro.ctr.kernel import lower_goal
-from repro.ctr.traces import count_traces, traces
+from repro.ctr.kernel import is_executable, lower_goal
+from repro.ctr.machine import machine_traces
 from repro.graph.generators import parallel_chains
-from tests.proactive import dead_end_states, isolation_spec
+from tests.proactive import (
+    dead_end_states,
+    isolation_spec,
+    kernel_divergences,
+    with_tokens,
+)
+from tests.trace_reference import count_traces
 
 N = 7
 ENUM_LIMIT = 500_000_000
@@ -69,8 +83,10 @@ def _measure() -> dict:
     started = time.perf_counter()
     program_v = lower_goal(compiled_v.goal)
     lower_s = time.perf_counter() - started
+    object_counts = []
     obj_count_s = time_best_of(
-        lambda: count_traces(compiled_v.goal, ENUM_LIMIT), repeats=1
+        lambda: object_counts.append(count_traces(compiled_v.goal, ENUM_LIMIT)),
+        repeats=1,
     )
     ker_count_s = time_best_of(lambda: program_v.count_traces(ENUM_LIMIT))
 
@@ -78,6 +94,7 @@ def _measure() -> dict:
         "n": N,
         "verify_constraints": len(cons_v),
         "legal_traces": int(program_v.count_traces(ENUM_LIMIT)),
+        "object_count": int(object_counts[0]),
         "lower_ms": lower_s * 1e3,
         "verify": {
             "object_s": obj_count_s,
@@ -94,17 +111,22 @@ def test_k1_kernel_5x_on_verify():
     save_table(
         "K1_kernel",
         render_table(
-            f"K1: flat kernel vs object trace semantics at N={results['n']} "
+            f"K1: flat kernel vs object trace enumeration at N={results['n']} "
             f"({results['verify_constraints']} constraints, "
             f"{results['legal_traces']} legal traces)",
             ["query", "object ms", "kernel ms", "speedup"],
             [["count_traces", verify["object_s"] * 1e3,
               verify["kernel_s"] * 1e3, verify["speedup"]]],
             note=f"one-time lowering {results['lower_ms']:.2f}ms; the "
-            "object semantics shuffles every interleaving of the "
-            "Apply-transformed goal, the kernel's integer-table search "
-            "prunes constraint-dead prefixes as it walks.",
+            "object enumeration (tests/trace_reference.py, "
+            f"{results['object_count']} traces) shuffles every interleaving "
+            "of the Apply-transformed goal, the kernel's integer-table "
+            "search prunes constraint-dead prefixes as it walks.",
         ),
+    )
+    assert results["object_count"] == results["legal_traces"], (
+        f"the comparator counts {results['object_count']} traces, "
+        f"the kernel {results['legal_traces']}"
     )
     assert verify["speedup"] >= 5.0, (
         f"verify-side speedup {verify['speedup']:.1f}x < 5x"
@@ -114,14 +136,14 @@ def test_k1_kernel_5x_on_verify():
 def test_k2_zero_divergence():
     goal6, names, cons6 = _workload(n=6, ncons=2)
     compiled6 = compile_workflow(goal6, cons6)
-    expected = traces(compiled6.goal, ENUM_LIMIT)
+    expected = machine_traces(compiled6.goal, ENUM_LIMIT)
     assert lower_goal(compiled6.goal).traces(ENUM_LIMIT) == expected
     assert list(Scheduler(compiled6.goal).enumerate_schedules(ENUM_LIMIT)) == \
         sorted(expected)
     assert Scheduler(compiled6.goal).run() == min(expected)
 
     props = [must(names[0]), order(names[1], names[0]), must("never_happens")]
-    legal = [t for t in traces(goal6, ENUM_LIMIT)
+    legal = [t for t in machine_traces(goal6, ENUM_LIMIT)
              if all(satisfies(t, c) for c in cons6)]
     for prop in props:
         result = verify_property(goal6, cons6, prop)
@@ -153,6 +175,25 @@ def test_k4_every_eligible_event_can_complete():
         "violations": violations,
     }
     assert violations == 0, f"{violations} states offer a dead-end event"
+
+
+K5_SEEDS = 3_000
+
+
+def test_k5_kernel_equals_the_machine():
+    goals = executable = diverging = 0
+    for into_tests in (False, True):
+        for seed in range(K5_SEEDS):
+            goal = with_tokens(seed, into_tests)
+            goals += 1
+            executable += is_executable(goal)
+            diverging += bool(kernel_divergences(goal))
+    _cache["kernel_is_machine"] = {
+        "goals": goals,
+        "executable": executable,
+        "divergences": diverging,
+    }
+    assert diverging == 0, f"{diverging} of {goals} goals diverge"
 
 
 def test_emit_json():

@@ -15,8 +15,8 @@ from repro.constraints.algebra import disj, order
 from repro.core.compiler import compile_workflow
 from repro.core.modular import compile_modular
 from repro.ctr.formulas import Atom, goal_size, seq
+from repro.ctr.machine import machine_traces
 from repro.ctr.rules import Rule, RuleBase
-from repro.ctr.traces import traces
 
 
 def _workload(n_subs: int):
@@ -42,7 +42,7 @@ def test_ablation_modular_vs_monolithic(benchmark):
         modular = compile_modular(goal, rules, scoped)
         monolithic = compile_workflow(goal, flat, rules=rules)
         if n_subs <= 4:  # exact trace comparison stays tractable here
-            assert traces(modular.goal) == traces(monolithic.goal)
+            assert machine_traces(modular.goal) == machine_traces(monolithic.goal)
 
         modular_ms = time_best_of(
             lambda: compile_modular(goal, rules, scoped), repeats=3

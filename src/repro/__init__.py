@@ -4,8 +4,9 @@ Davulcu, Kifer, Ramakrishnan & Ramakrishnan propose Concurrent Transaction
 Logic (CTR) as a single formalism for specifying, verifying, and scheduling
 workflows. This library implements the whole system:
 
-* ``repro.ctr``          — the concurrent-Horn fragment of CTR (AST, trace
-                           semantics, executable step semantics, rules);
+* ``repro.ctr``          — the concurrent-Horn fragment of CTR (AST, the
+                           step semantics and the flat kernel that answers
+                           trace queries, rules);
 * ``repro.constraints``  — the temporal-constraint algebra CONSTR;
 * ``repro.graph``        — control flow graphs, triggers, workload generators;
 * ``repro.core``         — the Apply/Excise compiler, verification

@@ -64,7 +64,7 @@ def saga_goal(steps: list[SagaStep], on_success: Goal = EMPTY,
     committed steps in reverse order, followed by ``on_failure``. Full
     completion runs ``on_success``.
 
-    >>> from repro.ctr.traces import traces
+    >>> from repro.ctr import traces
     >>> g = saga_goal([SagaStep("pay"), SagaStep("ship")])
     >>> ('start_pay', 'commit_pay', 'start_ship', 'abort_ship', 'undo_pay') in traces(g)
     True

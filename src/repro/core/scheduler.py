@@ -38,8 +38,12 @@ from typing import Callable, Iterator
 
 from ..ctr.formulas import Goal
 from ..ctr.kernel import KernelProgram, lower_goal
-from ..ctr.traces import TooManyTracesError
-from ..errors import IneligibleEventError, SchedulingError, SpecificationError
+from ..errors import (
+    IneligibleEventError,
+    SchedulingError,
+    SpecificationError,
+    TooManyTracesError,
+)
 
 __all__ = ["Scheduler", "SchedulerMark", "SchedulerStats", "seeded_strategy"]
 

@@ -2,9 +2,10 @@
 
 This subpackage implements the logical substrate of the paper: the formula
 AST (:mod:`~repro.ctr.formulas`), the unique-event property
-(:mod:`~repro.ctr.unique`), exact trace semantics used as the testing
-oracle (:mod:`~repro.ctr.traces`), the executable step semantics
-(:mod:`~repro.ctr.machine`), concurrent-Horn rules / sub-workflows
+(:mod:`~repro.ctr.unique`), the executable step semantics used as the
+testing oracle (:mod:`~repro.ctr.machine`), the flat kernel that answers
+the trace queries ``traces``, ``count_traces`` and ``is_executable``
+(:mod:`~repro.ctr.kernel`), concurrent-Horn rules / sub-workflows
 (:mod:`~repro.ctr.rules`), plus a parser and pretty-printers.
 """
 
@@ -43,12 +44,12 @@ from .formulas import (
     walk,
     walk_unique,
 )
+from .kernel import count_traces, is_executable, traces
 from .machine import Config, Machine, can_complete, machine_traces
 from .parser import parse_goal
 from .pretty import pretty, pretty_tree, pretty_unicode
 from .rules import Rule, RuleBase
 from .simplify import is_failure, simplify
-from .traces import count_traces, is_executable, traces
 from .serialize import (
     constraint_from_dict,
     constraint_to_dict,

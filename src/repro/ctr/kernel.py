@@ -36,17 +36,20 @@ steps, plus which ``⊙`` body states can still finish) that the caller
 owns: a trace or executability query makes one
 for its own walk, and :class:`repro.core.scheduler.Scheduler` — the
 engine's one client — keeps one for its lifetime beside its successor
-table. A program holds nothing but its tables. The object
-interpreters — :mod:`repro.ctr.traces` and :mod:`repro.ctr.machine` —
-remain the semantic oracle, and ``tests/ctr/test_kernel.py`` asserts the
-kernel agrees with them.
+table. A program holds nothing but its tables.
+
+The public trace queries :func:`traces`, :func:`count_traces` and
+:func:`is_executable` lower their goal and answer here. The object step
+machine :mod:`repro.ctr.machine` is the semantic oracle:
+``tests/ctr/test_kernel.py`` and ``benchmarks/bench_kernel.py`` assert
+the kernel agrees with it.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from ..errors import SpecificationError
+from ..errors import SpecificationError, TooManyTracesError
 from .formulas import (
     Atom,
     Choice,
@@ -62,11 +65,14 @@ from .formulas import (
     Serial,
     Test,
 )
-from .traces import TooManyTracesError, TraceCount
 
 __all__ = [
     "KernelProgram",
+    "TraceCount",
     "lower_goal",
+    "traces",
+    "count_traces",
+    "is_executable",
     "K_EMPTY",
     "K_ATOM",
     "K_SEND",
@@ -110,6 +116,26 @@ _SURE = (K_EMPTY, K_ATOM, K_SEND, K_TEST)
 
 #: Decides a transition condition at run time (``True`` = passable).
 TestCallback = Callable[[Test], bool]
+
+
+class TraceCount(int):
+    """An execution count that knows whether it is exact or saturated.
+
+    Behaves as a plain ``int`` (the count, or the lower bound when
+    ``exact`` is False) so existing arithmetic and comparisons keep
+    working.
+    """
+
+    exact: bool
+
+    def __new__(cls, value: int, exact: bool = True) -> "TraceCount":
+        self = super().__new__(cls, value)
+        self.exact = exact
+        return self
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        suffix = "" if self.exact else "+ (saturated)"
+        return f"TraceCount({int(self)}{suffix})"
 
 
 class KernelProgram:
@@ -704,11 +730,9 @@ class KernelProgram:
 
         Past ``max_traces`` explored prefixes the count so far is returned
         as a lower bound (``TraceCount(n, exact=False)``), so the budget
-        bounds *work* while still answering the question. Exact counts
-        equal :func:`repro.ctr.traces.count_traces`; saturated lower
-        bounds need not, and the kernel may count exactly where the
-        object enumeration saturates — its pruning skips interleavings
-        the object engine must materialize.
+        bounds *work* while still answering the question. An exact count
+        equals the size of :func:`repro.ctr.machine.machine_traces`; a
+        saturated one depends on the search order.
         """
         out, exact = self._complete_prefixes(max_traces)
         return TraceCount(len(out), exact=exact)
@@ -717,3 +741,39 @@ class KernelProgram:
 def lower_goal(goal: Goal) -> KernelProgram:
     """Lower ``goal`` to its flat kernel program."""
     return KernelProgram.from_goal(goal)
+
+
+def traces(goal: Goal, max_traces: int = 200_000) -> frozenset[tuple[str, ...]]:
+    """All valid event sequences of ``goal``.
+
+    ``max_traces`` bounds the ``(prefix, state)`` pairs the search
+    explores; past it :class:`~repro.errors.TooManyTracesError` is raised.
+
+    >>> from repro.ctr.parser import parse_goal
+    >>> sorted(traces(parse_goal("a | b")))
+    [('a', 'b'), ('b', 'a')]
+    >>> traces(parse_goal("send(t1) * <receive(t1)>"))
+    frozenset({()})
+    """
+    return lower_goal(goal).traces(max_traces)
+
+
+def count_traces(goal: Goal, max_traces: int = 200_000) -> TraceCount:
+    """Number of distinct valid event sequences of ``goal``.
+
+    ``max_traces`` bounds the ``(prefix, state)`` pairs the search
+    explores; past it the count so far is returned as a lower bound,
+    ``TraceCount(n, exact=False)``, rather than raising.
+    """
+    return lower_goal(goal).count_traces(max_traces)
+
+
+def is_executable(goal: Goal, max_traces: int = 200_000) -> bool:
+    """True iff ``goal`` has at least one valid execution.
+
+    ``max_traces`` bounds the states the search expands. It stops at the
+    first state that completes, so a wide goal answers ``True`` at once;
+    :class:`~repro.errors.TooManyTracesError` is raised only when the
+    budget runs out with no answer.
+    """
+    return lower_goal(goal).is_executable(max_traces)

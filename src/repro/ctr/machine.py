@@ -21,11 +21,11 @@ block is all-or-nothing, so a body step is offered only if the body can
 then complete on its own: a block never starts that it cannot finish.
 
 The machine is deliberately *non-deterministic*: :meth:`Machine.successors`
-returns every option. It is the reference interpreter: the pro-active
-scheduler runs the same step rules over the flat tables of
-:mod:`repro.ctr.kernel` and is tested against it, while the paper's
-comparator baselines (passive validation, model checking, the automaton
-scheduler) and Excise's ``◇`` check run on it directly.
+returns every option. It is the reference interpreter and the semantic
+oracle: the kernel (:mod:`repro.ctr.kernel`), which answers every
+production query, runs the same step rules over flat tables and is
+tested against it, while the paper's comparator baselines (passive
+validation, model checking, the automaton scheduler) run on it directly.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional
 
-from ..errors import SpecificationError
+from ..errors import SpecificationError, TooManyTracesError
 from .formulas import (
     EMPTY,
     NEG_PATH,
@@ -367,8 +367,9 @@ def can_complete(goal: Goal, test_hook: TestHook | None = None) -> bool:
 def machine_traces(goal: Goal, limit: int = 200_000) -> frozenset[tuple[str, ...]]:
     """All event traces, enumerated by exhaustive machine search.
 
-    Cross-validates :func:`repro.ctr.traces.traces`: the two must agree on
-    every unique-event goal (a property test asserts this).
+    The oracle for the kernel's :func:`repro.ctr.kernel.traces`: the two
+    must agree on every goal (the differential tests assert this).
+    ``limit`` bounds the ``(prefix, config)`` pairs explored.
     """
     machine = Machine(goal)
     out: set[tuple[str, ...]] = set()
@@ -380,8 +381,6 @@ def machine_traces(goal: Goal, limit: int = 200_000) -> frozenset[tuple[str, ...
             continue
         seen.add((prefix, config))
         if len(seen) > limit:
-            from .traces import TooManyTracesError
-
             raise TooManyTracesError(limit)
         if _nullable(config.goal):
             out.add(prefix)

@@ -21,7 +21,7 @@ Example::
     >>> from repro.ctr.parser import parse_goal
     >>> from repro.ctr.pretty import pretty
     >>> pretty(parse_goal("a * (b + c | d)"))
-    'a * (b + (c | d))'
+    'a * (b + c | d)'
 """
 
 from __future__ import annotations

@@ -231,7 +231,7 @@ def bounded_loop(body: Goal, bound: int, exit_goal: Goal = EMPTY) -> Goal:
     ``exit_goal`` are over disjoint vocabularies.
 
     >>> from repro.ctr.formulas import Atom
-    >>> from repro.ctr.traces import traces
+    >>> from repro.ctr import traces
     >>> sorted(traces(bounded_loop(Atom("try"), 2, Atom("done"))))
     [('done',), ('try#1', 'done'), ('try#1', 'try#2', 'done')]
     """

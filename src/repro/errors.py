@@ -56,6 +56,14 @@ class ParseError(SpecificationError):
         super().__init__(message)
 
 
+class TooManyTracesError(SpecificationError):
+    """A trace query exhausted the caller-supplied budget."""
+
+    def __init__(self, limit: int):
+        self.limit = limit
+        super().__init__(f"trace enumeration exceeded the budget of {limit} sequences")
+
+
 class CompilationError(ReproError):
     """The Apply/Excise pipeline failed for a reason other than inconsistency."""
 

@@ -14,7 +14,7 @@ from repro.ctr.formulas import (
     Test,
     atoms,
 )
-from repro.ctr.traces import traces
+from repro.ctr.machine import machine_traces
 from repro.errors import SpecificationError
 from repro.graph.generators import parallel_chains
 from repro.workflows.figure1 import figure1_goal
@@ -86,10 +86,10 @@ class TestAgainstEnumeration:
     @given(unique_event_goals(max_events=5, allow_shared_choice=False))
     def test_matches_trace_count_without_shared_choices(self, goal):
         # Disjoint-event alternatives: every path is a distinct trace.
-        assert count_paths(goal) == len(traces(goal))
+        assert count_paths(goal) == len(machine_traces(goal))
 
     @settings(max_examples=50, deadline=None)
     @given(unique_event_goals(max_events=4))
     def test_upper_bounds_distinct_traces(self, goal):
         # Shared-choice goals may realise one trace via several paths.
-        assert count_paths(goal) >= len(traces(goal))
+        assert count_paths(goal) >= len(machine_traces(goal))

@@ -9,7 +9,7 @@ from repro.constraints.algebra import absent, must, order
 from repro.constraints.satisfy import satisfies
 from repro.core.compiler import compile_workflow
 from repro.ctr.formulas import atoms, event_names
-from repro.ctr.traces import traces
+from repro.ctr.machine import machine_traces
 from repro.errors import IneligibleEventError, InconsistentWorkflowError
 from tests.conftest import constraints_over, unique_event_goals
 
@@ -98,4 +98,4 @@ class TestAgreementWithCompiledScheduler:
         scheduler = AutomatonScheduler.build(A | B | (C + D), constraints)
         for schedule in language(scheduler):
             assert all(satisfies(schedule, c) for c in constraints)
-            assert schedule in traces(A | B | (C + D))
+            assert schedule in machine_traces(A | B | (C + D))

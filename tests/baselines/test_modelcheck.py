@@ -9,7 +9,7 @@ from repro.constraints.klein import klein_order
 from repro.constraints.satisfy import satisfies
 from repro.core.verify import is_consistent, verify_property
 from repro.ctr.formulas import atoms, event_names
-from repro.ctr.traces import traces
+from repro.ctr.machine import machine_traces
 from repro.graph.generators import parallel_chains
 from tests.conftest import constraints_over, unique_event_goals
 
@@ -41,7 +41,7 @@ class TestConsistency:
         result = model_check_consistency(goal, [constraint])
         assert result.holds == is_consistent(goal, [constraint])
         if result.holds:
-            assert result.witness in traces(goal)
+            assert result.witness in machine_traces(goal)
             assert satisfies(result.witness, constraint)
 
 

@@ -12,7 +12,7 @@ from repro.constraints.algebra import absent, must, order
 from repro.constraints.satisfy import Verdict, satisfies
 from repro.core.verify import is_consistent
 from repro.ctr.formulas import atoms, event_names
-from repro.ctr.traces import traces
+from repro.ctr.machine import machine_traces
 from tests.conftest import constraints_over, unique_event_goals
 
 A, B, C = atoms("a b c")
@@ -86,5 +86,5 @@ class TestGenerateAndTest:
         proactive = is_consistent(goal, [constraint])
         assert (witness is not None) == proactive
         if witness is not None:
-            assert witness in traces(goal)
+            assert witness in machine_traces(goal)
             assert satisfies(witness, constraint)

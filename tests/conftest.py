@@ -5,7 +5,7 @@ CONSTR constraints over their vocabulary, so the compiler equation
 
     traces(Excise(Apply(C, G)))  ==  { t in traces(G) : t |= C }
 
-can be property-tested exactly against the enumerable trace semantics.
+can be property-tested exactly against the step machine's traces.
 """
 
 from __future__ import annotations

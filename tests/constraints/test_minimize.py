@@ -10,8 +10,9 @@ from repro.core.apply import apply_all
 from repro.core.excise import excise
 from repro.core.verify import redundant_constraints
 from repro.ctr.formulas import atoms, event_names
+from repro.ctr.machine import machine_traces
 from repro.ctr.simplify import is_failure
-from repro.ctr.traces import TooManyTracesError, count_traces, traces
+from repro.errors import TooManyTracesError
 from repro.workflows.release import release_specification
 from tests.conftest import constraints_over, unique_event_goals
 
@@ -20,7 +21,7 @@ A, B, C = atoms("a b c")
 
 def legal_traces(goal, constraints):
     compiled = excise(apply_all(list(constraints), goal))
-    return frozenset() if is_failure(compiled) else traces(compiled)
+    return frozenset() if is_failure(compiled) else machine_traces(compiled)
 
 
 class TestMinimize:
@@ -80,9 +81,12 @@ class TestMinimizeProperties:
             events = events + ("e_other",)
         constraints = [data.draw(constraints_over(events)) for _ in range(3)]
         # Sync tokens can make the trace set explode combinatorially; skip
-        # such examples up front (saturated count) or when a constrained
-        # compile still blows the enumeration budget.
-        assume(count_traces(goal, max_traces=20_000).exact)
+        # such examples up front (past a small budget) or when a
+        # constrained compile still blows the enumeration budget.
+        try:
+            machine_traces(goal, 20_000)
+        except TooManyTracesError:
+            assume(False)
         minimal = minimize_constraints(goal, constraints)
         try:
             before = legal_traces(goal, constraints)

@@ -11,7 +11,7 @@ from repro.constraints.singh import (
     serial_dependency,
     strong_commit_dependency,
 )
-from repro.ctr.traces import traces
+from repro.ctr.machine import machine_traces
 
 T1 = Task("t1")
 T2 = Task("t2")
@@ -24,7 +24,7 @@ class TestTask:
         assert T1.abort == "abort_t1"
 
     def test_skeleton_traces(self):
-        assert traces(T1.skeleton()) == {
+        assert machine_traces(T1.skeleton()) == {
             ("start_t1", "commit_t1"),
             ("start_t1", "abort_t1"),
         }

@@ -35,8 +35,8 @@ from repro.ctr.formulas import (
     par,
     seq,
 )
+from repro.ctr.machine import machine_traces
 from repro.ctr.simplify import is_failure
-from repro.ctr.traces import traces
 from repro.ctr.unique import is_unique_event_goal
 from tests.apply_reference import _reference_sync, reference_apply_all
 from tests.conftest import constraints_over, unique_event_goals
@@ -44,17 +44,17 @@ from tests.conftest import constraints_over, unique_event_goals
 A, B, C, D, ETA, GAMMA, DELTA = atoms("a b c d eta gamma delta")
 
 
-def compiled_traces(goal, constraints, max_traces=3_000_000):
+def compiled_traces(goal, constraints, limit=3_000_000):
     compiled = excise(apply_all(list(constraints), goal))
     if is_failure(compiled):
         return frozenset()
-    return traces(compiled, max_traces=max_traces)
+    return machine_traces(compiled, limit)
 
 
-def oracle_traces(goal, constraints, max_traces=3_000_000):
+def oracle_traces(goal, constraints, limit=3_000_000):
     return frozenset(
         t
-        for t in traces(goal, max_traces=max_traces)
+        for t in machine_traces(goal, limit)
         if all(satisfies(t, c) for c in constraints)
     )
 
@@ -106,14 +106,14 @@ class TestOrderConstraints:
         # Apply(∇α ⊗ ∇β, γ ∨ (β ⊗ α)) keeps only the β⊗α branch, knotted.
         goal = GAMMA + (B >> A)
         applied = apply_constraint(order("a", "b"), goal)
-        assert traces(applied) == frozenset()  # receive before send
+        assert machine_traces(applied) == frozenset()  # receive before send
         assert is_failure(excise(applied))
 
     def test_example_4_parallel(self):
         goal = A | B | C
         applied = apply_constraint(order("a", "b"), goal)
-        got = traces(applied)
-        assert got == {t for t in traces(goal) if t.index("a") < t.index("b")}
+        got = machine_traces(applied)
+        assert got == {t for t in machine_traces(goal) if t.index("a") < t.index("b")}
 
     def test_order_requires_both(self):
         assert compiled_traces(A + B, [order("a", "b")]) == frozenset()
@@ -127,13 +127,13 @@ class TestComplexConstraints:
     def test_conjunction_is_sequential_application(self):
         goal = A | B | C
         both = apply_constraint(conj(order("a", "b"), order("b", "c")), goal)
-        assert traces(both) == {("a", "b", "c")}
+        assert machine_traces(both) == {("a", "b", "c")}
 
     def test_disjunction_duplicates(self):
         goal = A | B
         applied = apply_constraint(disj(order("a", "b"), order("b", "a")), goal)
         assert isinstance(applied, Choice)
-        assert traces(applied) == {("a", "b"), ("b", "a")}
+        assert machine_traces(applied) == {("a", "b"), ("b", "a")}
 
     def test_inconsistent_conjunction(self):
         goal = A >> B

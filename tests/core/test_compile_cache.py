@@ -10,8 +10,8 @@ from repro.core import compiler, verify
 from repro.core.compiler import CompileCache, compile_workflow
 from repro.core.verify import verify_properties, verify_property
 from repro.ctr.formulas import Test, atoms, seq
+from repro.ctr.machine import machine_traces
 from repro.ctr.rules import Rule, RuleBase
-from repro.ctr.traces import traces
 
 A, B, C, D = atoms("a b c d")
 
@@ -33,7 +33,7 @@ class TestHitAndMiss:
         assert warm.constraints == cold.constraints
         # Deserialization re-interns, so a hit is not just equal but canonical.
         assert warm.goal is cold.goal
-        assert traces(warm.goal) == traces(cold.goal)
+        assert machine_traces(warm.goal) == machine_traces(cold.goal)
 
     def test_different_specs_get_different_entries(self, cache):
         compile_workflow(A >> B, [must("a")], cache=cache)
@@ -56,7 +56,7 @@ class TestHitAndMiss:
         one = compile_workflow(seq(A, sub), rules=base_one, cache=cache)
         two = compile_workflow(seq(A, sub), rules=base_two, cache=cache)
         assert cache.hits == 0 and cache.misses == 2
-        assert traces(one.goal) != traces(two.goal)
+        assert machine_traces(one.goal) != machine_traces(two.goal)
 
     def test_inconsistent_results_are_cached_too(self, cache):
         constraints = [order("b", "a")]

@@ -25,8 +25,8 @@ from repro.core.compiler import compile_workflow, expand_goal
 from repro.core.verify import is_consistent, is_redundant
 from repro.ctr.formulas import atoms, event_names, par
 from repro.ctr.kernel import lower_goal
+from repro.ctr.machine import machine_traces
 from repro.ctr.simplify import is_failure
-from repro.ctr.traces import traces
 from repro.graph.generators import random_constraints
 from tests.core.test_apply import decorated_goals
 
@@ -72,8 +72,9 @@ def _check_verdict_and_leaf(goal, constraints):
     assert (not is_failure(leaf)) == compiled.consistent
     assert is_consistent(goal, constraints) == compiled.consistent
     if compiled.consistent:
-        # The kernel's enumeration (K2 checks it against the oracle) prunes
-        # the token-dead interleavings the object one must materialize.
+        # The kernel's enumeration (checked against the machine in
+        # tests/ctr/test_kernel.py) never generates a token-dead
+        # interleaving.
         found = lower_goal(leaf).traces()
         assert found and found <= lower_goal(compiled.goal).traces()
 
@@ -85,8 +86,8 @@ class TestAgainstTheCompile:
         _check_verdict_and_leaf(*_spec(goal, data))
 
     def test_verdict_and_leaf_past_the_object_trace_budget(self):
-        # The leaf's 11 token-bearing steps shuffle 415,800 ways, past the
-        # object traces()' default budget of 200,000; 10 are traces.
+        # The leaf's 11 token-bearing steps shuffle 415,800 ways; 10 are
+        # traces.
         goal = expand_goal(par(*atoms("e1 e2 e3 e4 e5")))
         constraints = [disj(absent("e2"), absent("e3"), serial("e2", "e3")),
                        serial("e1", "e4", "e5")]
@@ -140,7 +141,7 @@ class TestSearch:
     def test_unit_is_applied(self):
         goal = A >> (B + C)
         leaf = consistent_branch([disj(must("zz"), must("c"))], goal)
-        assert traces(leaf) == {("a", "c")}
+        assert machine_traces(leaf) == {("a", "c")}
 
     def test_deep_chain_needs_no_frame_per_decision(self):
         # (¬x1 ∨ x2) ∧ (¬x2 ∨ x3) ∧ …: every clause keeps two live literals

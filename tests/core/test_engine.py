@@ -14,7 +14,7 @@ from repro.core.resilience import (
 )
 from repro.core.saga import SagaStep, saga_goal, saga_invariants
 from repro.ctr.formulas import Atom, Test, atoms, seq
-from repro.ctr.traces import traces
+from repro.ctr.machine import machine_traces
 from repro.db.oracle import TransitionOracle, delete_op, insert_op
 from repro.db.state import Database
 from repro.errors import ExecutionError, RetryExhaustedError, SchedulingError
@@ -287,7 +287,7 @@ class TestFailover:
         report = engine.run()
         assert report.completed
         assert report.schedule == ("a", "b", "d")
-        assert report.schedule in traces(goal)
+        assert report.schedule in machine_traces(goal)
         assert satisfies(report.schedule, constraint)
         assert len(report.reroutes) == 1
         assert report.reroutes[0].failed_event == "c"

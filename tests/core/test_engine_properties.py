@@ -8,9 +8,9 @@ from repro.core.compiler import compile_workflow
 from repro.core.engine import WorkflowEngine, random_strategy
 from repro.core.resilience import ChaosOracle
 from repro.ctr.formulas import event_names
+from repro.ctr.machine import machine_traces
 from repro.db.oracle import TransitionOracle, insert_op
 from repro.db.state import Database
-from repro.ctr.traces import traces
 from repro.errors import ExecutionError
 from tests.conftest import constraints_over, unique_event_goals
 
@@ -45,7 +45,7 @@ class TestEngineProperties:
 
         # The schedule is a legal execution of the source that satisfies
         # the constraint.
-        assert report.schedule in traces(goal)
+        assert report.schedule in machine_traces(goal)
         assert satisfies(report.schedule, constraint)
 
         # The log replays the schedule, and every fired event left its
@@ -61,7 +61,7 @@ class TestEngineProperties:
         engine = WorkflowEngine(compiled, strategy=random_strategy(seed=seed))
         report = engine.run()
         assert report.completed
-        assert report.schedule in traces(goal)
+        assert report.schedule in machine_traces(goal)
 
 
 class TestFaultInjectionProperties:
@@ -95,7 +95,7 @@ class TestFaultInjectionProperties:
                 # A ∨-alternative existed: the rerouted completion is still
                 # a legal execution satisfying the constraint.
                 assert report.completed
-                assert report.schedule in traces(goal)
+                assert report.schedule in machine_traces(goal)
                 assert satisfies(report.schedule, constraint)
                 assert report.reroutes
                 assert db.log.events() == report.schedule

@@ -27,8 +27,8 @@ from repro.ctr.formulas import (
     par,
     seq,
 )
+from repro.ctr.machine import can_complete, machine_traces
 from repro.ctr.simplify import is_failure
-from repro.ctr.traces import is_executable, traces
 from repro.workflows.figure1 import example_5_7
 from tests.conftest import constraints_over, unique_event_goals
 
@@ -107,7 +107,7 @@ class TestExcise:
         goal = (a1 + a2) | (b1 + b2)
         result = excise(goal)
         assert not is_failure(result)
-        assert traces(result) == traces(goal)
+        assert machine_traces(result) == machine_traces(goal)
 
     def test_has_knot(self):
         dead = Receive("t") >> A >> Send("t")
@@ -132,9 +132,9 @@ class TestExciseProperties:
         applied = apply_all([constraint], goal)
         excised = excise(applied)
         if is_failure(excised):
-            assert not is_executable(applied)
+            assert not can_complete(applied)
         else:
-            assert traces(excised) == traces(applied)
+            assert machine_traces(excised) == machine_traces(applied)
 
     @settings(max_examples=40, deadline=None)
     @given(unique_event_goals(max_events=4), st.data())
@@ -162,7 +162,7 @@ class TestExciseProperties:
             return
         alternatives = excised.parts if isinstance(excised, Choice) else (excised,)
         for alternative in alternatives:
-            assert is_executable(alternative)
+            assert can_complete(alternative)
 
 
 def _knotted(i):

@@ -1,28 +1,20 @@
 """Edge-case tests for Excise's precedence-graph machinery."""
 
-import random
-
 from repro.core.excise import excise, flat_executable
 from repro.ctr.formulas import (
     EMPTY,
-    Atom,
-    Concurrent,
     Isolated,
     Possibility,
     Receive,
     Send,
-    Serial,
     atoms,
-    isolated,
-    par,
     seq,
     walk,
 )
-from repro.ctr.machine import can_complete
+from repro.ctr.machine import can_complete, machine_traces
 from repro.ctr.parser import parse_goal
 from repro.ctr.simplify import is_failure
-from repro.ctr.traces import traces
-from repro.graph.generators import random_goal
+from tests.proactive import with_tokens
 
 A, B, C, D = atoms("a b c d")
 
@@ -33,7 +25,7 @@ class TestNestedIsolation:
         goal = Isolated(inner >> B) | (C >> Send("t"))
         # Send must precede the OUTERMOST block (it cannot pause either).
         assert flat_executable(goal)
-        assert traces(goal) == {("c", "a", "b")}
+        assert machine_traces(goal) == {("c", "a", "b")}
 
     def test_deadlock_through_nesting(self):
         inner = Isolated(Receive("t") >> A)
@@ -43,7 +35,7 @@ class TestNestedIsolation:
     def test_send_escaping_block(self):
         goal = Isolated(A >> Send("t")) | (Receive("t") >> B)
         assert flat_executable(goal)
-        assert traces(goal) == {("a", "b")}
+        assert machine_traces(goal) == {("a", "b")}
 
     def test_siblings_in_same_block_unaffected(self):
         goal = Isolated(seq(Send("t"), A, Receive("t"), B))
@@ -59,7 +51,7 @@ class TestTokenEdgeCases:
             | (Receive("t3") >> D)
         )
         assert flat_executable(goal)
-        assert traces(goal) == {("a", "b", "c", "d")}
+        assert machine_traces(goal) == {("a", "b", "c", "d")}
 
     def test_duplicate_token_falls_back_to_search(self):
         # Hand-written goals may reuse a token; the linear graph check
@@ -72,7 +64,7 @@ class TestTokenEdgeCases:
         # machine's exhaustive search is the oracle.
         reused = disagreements = 0
         for seed in range(3000):
-            goal = _with_tokens(seed)
+            goal = with_tokens(seed)
             sends = [node.token for node in walk(goal) if isinstance(node, Send)]
             reused += len(sends) != len(set(sends))
             disagreements += flat_executable(goal) != can_complete(goal)
@@ -85,7 +77,7 @@ class TestTokenEdgeCases:
         # reads it too.
         in_tests = disagreements = 0
         for seed in range(3000):
-            goal = _with_tokens(seed, into_tests=True)
+            goal = with_tokens(seed, into_tests=True)
             in_tests += any(
                 isinstance(node, (Send, Receive))
                 for test in walk(goal) if isinstance(test, Possibility)
@@ -146,7 +138,7 @@ class TestChoiceInteractions:
         b2 = B.__class__("b2")
         goal = (a1 + a2) | (b1 + b2)
         result = excise(goal)
-        assert traces(result) == traces(goal)
+        assert machine_traces(result) == machine_traces(goal)
         assert not is_failure(result)
 
     def test_all_entangled_combinations_dead(self):
@@ -155,31 +147,3 @@ class TestChoiceInteractions:
         goal = (a1 + (Receive("r") >> C)) | b1
         assert is_failure(excise(goal))
 
-
-def _sprinkled(goal, rng, into_tests=False):
-    """``goal`` with sends and receives of ``t1``/``t2`` before or after
-    some of its atoms, inside ``◇`` bodies too when ``into_tests`` (Apply
-    puts no token there; a hand-written goal may)."""
-    if isinstance(goal, Atom):
-        steps = [goal]
-        for _ in range(rng.choice((0, 0, 1, 2))):
-            step = rng.choice((Send, Receive))(rng.choice(("t1", "t2")))
-            steps.insert(rng.randint(0, len(steps)), step)
-        return seq(*steps)
-    if isinstance(goal, (Serial, Concurrent)):
-        build = seq if isinstance(goal, Serial) else par
-        return build(*(_sprinkled(part, rng, into_tests) for part in goal.parts))
-    if isinstance(goal, Isolated):
-        return isolated(_sprinkled(goal.body, rng, into_tests))
-    if isinstance(goal, Possibility) and into_tests:
-        return Possibility(_sprinkled(goal.body, rng, into_tests))
-    return goal
-
-
-def _with_tokens(seed, into_tests=False):
-    """A choice-free goal of 2–6 events with ``⊙`` blocks and ``◇`` tests,
-    tokens sprinkled over it."""
-    rng = random.Random(seed)
-    goal = random_goal(2 + seed % 5, rng=rng, p_choice=0, p_isolated=0.3,
-                       p_possible=0.1)
-    return _sprinkled(goal, rng, into_tests)

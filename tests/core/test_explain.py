@@ -7,7 +7,6 @@ from repro.constraints.algebra import absent, must, order
 from repro.core.compiler import compile_workflow
 from repro.core.explain import explain_rejection, is_allowed
 from repro.ctr.formulas import atoms, event_names
-from repro.ctr.traces import traces
 from tests.conftest import constraints_over, unique_event_goals
 
 A, B, C, D = atoms("a b c d")

@@ -7,7 +7,8 @@ from repro.constraints.algebra import absent, must, order
 from repro.core.compiler import compile_workflow
 from repro.core.incremental import add_constraint, add_constraints
 from repro.ctr.formulas import atoms, event_names
-from repro.ctr.traces import TooManyTracesError, traces
+from repro.ctr.machine import machine_traces
+from repro.errors import TooManyTracesError
 from tests.conftest import constraints_over, unique_event_goals
 
 A, B, C, D = atoms("a b c d")
@@ -17,14 +18,14 @@ class TestBasics:
     def test_add_constraint_prunes(self):
         compiled = compile_workflow(A >> (B + C))
         updated = add_constraint(compiled, absent("b"))
-        assert traces(updated.goal) == {("a", "c")}
+        assert machine_traces(updated.goal) == {("a", "c")}
         assert updated.constraints == (absent("b"),)
 
     def test_add_order_constraint_syncs(self):
         compiled = compile_workflow(A | B | C)
         updated = add_constraint(compiled, order("a", "b"))
-        assert traces(updated.goal) == {
-            t for t in traces(A | B | C) if t.index("a") < t.index("b")
+        assert machine_traces(updated.goal) == {
+            t for t in machine_traces(A | B | C) if t.index("a") < t.index("b")
         }
 
     def test_detects_new_inconsistency(self):
@@ -114,8 +115,8 @@ class TestEquivalenceWithFullRecompilation:
         assert incremental.consistent == batch.consistent
         if batch.consistent:
             try:
-                expected = traces(batch.goal)
-                actual = traces(incremental.goal)
+                expected = machine_traces(batch.goal)
+                actual = machine_traces(incremental.goal)
             except TooManyTracesError:
                 # Sync tokens can make the trace set explode combinatorially;
                 # reject such examples rather than time the comparison out.

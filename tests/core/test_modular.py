@@ -7,8 +7,8 @@ from repro.constraints.satisfy import satisfies
 from repro.core.compiler import compile_workflow
 from repro.core.modular import compile_modular
 from repro.ctr.formulas import Atom, atoms, goal_size
+from repro.ctr.machine import machine_traces
 from repro.ctr.rules import Rule, RuleBase
-from repro.ctr.traces import traces
 from repro.errors import ConstraintError, InconsistentWorkflowError
 
 A, B, C, D, E, F = atoms("a b c d e f")
@@ -32,7 +32,7 @@ class TestEquivalence:
         monolithic = compile_workflow(
             goal, [must("a"), absent("c")], rules=rules
         )
-        assert traces(modular.goal) == traces(monolithic.goal)
+        assert machine_traces(modular.goal) == machine_traces(monolithic.goal)
 
     def test_top_level_constraints_apply_after(self):
         rules = simple_rules()
@@ -40,10 +40,10 @@ class TestEquivalence:
         modular = compile_modular(
             goal, rules, {"left": [must("a")]}, top_level=[order("a", "c")]
         )
-        got = traces(modular.goal)
+        got = machine_traces(modular.goal)
         want = {
             t
-            for t in traces(rules.expand(goal))
+            for t in machine_traces(rules.expand(goal))
             if satisfies(t, must("a")) and satisfies(t, order("a", "c"))
         }
         assert got == want
@@ -57,7 +57,7 @@ class TestEquivalence:
         )
         goal = Atom("outer") >> D
         modular = compile_modular(goal, rules, {"inner": [absent("a")]})
-        assert traces(modular.goal) == {("b", "c", "d")}
+        assert machine_traces(modular.goal) == {("b", "c", "d")}
 
 
 class TestScoping:
@@ -84,7 +84,7 @@ class TestScoping:
         rules = simple_rules()
         goal = Atom("left")
         modular = compile_modular(goal, rules, {"": [absent("b")]})
-        assert traces(modular.goal) == {("a",)}
+        assert machine_traces(modular.goal) == {("a",)}
 
 
 class TestSizeReduction:
@@ -112,7 +112,7 @@ class TestSizeReduction:
         goal, rules, scoped, flat = self._workload(4)
         modular = compile_modular(goal, rules, scoped)
         monolithic = compile_workflow(goal, flat, rules=rules)
-        assert traces(modular.goal) == traces(monolithic.goal)
+        assert machine_traces(modular.goal) == machine_traces(monolithic.goal)
         # Monolithic pays d^N across scopes; modular pays d per scope.
         assert goal_size(modular.goal) < goal_size(monolithic.goal)
 

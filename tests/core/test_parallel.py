@@ -19,7 +19,7 @@ from repro.core.verify import (
     verify_property,
 )
 from repro.ctr.formulas import Atom, alt, atoms, par, seq, walk
-from repro.ctr.traces import traces
+from repro.ctr.machine import machine_traces
 from repro.workflows.figure1 import figure1_constraints, figure1_goal
 
 A, B, C, D = atoms("a b c d")
@@ -110,7 +110,7 @@ class TestSeededWitness:
         goal = alt(seq(A, B), seq(B, A))
         prop = order("a", "b")
         result = verify_property(goal, [], prop, seed=7)
-        assert result.witness in traces(goal)
+        assert result.witness in machine_traces(goal)
         assert not satisfies(result.witness, prop)
 
     def test_default_stays_lexicographic_minimum(self):

@@ -8,7 +8,7 @@ from repro.core.compiler import compile_workflow
 from repro.core.saga import SagaStep, saga_goal, saga_invariants
 from repro.core.verify import verify_property
 from repro.ctr.formulas import EMPTY, Atom, atoms
-from repro.ctr.traces import traces
+from repro.ctr.machine import machine_traces
 from repro.ctr.unique import is_unique_event_goal
 
 PAY = SagaStep("pay")
@@ -21,14 +21,14 @@ class TestSagaGoal:
         assert saga_goal([]) is EMPTY
 
     def test_single_step_traces(self):
-        got = traces(saga_goal([PAY]))
+        got = machine_traces(saga_goal([PAY]))
         assert got == {
             ("start_pay", "commit_pay"),
             ("start_pay", "abort_pay"),
         }
 
     def test_two_step_compensation(self):
-        got = traces(saga_goal([PAY, SHIP]))
+        got = machine_traces(saga_goal([PAY, SHIP]))
         assert ("start_pay", "commit_pay", "start_ship", "commit_ship") in got
         assert ("start_pay", "commit_pay", "start_ship", "abort_ship", "undo_pay") in got
         assert ("start_pay", "abort_pay") in got
@@ -36,13 +36,13 @@ class TestSagaGoal:
         assert all("undo_pay" not in t or "abort_ship" in t for t in got)
 
     def test_three_step_reverse_order(self):
-        got = traces(saga_goal([PAY, SHIP, BILL]))
+        got = machine_traces(saga_goal([PAY, SHIP, BILL]))
         failing = next(t for t in got if "abort_bill" in t)
         assert failing.index("undo_ship") < failing.index("undo_pay")
 
     def test_success_and_failure_continuations(self):
         ok, bad = atoms("celebrate apologize")
-        got = traces(saga_goal([PAY], on_success=ok, on_failure=bad))
+        got = machine_traces(saga_goal([PAY], on_success=ok, on_failure=bad))
         assert ("start_pay", "commit_pay", "celebrate") in got
         assert ("start_pay", "abort_pay", "apologize") in got
 
@@ -62,7 +62,7 @@ class TestSagaInvariants:
     def test_invariants_hold_on_every_trace(self):
         steps = [PAY, SHIP]
         goal = saga_goal(steps)
-        for trace in traces(goal):
+        for trace in machine_traces(goal):
             for name, invariant in saga_invariants(steps):
                 assert satisfies(trace, invariant), (name, trace)
 
@@ -94,4 +94,4 @@ class TestSagaInvariants:
         compiled = compile_workflow(goal, invariants)
         # The invariants already hold, so compilation must not prune anything.
         assert compiled.consistent
-        assert traces(compiled.goal) == traces(goal)
+        assert machine_traces(compiled.goal) == machine_traces(goal)

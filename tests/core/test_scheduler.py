@@ -10,9 +10,9 @@ from repro.core import scheduler as scheduler_module
 from repro.core.scheduler import Scheduler
 from repro.constraints.algebra import order
 from repro.ctr.formulas import Atom, Isolated, Test, atoms, event_names, seq
-from repro.ctr.traces import traces
+from repro.ctr.machine import machine_traces
 from repro.graph.generators import serial_chain
-from repro.errors import IneligibleEventError
+from repro.errors import IneligibleEventError, TooManyTracesError
 from tests.conftest import constraints_over, unique_event_goals
 from tests.proactive import dead_end_states, isolation_spec
 
@@ -152,7 +152,7 @@ class TestViability:
         for avoid_pair in itertools.chain([()], itertools.combinations(events, 1)):
             avoid = frozenset(avoid_pair)
             expected = {
-                t[0] for t in traces(goal) if t and not (set(t) & avoid)
+                t[0] for t in machine_traces(goal) if t and not (set(t) & avoid)
             }
             assert s.viable_events(avoid) == expected
 
@@ -174,11 +174,9 @@ class TestEnumeration:
     def test_enumerates_all_traces(self):
         goal = (A | B) >> (C + D)
         got = set(Scheduler(goal).enumerate_schedules())
-        assert got == set(traces(goal))
+        assert got == set(machine_traces(goal))
 
     def test_enumeration_respects_limit(self):
-        from repro.ctr.traces import TooManyTracesError
-
         goal = A | B | C | D
         with pytest.raises(TooManyTracesError):
             list(Scheduler(goal).enumerate_schedules(limit=3))
@@ -187,7 +185,7 @@ class TestEnumeration:
     @given(unique_event_goals(max_events=4))
     def test_scheduler_sound_and_complete(self, goal):
         got = set(Scheduler(goal).enumerate_schedules())
-        assert got == set(traces(goal))
+        assert got == set(machine_traces(goal))
 
 
 class TestLiveConditionsAcrossQueries:
@@ -262,7 +260,7 @@ class TestBoundedCaches:
             monkeypatch, lambda: list(compiled.schedules())
         )
         assert schedules == sorted(
-            t for t in traces(goal) if t.index("a") < t.index("b")
+            t for t in machine_traces(goal) if t.index("a") < t.index("b")
         )
 
 
@@ -289,7 +287,7 @@ class TestCompiledNeverStuck:
         if not compiled.consistent:
             return
         schedule = compiled.scheduler().run()
-        assert schedule in traces(goal)
+        assert schedule in machine_traces(goal)
         assert satisfies(schedule, constraint)
 
     def test_every_eligible_event_lies_on_an_allowed_execution(self):

@@ -12,7 +12,7 @@ from repro.core.static import (
     possible_events,
 )
 from repro.ctr.formulas import NEG_PATH, Isolated, Possibility, atoms
-from repro.ctr.traces import traces
+from repro.ctr.machine import machine_traces
 from tests.conftest import unique_event_goals
 
 A, B, C, D = atoms("a b c d")
@@ -33,7 +33,7 @@ class TestEventSets:
     @settings(max_examples=60, deadline=None)
     @given(unique_event_goals(max_events=5))
     def test_against_trace_semantics(self, goal):
-        all_traces = traces(goal)
+        all_traces = machine_traces(goal)
         expected_possible = {e for t in all_traces for e in t}
         expected_mandatory = (
             set.intersection(*(set(t) for t in all_traces)) if all_traces else set()
@@ -74,7 +74,7 @@ class TestOrderings:
     def test_sound_against_traces(self, goal):
         got = guaranteed_orderings(goal)
         for e, f in got:
-            for trace in traces(goal):
+            for trace in machine_traces(goal):
                 if e in trace and f in trace:
                     assert trace.index(e) < trace.index(f)
 

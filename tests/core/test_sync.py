@@ -2,7 +2,7 @@
 
 from repro.core.sync import TokenFactory, sync_order
 from repro.ctr.formulas import Possibility, Receive, Send, atoms
-from repro.ctr.traces import traces
+from repro.ctr.machine import machine_traces
 
 A, B, C = atoms("a b c")
 
@@ -30,12 +30,12 @@ class TestSyncOrder:
     def test_semantics_orders_events(self):
         goal = A | B | C
         synced = sync_order("a", "b", goal, "t")
-        got = traces(synced)
-        assert got == {t for t in traces(goal) if t.index("a") < t.index("b")}
+        got = machine_traces(synced)
+        assert got == {t for t in machine_traces(goal) if t.index("a") < t.index("b")}
 
     def test_serial_wrong_order_deadlocks(self):
         synced = sync_order("a", "b", B >> A, "t")
-        assert traces(synced) == frozenset()
+        assert machine_traces(synced) == frozenset()
 
     def test_possibility_bodies_untouched(self):
         goal = Possibility(A) >> B

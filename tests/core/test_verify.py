@@ -14,7 +14,7 @@ from repro.core.verify import (
     verify_property,
 )
 from repro.ctr.formulas import PATH, atoms, event_names
-from repro.ctr.traces import traces
+from repro.ctr.machine import machine_traces
 from repro.errors import SpecificationError
 from tests.conftest import constraints_over, unique_event_goals
 
@@ -41,7 +41,7 @@ class TestConsistency:
         if len(events) == 1:
             events = events + ("e_other",)
         constraint = data.draw(constraints_over(events))
-        brute = any(satisfies(t, constraint) for t in traces(goal))
+        brute = any(satisfies(t, constraint) for t in machine_traces(goal))
         assert is_consistent(goal, [constraint]) == brute
 
 
@@ -68,7 +68,7 @@ class TestVerification:
         assert not result.holds
         assert result.witness is not None
         # The witness is a real execution of the workflow violating Φ.
-        assert result.witness in traces(A | B)
+        assert result.witness in machine_traces(A | B)
         assert not satisfies(result.witness, order("a", "b"))
 
     def test_counterexample_is_most_general(self):
@@ -76,9 +76,9 @@ class TestVerification:
         assert not result.holds
         # Exactly the executions violating Φ survive in the counterexample.
         violating = {
-            t for t in traces(A | B | C) if not satisfies(t, klein_order("a", "b"))
+            t for t in machine_traces(A | B | C) if not satisfies(t, klein_order("a", "b"))
         }
-        assert traces(result.counterexample) == violating
+        assert machine_traces(result.counterexample) == violating
 
     def test_constraints_narrow_the_executions(self):
         # Unconstrained, "c last" fails; constraining b before c first makes
@@ -96,7 +96,7 @@ class TestVerification:
             events = events + ("e_other",)
         background = data.draw(constraints_over(events))
         prop = data.draw(constraints_over(events))
-        legal = [t for t in traces(goal) if satisfies(t, background)]
+        legal = [t for t in machine_traces(goal) if satisfies(t, background)]
         brute = all(satisfies(t, prop) for t in legal)
         result = verify_property(goal, [background], prop)
         assert result.holds == brute
@@ -167,7 +167,7 @@ class TestWitnessSeed:
         second = verify_property(goal, [], prop, seed=42)
         assert not first.holds
         assert first.witness == second.witness
-        assert first.witness in traces(goal)
+        assert first.witness in machine_traces(goal)
         assert not satisfies(first.witness, prop)
 
     def test_different_seeds_may_differ_but_all_violate(self):
@@ -176,4 +176,4 @@ class TestWitnessSeed:
         for seed in range(5):
             result = verify_property(goal, [], prop, seed=seed)
             assert not result.holds
-            assert result.witness in traces(goal)
+            assert result.witness in machine_traces(goal)

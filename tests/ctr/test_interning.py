@@ -275,7 +275,7 @@ class TestStructuralEqualityWithoutInterning:
         # middle of a compile pipeline and the answers must not change.
         from repro.constraints.algebra import order
         from repro.core.compiler import compile_workflow
-        from repro.ctr.traces import traces
+        from repro.ctr.machine import machine_traces
 
         goal = par(A, B) >> C
         constraints = [order("a", "b")]
@@ -284,4 +284,4 @@ class TestStructuralEqualityWithoutInterning:
             goal_off = par(Atom("a"), Atom("b")) >> Atom("c")
             compiled_off = compile_workflow(goal_off, [order("a", "b")])
         assert compiled_off.consistent == reference.consistent
-        assert traces(compiled_off.goal) == traces(reference.goal)
+        assert machine_traces(compiled_off.goal) == machine_traces(reference.goal)

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.ctr.formulas import Atom, Choice, atoms
+from repro.ctr.machine import machine_traces
 from repro.ctr.rules import Rule, RuleBase
-from repro.ctr.traces import traces
 from repro.errors import RecursionError_, SpecificationError
 
 A, B, C, D = atoms("a b c d")
@@ -26,7 +26,7 @@ class TestExpansion:
     def test_expansion_preserves_semantics(self):
         rb = RuleBase([Rule("sub", A + B)])
         goal = Atom("sub") >> C
-        assert traces(rb.expand(goal)) == {("a", "c"), ("b", "c")}
+        assert machine_traces(rb.expand(goal)) == {("a", "c"), ("b", "c")}
 
     def test_unrelated_atoms_untouched(self):
         rb = RuleBase([Rule("sub", A)])

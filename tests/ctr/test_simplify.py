@@ -12,8 +12,8 @@ from repro.ctr.formulas import (
     Serial,
     atoms,
 )
+from repro.ctr.machine import machine_traces
 from repro.ctr.simplify import is_failure, simplify
-from repro.ctr.traces import traces
 from tests.conftest import unique_event_goals
 
 A, B, C = atoms("a b c")
@@ -79,4 +79,4 @@ class TestProperties:
 
     @given(unique_event_goals(max_events=4))
     def test_preserves_traces(self, goal):
-        assert traces(simplify(goal)) == traces(goal)
+        assert machine_traces(simplify(goal)) == machine_traces(goal)

@@ -1,8 +1,11 @@
-"""Tests for the enumerable trace semantics (the testing oracle itself)."""
+"""Tests for the public trace queries ``traces``, ``count_traces`` and
+``is_executable``, which the flat kernel answers."""
 
 import pytest
 from hypothesis import given, settings
 
+import repro
+from repro.ctr import count_traces, is_executable, traces
 from repro.ctr.formulas import (
     EMPTY,
     NEG_PATH,
@@ -14,9 +17,9 @@ from repro.ctr.formulas import (
     Test,
     atoms,
 )
-from repro.ctr.machine import machine_traces
-from repro.ctr.traces import TooManyTracesError, count_traces, is_executable, traces
-from repro.errors import SpecificationError
+from repro.ctr.machine import can_complete, machine_traces
+from repro.ctr.parser import parse_goal
+from repro.errors import SpecificationError, TooManyTracesError
 from tests.conftest import unique_event_goals
 
 A, B, C, D = atoms("a b c d")
@@ -104,6 +107,22 @@ class TestPossibilityAndTests:
     def test_test_is_transparent_statically(self):
         assert traces(Test("cond") >> A) == {("a",)}
 
+    def test_possibility_reads_the_tokens_sent_before_it(self):
+        goal = parse_goal("send(t1) * <receive(t1)>")
+        assert traces(goal) == repro.traces(goal) == {()}
+        assert is_executable(goal) is True
+        count = count_traces(goal)
+        assert count == 1 and count.exact
+
+    def test_possibility_bodies_read_tokens_from_other_branches(self):
+        goal = parse_goal(
+            "send(t1) * e2 * send(t2) | e3 | [<receive(t1) * e1> * e1 * e6]"
+            " | [<e6> * receive(t2) * e4 * e5]"
+        )
+        expected = machine_traces(goal)
+        assert len(expected) == 12
+        assert traces(goal) == expected
+
 
 class TestBudget:
     def test_budget_exceeded_raises(self):
@@ -119,7 +138,7 @@ class TestBudget:
 
 
 class TestMachineAgreement:
-    """The step-semantics machine and the denotational traces must agree."""
+    """The kernel's traces and the step machine's must agree."""
 
     @settings(max_examples=60, deadline=None)
     @given(unique_event_goals(max_events=5))
@@ -160,14 +179,13 @@ class TestLazyEnumeration:
     WIDE = staticmethod(lambda: _parallel_chains(6, 4))
 
     def test_is_executable_short_circuits_on_wide_goal(self):
-        # Note: the *eager* traces() cannot even fail fast here — it
-        # materializes the full shuffle before its budget check runs —
-        # so the lazy path is the only one that can answer at all.
+        # The search stops at the first state that completes, far inside
+        # the budget.
         assert is_executable(self.WIDE(), max_traces=100) is True
 
     def test_eager_oracle_still_raises_past_budget(self):
-        # Smaller wide goal (1680 interleavings): the eager set-builder
-        # keeps its historical contract of raising beyond the budget.
+        # Smaller wide goal (1680 interleavings): traces() builds the
+        # whole set, so past its budget it raises.
         with pytest.raises(TooManyTracesError):
             traces(_parallel_chains(3, 3), max_traces=100)
 
@@ -183,20 +201,6 @@ class TestLazyEnumeration:
         assert count == 6
         assert count.exact
 
-    def test_iter_traces_matches_eager_set(self):
-        from repro.ctr.formulas import alt, par, seq
-        from repro.ctr.traces import iter_traces
-
-        corpus = [
-            seq(A, B) | C,
-            alt(A >> B, C >> D),
-            par(A, B, C),
-            Isolated(A >> B) | C,
-            (Send("t") >> A) | (Receive("t") >> B),
-        ]
-        for goal in corpus:
-            assert set(iter_traces(goal)) == traces(goal)
-
     def test_is_executable_with_unsatisfiable_tokens(self):
         # receive with no matching send: no interleaving is valid, and the
         # short-circuit must still conclude False.
@@ -205,5 +209,5 @@ class TestLazyEnumeration:
 
     @settings(max_examples=30, deadline=None)
     @given(unique_event_goals(max_events=4))
-    def test_lazy_existence_agrees_with_eager(self, goal):
-        assert is_executable(goal) == bool(traces(goal))
+    def test_existence_agrees_with_the_machine(self, goal):
+        assert is_executable(goal) == can_complete(goal)

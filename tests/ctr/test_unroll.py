@@ -5,8 +5,8 @@ import pytest
 from repro.constraints.algebra import disj, must
 from repro.core.compiler import compile_workflow
 from repro.ctr.formulas import Atom, atoms
+from repro.ctr.machine import machine_traces
 from repro.ctr.rules import Rule
-from repro.ctr.traces import traces
 from repro.ctr.unique import is_unique_event_goal
 from repro.ctr.unroll import bounded_loop, occurrence_names, recursive_heads, unroll
 from repro.errors import SpecificationError
@@ -36,7 +36,7 @@ class TestUnroll:
         base = unroll(rules, bound=2)
         goal = base.expand(Atom("w"))
         assert is_unique_event_goal(goal)
-        assert traces(goal) == {
+        assert machine_traces(goal) == {
             ("done",),
             ("try#1", "done"),
             ("try#1", "try#2", "done"),
@@ -45,7 +45,7 @@ class TestUnroll:
     def test_zero_bound_keeps_base_case_only(self):
         rules = [Rule("w", DONE + (TRY >> Atom("w")))]
         goal = unroll(rules, bound=0).expand(Atom("w"))
-        assert traces(goal) == {("done",)}
+        assert machine_traces(goal) == {("done",)}
 
     def test_no_base_case_rejected(self):
         rules = [Rule("w", TRY >> Atom("w"))]
@@ -68,7 +68,7 @@ class TestUnroll:
             Rule("pong", Atom("q") >> Atom("ping")),
         ]
         goal = unroll(rules, bound=4).expand(Atom("ping"))
-        got = traces(goal)
+        got = machine_traces(goal)
         assert ("stop",) in got
         # One full ping->pong->ping round: p, q, then stop (renamed per level).
         assert any(t[0].startswith("p#") and t[-1].startswith("stop") for t in got)
@@ -87,7 +87,7 @@ class TestUnroll:
 class TestBoundedLoop:
     def test_traces(self):
         goal = bounded_loop(TRY, 2, DONE)
-        assert traces(goal) == {
+        assert machine_traces(goal) == {
             ("done",),
             ("try#1", "done"),
             ("try#1", "try#2", "done"),
@@ -95,11 +95,11 @@ class TestBoundedLoop:
 
     def test_empty_exit(self):
         goal = bounded_loop(A, 2)
-        assert traces(goal) == {(), ("a#1",), ("a#1", "a#2")}
+        assert machine_traces(goal) == {(), ("a#1",), ("a#1", "a#2")}
 
     def test_compound_body(self):
         goal = bounded_loop(A >> B, 2, C)
-        assert ("a#1", "b#1", "a#2", "b#2", "c") in traces(goal)
+        assert ("a#1", "b#1", "a#2", "b#2", "c") in machine_traces(goal)
         assert is_unique_event_goal(goal)
 
     def test_negative_bound_rejected(self):

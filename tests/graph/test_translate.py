@@ -3,9 +3,9 @@
 import pytest
 
 from repro.ctr.formulas import Test, atoms
+from repro.ctr.machine import machine_traces
 from repro.ctr.parser import parse_goal
 from repro.ctr.pretty import pretty
-from repro.ctr.traces import traces
 from repro.errors import SpecificationError
 from repro.graph.cfg import ControlFlowGraph
 from repro.graph.translate import to_goal
@@ -39,7 +39,7 @@ class TestBasicShapes:
         g.add_arc("a", "t")
         g.add_arc("b", "t")
         goal = to_goal(g)
-        assert traces(goal) == {("s", "a", "t"), ("s", "b", "t")}
+        assert machine_traces(goal) == {("s", "a", "t"), ("s", "b", "t")}
 
     def test_unbalanced_branches(self):
         g = ControlFlowGraph()
@@ -51,7 +51,7 @@ class TestBasicShapes:
         # direct arc makes this a parallel between a chain and nothing -
         # still series-parallel.
         goal = to_goal(g)
-        assert ("s", "a", "b", "t") in traces(goal)
+        assert ("s", "a", "b", "t") in machine_traces(goal)
 
 
 class TestConditions:
@@ -78,7 +78,7 @@ class TestFigure1:
             "a * (cond1? * b * ((d * cond3? * h) + e) * j"
             " | cond2? * c * ((f * i * cond4?) + (g * cond5?))) * k"
         )
-        assert traces(figure1_goal()) == traces(expected)
+        assert machine_traces(figure1_goal()) == machine_traces(expected)
 
     def test_renders_compactly(self):
         text = pretty(figure1_goal())

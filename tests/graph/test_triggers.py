@@ -3,7 +3,7 @@
 import pytest
 
 from repro.ctr.formulas import Atom, Test, atoms, seq
-from repro.ctr.traces import traces
+from repro.ctr.machine import machine_traces
 from repro.errors import RecursionError_
 from repro.graph.triggers import Trigger, apply_triggers
 
@@ -48,7 +48,7 @@ class TestConditional:
 
     def test_semantics(self):
         got = apply_triggers(A >> B, [Trigger("a", REACT, condition="low")])
-        assert traces(got) == {("a", "react", "b"), ("a", "b")}
+        assert machine_traces(got) == {("a", "react", "b"), ("a", "b")}
 
 
 class TestCascades:

@@ -3,15 +3,21 @@
 Extracts every ```python fenced block from docs/tutorial.md and executes
 them in order in one shared namespace, asserting that the printed claims
 (True/False annotations in the comments) are honoured where they are easy
-to check programmatically.
+to check programmatically. The ``>>>`` examples in the package's
+docstrings run too.
 """
 
+import doctest
+import importlib
 import io
+import pkgutil
 import re
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
+
+import repro
 
 TUTORIAL = Path(__file__).parent.parent / "docs" / "tutorial.md"
 README = Path(__file__).parent.parent / "README.md"
@@ -63,3 +69,19 @@ class TestReadme:
         text = README.read_text(encoding="utf-8")
         for anchor in ("DESIGN.md", "EXPERIMENTS.md", "examples/", "benchmarks/"):
             assert anchor in text
+
+
+class TestDocstringExamples:
+    def test_every_module_example_runs(self):
+        finder = doctest.DocTestFinder()
+        runner = doctest.DocTestRunner()
+        report = io.StringIO()
+        examples = 0
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            if info.name == "repro.__main__":  # runs the CLI on import
+                continue
+            for test in finder.find(importlib.import_module(info.name)):
+                examples += len(test.examples)
+                runner.run(test, out=report.write)
+        assert examples > 0
+        assert runner.failures == 0, report.getvalue()

@@ -3,8 +3,8 @@
 Four independent implementations must agree on every specification:
 
 1. the Apply/Excise compiler + pro-active scheduler (the paper's system);
-2. the enumerable trace semantics filtered by constraint satisfaction
-   (the denotational oracle);
+2. the step machine's traces filtered by constraint satisfaction
+   (the oracle);
 3. the passive baseline (generate-and-test + per-event validation);
 4. the explicit-state model checker over constraint automata.
 """
@@ -23,11 +23,11 @@ from repro import (
     order,
     satisfies,
     to_goal,
-    traces,
     verify_property,
 )
 from repro.baselines.modelcheck import model_check_consistency
 from repro.baselines.passive import generate_and_test_consistency, validate_sequence
+from repro.ctr.machine import machine_traces
 from tests.conftest import constraints_over, unique_event_goals
 
 
@@ -41,7 +41,7 @@ class TestFourWayAgreement:
         constraints = [data.draw(constraints_over(events))]
 
         oracle = any(
-            all(satisfies(t, c) for c in constraints) for t in traces(goal)
+            all(satisfies(t, c) for c in constraints) for t in machine_traces(goal)
         )
         compiled = compile_workflow(goal, constraints)
         passive = generate_and_test_consistency(goal, constraints) is not None
@@ -63,7 +63,7 @@ class TestFourWayAgreement:
             return
         for schedule in compiled.schedules(limit=5_000):
             assert validate_sequence(schedule, constraints)
-            assert schedule in traces(goal)
+            assert schedule in machine_traces(goal)
 
 
 class TestEndToEndPipeline:

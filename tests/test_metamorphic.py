@@ -15,14 +15,14 @@ from repro.core.apply import apply_all
 from repro.core.compiler import compile_workflow
 from repro.core.excise import excise
 from repro.ctr.formulas import event_names
+from repro.ctr.machine import machine_traces
 from repro.ctr.simplify import is_failure
-from repro.ctr.traces import traces
 from tests.conftest import constraints_over, unique_event_goals
 
 
 def compiled_traces(goal, constraints):
     compiled = excise(apply_all(list(constraints), goal))
-    return frozenset() if is_failure(compiled) else traces(compiled, max_traces=2_000_000)
+    return frozenset() if is_failure(compiled) else machine_traces(compiled, 2_000_000)
 
 
 def events_of(goal, data=None):
@@ -69,7 +69,7 @@ class TestIdempotence:
         if not compiled.consistent:
             return
         recompiled = compile_workflow(compiled.goal)
-        assert traces(recompiled.goal) == traces(compiled.goal)
+        assert machine_traces(recompiled.goal) == machine_traces(compiled.goal)
 
 
 class TestMonotonicity:
@@ -85,7 +85,7 @@ class TestMonotonicity:
     @given(unique_event_goals(max_events=4), st.data())
     def test_compiled_is_subset_of_source(self, goal, data):
         constraint = data.draw(constraints_over(events_of(goal)))
-        assert compiled_traces(goal, [constraint]) <= traces(goal, max_traces=2_000_000)
+        assert compiled_traces(goal, [constraint]) <= machine_traces(goal, 2_000_000)
 
 
 class TestImpliedConstraints:

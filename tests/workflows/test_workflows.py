@@ -8,7 +8,6 @@ from repro.core.engine import WorkflowEngine
 from repro.core.verify import is_redundant, verify_property
 from repro.ctr.formulas import atoms, event_names
 from repro.ctr.pretty import pretty
-from repro.ctr.traces import traces
 from repro.db.state import Database
 from repro.workflows.figure1 import (
     example_5_7,
