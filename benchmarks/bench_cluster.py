@@ -1,9 +1,10 @@
 """C: the cluster — fidelity under replication, recovery, scaling.
 
 Workload: the service benchmark's shape (concurrent event pairs under
-width-2 disjunctive order constraints, every property holding so each
-forces a full ``G ∧ C ∧ ¬Φ`` compile), served by a router consistent-
-hashing keys onto real subprocess workers. No persistent compile cache,
+width-2 disjunctive order constraints, every property failing so each
+takes a full ``G ∧ C ∧ ¬Φ`` compile and a witness, where a holding one
+would be refuted on the goal's masks without a compile), served by a
+router consistent-hashing keys onto real subprocess workers. No persistent compile cache,
 and so no answer memo (a daemon keeps one only beside a compile cache):
 whatever a worker answers, it computed.
 
@@ -55,8 +56,8 @@ def _spec_text(tag: str = "") -> str:
     for a, b in names:
         lines.append(f"constraint: precedes({a}, {b}) or precedes({b}, {a})")
     for i, (a, b) in enumerate(names):
-        lines.append(f"property p{i}: precedes({a}, {b}) or precedes({b}, {a})")
-        lines.append(f"property h{i}: happens({a}) or happens({b})")
+        lines.append(f"property p{i}: precedes({a}, {b})")
+        lines.append(f"property h{i}: precedes({b}, {a})")
     return "\n".join(lines) + "\n"
 
 

@@ -32,6 +32,15 @@ Two sides of the proposition, and a check of the consistency search:
   the source, applied and compiled goals; on each source goal with its
   events folded onto fewer names, the check names the event the recursive
   check names.
+* **E5f** — Theorem 5.9 as a checked relation: on E5c's specs, each with
+  one order disjunction ``p⊗q ∨ q⊗p`` and one property drawn from an RNG
+  of their own (``tests/proactive.py:verification_spec``),
+  ``verify_property(...).holds`` is the inconsistency of the compile of
+  ``G ∧ C ∧ ¬Φ``, and every failing property's witness satisfies
+  ``C ∧ ¬Φ`` by the passive validator of ``baselines/passive.py`` and
+  replays to completion on the step machine. The table counts the
+  holding properties that :func:`~repro.core.apply.refutes` answered
+  without a compile (tier-1 runs seeds 0–499).
 """
 
 import random
@@ -41,7 +50,7 @@ from conftest import save_table, time_best_of
 
 from repro.analysis.metrics import fit_exponential, fit_power_law, render_table
 from repro.analysis.sat import brute_force_sat, cnf_to_workflow, random_cnf
-from repro.constraints.algebra import absent, disj, must, order
+from repro.constraints.algebra import order
 from repro.constraints.normalize import negate
 from repro.core.apply import apply_all, consistent_branch
 from repro.core.compiler import compile_workflow, expand_goal
@@ -50,7 +59,7 @@ from repro.core.sync import TokenFactory
 from repro.core.verify import is_consistent, is_redundant
 from repro.ctr.formulas import event_names, goal_size
 from repro.ctr.simplify import is_failure
-from repro.graph.generators import parallel_chains, random_constraints, random_goal
+from repro.graph.generators import parallel_chains
 from tests.apply_reference import reference_apply_all
 from tests.occurrence_reference import (
     folded,
@@ -59,6 +68,7 @@ from tests.occurrence_reference import (
     reference_occurring_events,
     unique_verdict,
 )
+from tests.proactive import search_spec, verification_faults, verification_spec
 
 
 def test_e5a_consistency_solves_3sat(benchmark):
@@ -146,26 +156,11 @@ def test_e5b_order_constraints_are_polynomial(benchmark):
 E5C_SPECS = 10_000
 
 
-def _e5c_spec(seed):
-    """One seeded spec: a random goal and 1–4 constraints over its events."""
-    rng = random.Random(seed)
-    goal = random_goal(rng.randint(2, 6), rng=rng, p_choice=0.3,
-                       p_isolated=0.2, p_possible=0.1, p_condition=0.1)
-    events = sorted(event_names(goal)) + ["e_missing"]
-    constraints = random_constraints(events, rng.randint(1, 3), rng=rng)
-    constraints = [negate(c) if rng.random() < 0.2 else c for c in constraints]
-    if rng.random() < 0.6:
-        chosen = rng.sample(events, rng.randint(2, min(3, len(events))))
-        constraints.append(disj(*(must(e) if rng.random() < 0.5 else absent(e)
-                                  for e in chosen)))
-    return goal, constraints
-
-
 def test_e5c_search_matches_the_compile():
     consistent = redundant = 0
     verdict_divergences = redundancy_divergences = 0
     for seed in range(E5C_SPECS):
-        goal, constraints = _e5c_spec(seed)
+        goal, constraints = search_spec(seed)
         phi = constraints[seed % len(constraints)]
         rest = list(constraints)
         rest.remove(phi)
@@ -199,7 +194,7 @@ def test_e5c_search_matches_the_compile():
 def test_e5d_apply_is_the_reference_walk():
     applies = failures = order_walks = mismatches = 0
     for seed in range(E5C_SPECS):
-        goal, constraints = _e5c_spec(seed)
+        goal, constraints = search_spec(seed)
         goal = expand_goal(goal)
         first, second = random.Random(f"e5d-{seed}").sample(
             sorted(event_names(goal)), 2)
@@ -230,7 +225,7 @@ def test_e5d_apply_is_the_reference_walk():
 def test_e5e_occurrence_table_is_the_recursive_reading():
     goals = violating = mismatches = 0
     for seed in range(E5C_SPECS):
-        goal, constraints = _e5c_spec(seed)
+        goal, constraints = search_spec(seed)
         goal = expand_goal(goal)
         applied = apply_all(constraints, goal)
         mismatches += bool(occurrence_mismatches(goal, constraints, applied,
@@ -254,3 +249,35 @@ def test_e5e_occurrence_table_is_the_recursive_reading():
         ),
     )
     assert mismatches == 0
+
+
+def test_e5f_verification_is_the_compile():
+    holding = refuted = divergences = witness_faults = 0
+    for seed in range(E5C_SPECS):
+        holds, was_refuted, faults = verification_faults(*verification_spec(seed))
+        holding += holds
+        refuted += was_refuted
+        divergences += "verdict" in faults
+        witness_faults += bool({"passive", "machine"} & set(faults))
+    save_table(
+        "E5f_verification_relation",
+        render_table(
+            "E5f: Theorem 5.9 on seeded specs, and the holding properties "
+            "refuted without a compile",
+            ["specs", "holding", "refuted by the masks", "failing",
+             "verdict divergences", "witness faults"],
+            [[E5C_SPECS, holding, refuted, E5C_SPECS - holding, divergences,
+              witness_faults]],
+            note="E5c's specs, each with one order disjunction p⊗q ∨ q⊗p over "
+            "two goal events and one property (one of the constraints 3 in "
+            "10, else a random constraint; negated 1 in 5). A divergence is "
+            "a verify_property verdict that differs from "
+            "not compile_workflow(G, C + [¬Φ]).consistent; a witness fault is "
+            "a failing property's witness that the passive validator rejects "
+            "against C ∧ ¬Φ or that does not replay to completion on the "
+            "step machine. Refuted counts the holding properties that "
+            "refutes() answered on the goal's masks.",
+        ),
+    )
+    assert divergences == 0
+    assert witness_faults == 0

@@ -2,9 +2,12 @@
 
 Workload: four concurrent event pairs plus a serial pad under four
 width-2 disjunctive order constraints; every request verifies the same
-five properties, each of which *holds* — so each one forces a full
-(inconsistent) ``G ∧ C ∧ ¬Φ`` compile and represents maximal, uniform
-verification work. The service runs with **no** persistent compile
+five properties, each of which *fails* (one order per pair, and the pad
+reversed) — so each one takes the full ``G ∧ C ∧ ¬Φ`` compile and a
+witness, uniform verification work. (A holding property here would be
+answered by :func:`~repro.core.apply.refutes` on the goal's masks,
+without a compile, and the batch would time HTTP alone.) The service
+runs with **no** persistent compile
 cache, and so with no answer memo either (a daemon keeps one only
 beside a compile cache): every request reaches the batcher, every
 verification the daemon actually performs is real Apply/Excise work,
@@ -68,10 +71,8 @@ def _spec_text() -> str:
             f"constraint: precedes(a{i}, b{i}) or precedes(b{i}, a{i})"
         )
     for i in range(N_PAIRS):
-        lines.append(
-            f"property p{i}: precedes(a{i}, b{i}) or precedes(b{i}, a{i})"
-        )
-    lines.append("property padded: happens(pad0)")
+        lines.append(f"property p{i}: precedes(a{i}, b{i})")
+    lines.append("property late: precedes(pad1, pad0)")
     return "\n".join(lines) + "\n"
 
 

@@ -72,9 +72,21 @@ Yes/no questions (Theorems 5.8 and 5.10) need only one surviving branch,
 not all ``d^N``: :func:`consistent_branch` searches the token-free
 disjunctions instead of duplicating the goal for them, with the masks
 as unit propagation.
+
+Some questions need no branch at all. :func:`refutes` applies nothing:
+it reads each conjunct of the constraint set on the masks of the goal it
+is handed, and answers "no execution satisfies these" when a conjunct has
+no live disjunct, or when the order leaves the conjuncts force close a
+cycle with the goal's ``⊗`` structure. Order leaves have states too: a
+pair query over the occurrence table (:meth:`_ApplyMemo.ordering`) says
+whether two events can co-occur and which the goal's structure puts
+first. Theorem 5.9 asks it first (:func:`~repro.core.verify.verify_property`),
+since a holding property is exactly a refutable ``C ∧ ¬Φ``.
 """
 
 from __future__ import annotations
+
+from graphlib import CycleError, TopologicalSorter
 
 from ..constraints.algebra import And, Constraint, Or, Primitive, SerialConstraint
 from ..constraints.normalize import normalize
@@ -99,9 +111,12 @@ from ..ctr.simplify import simplify
 from .excise import excise
 from .sync import TokenFactory
 
-__all__ = ["apply_constraint", "apply_all", "consistent_branch"]
+__all__ = ["apply_constraint", "apply_all", "consistent_branch", "refutes"]
 
 _BUILD = {Serial: seq, Concurrent: par, Choice: alt}
+
+# How two events meet in a goal's executions (:meth:`_ApplyMemo.ordering`).
+_APART, _LOOSE, _BEFORE, _AFTER = range(4)
 
 
 class _ApplyMemo(EventMasks):
@@ -114,10 +129,10 @@ class _ApplyMemo(EventMasks):
     has a mask entry holding it). ``subproblem`` maps ``(constraint, node)
     -> transformed node`` for token-free constraint applications.
     ``token_free`` caches, per constraint object, whether it is safe to
-    memoise at all.
+    memoise at all. ``spots`` and ``orders`` serve :meth:`ordering`.
     """
 
-    __slots__ = ("must", "never", "subproblem", "token_free")
+    __slots__ = ("must", "never", "subproblem", "token_free", "spots", "orders")
 
     def __init__(self) -> None:
         super().__init__()
@@ -125,6 +140,63 @@ class _ApplyMemo(EventMasks):
         self.never: dict[tuple[int, int], Goal] = {}
         self.subproblem: dict[tuple[Constraint, Goal], Goal] = {}
         self.token_free: dict[Constraint, bool] = {}
+        self.spots: dict[int, dict[int, int]] = {}
+        self.orders: dict[tuple[int, int, int], int] = {}
+
+    def ordering(self, goal: Goal, a: int, b: int) -> int:
+        """How the events of bits ``a ≠ b``, both in ``may(goal)``, meet in
+        the executions of ``goal``.
+
+        ``_APART`` when no execution holds both, ``_BEFORE`` when ``a``
+        precedes ``b`` in every execution that holds both, ``_AFTER`` when
+        ``b`` precedes ``a`` in every one, and ``_LOOSE`` otherwise. The
+        query descends to the node where the two events part: a ``⊗`` puts
+        its earlier part first and a ``|`` neither, and a ``∨`` answers for
+        every alternative that may hold both. A ``⊗``/``|`` finds the part
+        that holds an event in its ``spots`` index (event bit -> part
+        position, built the first time the query reaches the node, from
+        the parts' ``may`` masks, which the unique-event property keeps
+        disjoint); a ``∨``'s answer is kept per pair in ``orders``.
+
+        It reads the structure only, so on a goal holding send/receive
+        tokens (which only add orderings) or ``◇`` tests and conditions
+        (which only remove executions) its ``_APART`` and orders still hold
+        on every execution: :func:`guaranteed_orderings` and the co-occur
+        masks of :mod:`repro.core.static` read the same relation.
+        """
+        masks = self.masks
+        both = a | b
+        while True:
+            if isinstance(goal, Isolated):
+                goal = goal.body
+            elif isinstance(goal, (Serial, Concurrent)):
+                spots = self.spots.get(id(goal))
+                if spots is None:
+                    spots = self.spots[id(goal)] = {}
+                    for index, part in enumerate(goal.parts):
+                        may = masks[id(part)][1]
+                        while may:
+                            spots[may & -may] = index
+                            may &= may - 1
+                first, second = spots[a], spots[b]
+                if first == second:
+                    goal = goal.parts[first]
+                elif isinstance(goal, Concurrent):
+                    return _LOOSE
+                else:
+                    return _BEFORE if first < second else _AFTER
+            elif isinstance(goal, Choice):
+                key = (id(goal), a, b)
+                found = self.orders.get(key)
+                if found is None:
+                    met = {self.ordering(part, a, b) for part in goal.parts
+                           if masks[id(part)][1] & both == both}
+                    met.discard(_APART)
+                    found = met.pop() if len(met) == 1 else _LOOSE if met else _APART
+                    self.orders[key] = found
+                return found
+            else:
+                return _APART  # an atom holds one event
 
     def is_token_free(self, constraint: Constraint) -> bool:
         cached = self.token_free.get(constraint)
@@ -199,8 +271,10 @@ def consistent_branch(
 
     1. It walks those parts in list order. A part that is not a token-free
        disjunction is applied at its position; an order disjunction is
-       applied in full, since masks cannot see order conflicts and
-       branching on it would lose the sharing of the full Apply. A
+       applied in full: its leaves have states (:func:`_state` reads them
+       for :func:`refutes`), but branching on it without a conflict test
+       between the orders a branch has chosen would lose the sharing of
+       the full Apply. A
        token-free disjunction is tested against the masks of the goal
        built so far: it is dropped when a disjunct is satisfied, answers
        ``NEG_PATH`` when every disjunct is dead, is applied when exactly
@@ -215,7 +289,8 @@ def consistent_branch(
     On a goal ``T``, ``∇α`` is *satisfied* when ``α ∈ must(T)`` and *dead*
     when ``α ∉ may(T)``; ``¬∇α`` is satisfied when ``α ∉ may(T)`` and dead
     when ``α ∈ must(T)``. A ``∧`` is dead when a part is and satisfied
-    when every part is; a ``∨`` the other way round.
+    when every part is; a ``∨`` the other way round. (An order leaf's
+    state, which this search never asks for, is in :func:`_state`.)
 
     Why it is exact: a dead disjunct's Apply is ``¬path`` (Definition 5.1
     for a primitive; Apply never adds an event to ``may`` nor removes one
@@ -266,18 +341,119 @@ def consistent_branch(
     return NEG_PATH
 
 
+def refutes(
+    constraints: list[Constraint] | tuple[Constraint, ...], goal: Goal
+) -> bool:
+    """True when the masks of ``goal`` show that no execution of ``goal``
+    satisfies ``constraints``, so that ``Excise(Apply(C, G))`` is ``¬path``;
+    False when they do not show it. Nothing is applied or excised.
+
+    ``goal`` is read as handed in: its occurrence table over-approximates
+    its executions (``¬path``, tokens, ``◇`` tests and conditions only
+    remove some), which keeps every dead state and every order sound.
+    A table that met a unique-event clash or ``path`` answers False, so
+    the compile raises its error for that goal.
+
+    It walks the conjuncts of the normalized constraints, taking the parts
+    of a ``∧`` as conjuncts of their own, and reads each conjunct's
+    disjuncts on the root masks as :func:`_state` does:
+
+    * a conjunct with no live disjunct refutes (no execution satisfies it);
+    * a conjunct with a satisfied disjunct is dropped;
+    * a conjunct whose only live disjunct is a ``∧`` adds its parts, and
+      one whose only live disjunct is an order leaf ``∇α ⊗ ∇β`` forces
+      both events and the edge ``α → β`` on every execution left.
+
+    Then the forced edges, with the structural orders between their
+    events, refute when they close a cycle, or when two of their events
+    never co-occur: no execution holds them all.
+    """
+    memo = _ApplyMemo()
+    memo.occurrence(goal)
+    if memo.clash or memo.path:
+        return False
+    edges: list[tuple[int, int]] = []
+    pending = [normalize(constraint) for constraint in constraints]
+    while pending:
+        conjunct = pending.pop()
+        if isinstance(conjunct, And):
+            pending.extend(conjunct.parts)
+            continue
+        live = _live_disjuncts(
+            conjunct.parts if isinstance(conjunct, Or) else (conjunct,), goal, memo)
+        if live is None or len(live) > 1:
+            continue
+        if not live:
+            return True
+        (only,) = live
+        if isinstance(only, And):
+            pending.extend(only.parts)
+        elif isinstance(only, SerialConstraint):
+            alpha, beta = only.events
+            if alpha != beta:
+                edges.append((memo.bit(alpha), memo.bit(beta)))
+    # One edge closes no cycle: its leaf would be dead.
+    return len(edges) > 1 and _forced_cycle(edges, goal, memo)
+
+
+def _forced_cycle(edges: list[tuple[int, int]], goal: Goal, memo: _ApplyMemo) -> bool:
+    """Do the forced ``edges`` (event bits ``α → β``) and the orders of
+    ``goal`` between their events close a cycle, or hold two events that
+    never co-occur?"""
+    after: dict[int, set[int]] = {}
+    for first, second in edges:
+        after.setdefault(first, set()).add(second)
+        after.setdefault(second, set())
+    events = list(after)
+    for i, first in enumerate(events):
+        for second in events[i + 1:]:
+            meet = memo.ordering(goal, first, second)
+            if meet == _APART:
+                return True
+            if meet == _BEFORE:
+                after[first].add(second)
+            elif meet == _AFTER:
+                after[second].add(first)
+    try:
+        TopologicalSorter(after).prepare()
+    except CycleError:
+        return True
+    return False
+
+
 _DEAD, _LIVE, _SATISFIED = -1, 0, 1
 
 
-def _state(constraint: Constraint, may: int, must: int, memo: _ApplyMemo) -> int:
-    """Whether token-free ``constraint`` is dead, live or satisfied on a
-    goal with masks ``may``/``must`` (see :func:`consistent_branch`)."""
+def _state(
+    constraint: Constraint, goal: Goal, may: int, must: int, memo: _ApplyMemo
+) -> int:
+    """Whether ``constraint`` is dead, live or satisfied on ``goal``, whose
+    masks are ``may``/``must`` (see :func:`consistent_branch`).
+
+    An order leaf ``∇α ⊗ ∇β`` is dead when ``α`` or ``β`` is not in
+    ``may``, or when :meth:`_ApplyMemo.ordering` finds that the two never
+    co-occur or that ``β`` comes first; it is satisfied when both are in
+    ``must`` and ``α`` comes first, since ``sync`` then keeps every
+    execution. Apply reads ``∇α ⊗ ∇α`` as ``∇α``, and so does this.
+    """
     if isinstance(constraint, Primitive):
         bit = memo.bit(constraint.event)
         if constraint.positive:
             return _SATISFIED if must & bit else _LIVE if may & bit else _DEAD
         return _DEAD if must & bit else _LIVE if may & bit else _SATISFIED
-    states = [_state(part, may, must, memo) for part in constraint.parts]
+    if isinstance(constraint, SerialConstraint):
+        alpha, beta = constraint.events
+        a, b = memo.bit(alpha), memo.bit(beta)
+        both = a | b
+        if may & both != both:
+            return _DEAD
+        if a == b:
+            return _SATISFIED if must & a else _LIVE
+        meet = memo.ordering(goal, a, b)
+        if meet == _APART or meet == _AFTER:
+            return _DEAD
+        return _SATISFIED if meet == _BEFORE and must & both == both else _LIVE
+    states = [_state(part, goal, may, must, memo) for part in constraint.parts]
     return min(states) if isinstance(constraint, And) else max(states)
 
 
@@ -288,7 +464,7 @@ def _live_disjuncts(
     _, may, must = memo.occurrence(goal)
     live = []
     for disjunct in disjuncts:
-        state = _state(disjunct, may, must, memo)
+        state = _state(disjunct, goal, may, must, memo)
         if state == _SATISFIED:
             return None
         if state == _LIVE:

@@ -23,8 +23,12 @@ The two yes/no questions, consistency and redundancy, need one surviving
 branch of ``Apply(C, G)``, not all ``d^N``: they search with
 :func:`~repro.core.apply.consistent_branch`, which branches on the
 ``∇``/``¬∇`` disjunctions with the occurrence masks as unit propagation.
-Verification keeps the full compile, because a failing property reports
-the whole most general counterexample.
+Verification first asks :func:`~repro.core.apply.refutes`, which applies
+nothing: when the masks and the goal's ``⊗`` structure show that no
+execution satisfies ``C ∧ ¬Φ``, the property holds without a compile.
+Every other property keeps the full compile, because a failing property
+reports the whole most general counterexample, and a holding one that
+the masks cannot show needs Excise to say so.
 
 Each single question runs sequentially, on one hash-consed memo. The batch
 forms, :func:`verify_properties` and :func:`redundant_constraints`, build
@@ -44,7 +48,7 @@ from ..constraints.normalize import negate
 from ..ctr.formulas import Goal, event_names
 from ..ctr.rules import RuleBase
 from ..ctr.simplify import is_failure
-from .apply import consistent_branch
+from .apply import consistent_branch, refutes
 from .compiler import CompiledWorkflow, compile_workflow, expand_goal
 from .parallel import fan_out
 
@@ -103,9 +107,13 @@ def verify_property(
 ) -> VerificationResult:
     """Theorem 5.9: check that every legal execution satisfies ``prop``.
 
-    ``cache`` (a :class:`~repro.core.compiler.CompileCache` or directory
-    path) persists the ``G ∧ C ∧ ¬Φ`` compilation; re-verifying an
-    unchanged specification is then a cache hit per property.
+    A property that :func:`~repro.core.apply.refutes` shows to hold on
+    the goal's masks (``goal`` expanded first only when ``rules`` is
+    given) is answered without a compile, a cache access or a witness.
+    Every other property compiles ``G ∧ C ∧ ¬Φ``. ``cache`` (a
+    :class:`~repro.core.compiler.CompileCache` or directory path) persists
+    that compilation; re-verifying an unchanged specification is then a
+    cache hit per property that compiles.
 
     ``seed`` pins the witness schedule extracted from a failing property:
     ``None`` (the default) keeps the deterministic lexicographic-minimum
@@ -114,9 +122,11 @@ def verify_property(
     identical witness across reruns, processes, and the ``jobs`` of
     :func:`verify_properties`.
     """
-    negated = negate(prop)
+    violating_spec = list(constraints) + [negate(prop)]
+    if refutes(violating_spec, goal if rules is None else expand_goal(goal, rules)):
+        return VerificationResult(property=prop, holds=True)
     violating: CompiledWorkflow = compile_workflow(
-        goal, list(constraints) + [negated], rules=rules, cache=cache
+        goal, violating_spec, rules=rules, cache=cache
     )
     if violating.consistent:
         strategy = None

@@ -164,8 +164,9 @@ class Machine:
         self.goal = goal
         self.test_hook = test_hook
         # ⊙ admission is judged with every condition passing (see
-        # _isolated_steps), by a hook-free twin.
+        # _isolated_steps), by a hook-free twin, which keeps its verdicts.
         self._static = self if test_hook is None else Machine(goal)
+        self._verdicts: dict[Config, bool] = {}
 
     # -- public API ---------------------------------------------------------
 
@@ -303,8 +304,16 @@ class Machine:
         for label, nxt in self._steps(body, tokens):
             if _is_done(nxt.goal):
                 yield label, Config(EMPTY, nxt.tokens)
-            elif self._static.can_complete(nxt):
+            elif self._static._admits(nxt):
                 yield label, Config(Running(nxt.goal), nxt.tokens)
+
+    def _admits(self, config: Config) -> bool:
+        """:meth:`can_complete`, kept per configuration, as the kernel
+        keeps its ``_finishes`` verdicts per table."""
+        verdict = self._verdicts.get(config)
+        if verdict is None:
+            verdict = self._verdicts[config] = self.can_complete(config)
+        return verdict
 
 
 def _is_done(goal: Goal) -> bool:

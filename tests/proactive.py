@@ -1,4 +1,4 @@
-"""Seeded sweeps shared by tier-1 and ``benchmarks/bench_kernel.py``.
+"""Seeded sweeps shared by tier-1 and the benchmarks.
 
 * Section 4's pro-active guarantee: one spec generator and one state
   walk, run by the tier-1 sweep (``tests/core/test_scheduler.py``) and
@@ -7,11 +7,21 @@
   choice-free goals with tokens reused and inside ``◇`` bodies, run by
   ``tests/ctr/test_kernel.py`` (seeds 0–79), the K5 gate (0–2,999) and
   Excise's tests (``tests/core/test_excise_edges.py``).
+* Theorem 5.9 as a checked relation: E5c's specs with an order
+  disjunction and a property, run by ``tests/core/test_refutation.py``
+  (seeds 0–499) and the E5f gate of ``benchmarks/bench_sat.py``
+  (0–9,999).
 """
 
 import random
 
+from repro.baselines.passive import validate_sequence
+from repro.constraints.algebra import absent, disj, must, order
+from repro.constraints.normalize import negate
+from repro.core.apply import refutes
+from repro.core.compiler import compile_workflow, expand_goal
 from repro.core.scheduler import Scheduler
+from repro.core.verify import verify_property
 from repro.ctr.formulas import (
     Atom,
     Concurrent,
@@ -26,7 +36,7 @@ from repro.ctr.formulas import (
     seq,
 )
 from repro.ctr.kernel import count_traces, is_executable, traces
-from repro.ctr.machine import can_complete, machine_traces
+from repro.ctr.machine import Machine, can_complete, machine_traces
 from repro.graph.generators import random_constraints, random_goal
 
 
@@ -106,3 +116,74 @@ def kernel_divergences(goal) -> list[str]:
             list(Scheduler(goal).enumerate_schedules()) == sorted(expected),
     }
     return [query for query, same in agrees.items() if not same]
+
+
+def search_spec(seed):
+    """E5c's spec (E5c–E5f): a random goal and 1–4 constraints over its
+    events."""
+    rng = random.Random(seed)
+    goal = random_goal(rng.randint(2, 6), rng=rng, p_choice=0.3,
+                       p_isolated=0.2, p_possible=0.1, p_condition=0.1)
+    events = sorted(event_names(goal)) + ["e_missing"]
+    constraints = random_constraints(events, rng.randint(1, 3), rng=rng)
+    constraints = [negate(c) if rng.random() < 0.2 else c for c in constraints]
+    if rng.random() < 0.6:
+        chosen = rng.sample(events, rng.randint(2, min(3, len(events))))
+        constraints.append(disj(*(must(e) if rng.random() < 0.5 else absent(e)
+                                  for e in chosen)))
+    return goal, constraints
+
+
+def verification_spec(seed):
+    """E5f's spec: :func:`search_spec`'s, plus an order disjunction
+    ``p⊗q ∨ q⊗p`` over two of its goal's events and a property, both drawn
+    from an RNG of their own. The property is one of the constraints
+    (3 in 10) or a random constraint, and is negated 1 in 5."""
+    goal, constraints = search_spec(seed)
+    rng = random.Random(f"e5f-{seed}")
+    events = sorted(event_names(goal))
+    p, q = rng.sample(events, 2)
+    constraints = constraints + [disj(order(p, q), order(q, p))]
+    if rng.random() < 0.3:
+        prop = rng.choice(constraints)
+    else:
+        prop = random_constraints(events + ["e_missing"], 1, rng=rng)[0]
+    if rng.random() < 0.2:
+        prop = negate(prop)
+    return goal, constraints, prop
+
+
+def replays(goal, sequence) -> bool:
+    """Is ``sequence`` a complete run of ``goal`` on the step machine?"""
+    machine = Machine(goal)
+    configs = {machine.initial()}
+    for event in sequence:
+        configs = {nxt for config in configs
+                   for nxt in machine.successors(config).get(event, ())}
+        if not configs:
+            return False
+    return any(machine.is_final(config) for config in configs)
+
+
+def verification_faults(goal, constraints, prop) -> tuple[bool, bool, list[str]]:
+    """``verify_property`` on one spec, checked as Theorem 5.9 states it:
+    ``(holds, refuted, faults)``.
+
+    ``refuted`` says whether :func:`~repro.core.apply.refutes` answered
+    the property without a compile. ``faults`` names each check it fails:
+    ``verdict`` when ``holds`` is not the inconsistency of the compile of
+    ``G ∧ C ∧ ¬Φ``, and for a failing property ``passive`` when its
+    witness violates ``C ∧ ¬Φ`` by ``baselines/passive.py``, ``machine``
+    when it is no complete run of the goal on the step machine.
+    """
+    result = verify_property(goal, constraints, prop)
+    violating = list(constraints) + [negate(prop)]
+    faults = []
+    if result.holds == compile_workflow(goal, violating).consistent:
+        faults.append("verdict")
+    if not result.holds:
+        if not validate_sequence(tuple(result.witness), violating):
+            faults.append("passive")
+        if not replays(expand_goal(goal), result.witness):
+            faults.append("machine")
+    return result.holds, refutes(violating, goal), faults
