@@ -20,7 +20,8 @@ Three gates:
   resurrected worker must serve traffic. Runs anywhere.
 * **C3** — *throughput scaling*: 4 workers sustain at least 1.8× the
   request throughput of 1 worker on distinct (non-coalescable) specs.
-  This one needs real cores — skipped when ``os.cpu_count() < 4``.
+  This one needs real cores — skipped when ``os.cpu_count() < 4``, when
+  its gate reads ``"skipped: needs 4 CPUs, found N"``.
 
 Saved machine-readably as ``results/BENCH_cluster.json`` (consumed by CI).
 """
@@ -213,7 +214,7 @@ def _measure() -> dict:
     else:
         scaling = {
             "skipped": True,
-            "reason": f"needs >=4 cores, have {cpu_count}",
+            "reason": f"needs 4 CPUs, found {cpu_count}",
         }
 
     _RESULTS = {
@@ -238,7 +239,8 @@ def _measure() -> dict:
                 and recovery["recovery_s"] <= RECOVERY_BUDGET_S
             ),
             "throughput_1_8x_at_4_workers": (
-                None if scaling["skipped"] else scaling["speedup"] >= 1.8
+                f"skipped: {scaling['reason']}" if scaling["skipped"]
+                else scaling["speedup"] >= 1.8
             ),
         },
     }

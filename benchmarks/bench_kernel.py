@@ -30,6 +30,17 @@ order constraints — 7! interleavings before pruning):
   bodies too), the kernel's ``traces``, exact ``count_traces``,
   ``is_executable`` and the scheduler's ``enumerate_schedules`` equal the
   step machine's answers on every goal (tier-1 runs seeds 0–79).
+* **K6 — a witness walks events, not token steps:** on S2's goal (seven
+  concurrent pairs, each ordered one way or the other, and a pad of
+  six), the witness of each of 15 failing properties — ``pᵢ`` before
+  ``qᵢ`` and ``qᵢ`` before ``pᵢ`` for i = 1…7, and the property whose
+  violation orients every pair p-first — satisfies ``C ∧ ¬Φ`` by
+  ``baselines/passive.py``, replays on the step machine, and is
+  extracted expanding at most 8 kernel states per eligible set
+  (``SchedulerStats.configs_expanded ≤ 8 × eligible_calls``; tier-1 runs
+  two of the 15 in ``tests/ctr/test_fusion.py``). The lowering fuses
+  each ``receive(ξ)* ⊗ α ⊗ send(ζ)*`` into one guarded step, so the
+  scheduler's state sets carry no interleaving of pending token steps.
 
 The sweep is saved machine-readably as ``results/BENCH_kernel.json``.
 """
@@ -39,10 +50,12 @@ from __future__ import annotations
 import json
 import time
 
+from bench_apply_size import _PAIRS, _pair_goal, _width_d_constraint
 from conftest import RESULTS_DIR, save_table, time_best_of
 
 from repro.analysis.metrics import render_table
-from repro.constraints.algebra import must, order
+from repro.constraints.algebra import conj, must, order
+from repro.constraints.normalize import negate
 from repro.constraints.satisfy import satisfies
 from repro.core.compiler import compile_workflow
 from repro.core.scheduler import Scheduler
@@ -55,6 +68,7 @@ from tests.proactive import (
     dead_end_states,
     isolation_spec,
     kernel_divergences,
+    witness_cost,
     with_tokens,
 )
 from tests.trace_reference import count_traces
@@ -160,6 +174,7 @@ K4_SPECS = 10_000
 
 
 def test_k4_every_eligible_event_can_complete():
+    started = time.perf_counter()
     consistent = states = violations = 0
     for seed in range(K4_SPECS):
         compiled = compile_workflow(*isolation_spec(seed))
@@ -173,6 +188,7 @@ def test_k4_every_eligible_event_can_complete():
         "consistent": consistent,
         "states": states,
         "violations": violations,
+        "wall_s": round(time.perf_counter() - started, 1),
     }
     assert violations == 0, f"{violations} states offer a dead-end event"
 
@@ -181,6 +197,7 @@ K5_SEEDS = 3_000
 
 
 def test_k5_kernel_equals_the_machine():
+    started = time.perf_counter()
     goals = executable = diverging = 0
     for into_tests in (False, True):
         for seed in range(K5_SEEDS):
@@ -192,8 +209,38 @@ def test_k5_kernel_equals_the_machine():
         "goals": goals,
         "executable": executable,
         "divergences": diverging,
+        "wall_s": round(time.perf_counter() - started, 1),
     }
     assert diverging == 0, f"{diverging} of {goals} goals diverge"
+
+
+K6_STATES_PER_CALL = 8
+
+
+def test_k6_witness_walks_events_not_token_steps():
+    goal = _pair_goal(7, padding=6)
+    constraints = [_width_d_constraint(i, d=2) for i in range(7)]
+    props = [order(a, b) for p, q in _PAIRS for a, b in ((p, q), (q, p))]
+    props.append(negate(conj(*(order(p, q) for p, q in _PAIRS))))
+    started = time.perf_counter()
+    faulty, calls, configs = [], [], []
+    for prop in props:
+        _, stats, faults = witness_cost(goal, constraints, prop)
+        calls.append(stats.eligible_calls)
+        configs.append(stats.configs_expanded)
+        bound = K6_STATES_PER_CALL * stats.eligible_calls
+        if faults or stats.configs_expanded > bound:
+            faulty.append((str(prop), faults, stats.configs_expanded,
+                           stats.eligible_calls))
+    _cache["witness_cost"] = {
+        "properties": len(props),
+        "eligible_calls": [min(calls), max(calls)],
+        "configs_expanded": [min(configs), max(configs)],
+        "bound": f"configs_expanded <= {K6_STATES_PER_CALL} x eligible_calls",
+        "faulty": len(faulty),
+        "wall_s": round(time.perf_counter() - started, 2),
+    }
+    assert not faulty, f"{len(faulty)} witnesses fail: {faulty}"
 
 
 def test_emit_json():

@@ -14,11 +14,15 @@ integer tables — or on a program already lowered, which is how
 :meth:`~repro.core.compiler.CompiledWorkflow.scheduler` shares one
 immutable program across every scheduler of a compile. Its state is the
 set of kernel states ``(residual, token_mask)`` compatible with the
-events fired so far, built from plain ints and tuples, and silent
-``send``/``receive``/``◇``/test steps are closed over on demand. On
-compiled (excised) goals, whose choices are token-free or already
-hoisted, the state set stays small and a full path costs time linear in
-the original graph — the paper's scheduling bound (Thm 5.11).
+events fired so far, built from plain ints and tuples, and silent steps
+are closed over on demand. Lowering fuses each ``send``/``receive`` that
+Apply puts next to an event into that event's step (a guarded atom), so
+the silent steps left are ``◇`` and test steps and the few token steps
+that sit next to no event. The state set therefore holds no state per
+interleaving of pending token steps: on compiled (excised) goals, whose
+choices are token-free or already hoisted, it stays small and a full
+path costs time linear in the original graph — the paper's scheduling
+bound (Thm 5.11).
 
 Every cache — the successor table, the kernel's steps table (each
 sub-residual's steps, derived once and shared by every state that
@@ -334,20 +338,26 @@ class Scheduler:
 
         Captures the event history and the kernel states — plain
         ``(residual, token_mask)`` pairs of ints and tuples, which JSON
-        stores as nested lists — plus the goal's event alphabet. Residuals
-        name the lowered goal's node ids, so only a scheduler over the same
-        goal can resume from it; the alphabet lets :meth:`restore` refuse a
-        snapshot from another workflow.
+        stores as nested lists — plus the goal's event alphabet and the
+        digest of its lowered tables (:meth:`KernelProgram.digest`).
+        Residuals name the lowered goal's node ids and token bits, so only
+        a scheduler over tables with that digest can resume from it: two
+        goals over one event alphabet lower to different tables.
         """
         return {
             "events": list(self._program.events),
+            "digest": self._program.digest(),
             "history": list(self._history),
             "states": [list(state) for state in sorted(self._state, key=repr)],
         }
 
     def restore(self, snapshot: dict) -> None:
-        """Resume from a :meth:`snapshot` taken on an equivalent scheduler."""
-        if snapshot["events"] != list(self._program.events):
+        """Resume from a :meth:`snapshot` taken on an equivalent scheduler.
+
+        Raises :class:`~repro.errors.SpecificationError` when the snapshot
+        carries no digest or another program's.
+        """
+        if snapshot.get("digest") != self._program.digest():
             raise SpecificationError(
                 "snapshot was taken on a different workflow"
             )

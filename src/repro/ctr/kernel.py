@@ -31,6 +31,34 @@ search (a ``receive`` simply has no step until its token bit is set), not
 generated and filtered afterwards — on heavily synchronized compiled goals
 this is an exponential reduction in work.
 
+**Token steps are fused into the events they guard.** Apply's order case
+(Definition 5.3) writes ``α ⊗ send(ξ)`` and ``receive(ξ) ⊗ β``, so a
+compiled goal's serials hold runs ``receive(ξ1) ⊗ … ⊗ receive(ξk) ⊗ α ⊗
+send(ζ1) ⊗ … ⊗ send(ζm)``. Lowering turns each such run among one
+serial's children into a single guarded atom: ``needs`` (ξ1…ξk) must be
+in the token mask for ``α`` to step, and ``α``'s step sets ``gives``
+(ζ1…ζm). A serial that fuses to one child lowers to that child. Receives
+before anything but an atom, a send before an atom and a send after a
+receive stay silent steps of their own. The fusion is exact — it keeps
+every trace, every eligible set and every ``⊙`` verdict — because
+
+* every enabling condition of the kernel is monotone in the token mask:
+  a receive, a guarded atom, ``⊙`` admission (:meth:`KernelProgram._finishes`)
+  and ``◇`` (:meth:`KernelProgram.can_complete`) only gain steps when a
+  bit is added;
+* no step clears a bit, so setting ``ζ`` at ``α``'s step, before the
+  sends would have run, disables nothing, and a run of the unfused goal
+  can always take its sends right after ``α``;
+* a receive has no label and enables only the next child of its own
+  serial, so taking ``ξ`` at ``α``'s step instead of earlier hides no
+  execution, and a run of the unfused goal can always take its receives
+  right before ``α``.
+
+So the scheduler's subset construction carries no state per interleaving
+of pending token steps, and a witness walks the compiled goal's events.
+The step machine (:mod:`repro.ctr.machine`) stays unfused, and judges the
+kernel independently.
+
 Step derivation is memoized in a *steps table* (token mask → residual →
 steps, plus which ``⊙`` body states can still finish) that the caller
 owns: a trace or executability query makes one
@@ -47,6 +75,7 @@ the kernel agrees with it.
 
 from __future__ import annotations
 
+import hashlib
 from typing import Callable
 
 from ..errors import SpecificationError, TooManyTracesError
@@ -111,7 +140,8 @@ K_POSSIBILITY = 10
 #   ``("!", body)``          — a running isolated region (no interleaving).
 DONE = -1
 
-#: Leaves that complete by themselves, every condition passing.
+#: Leaves that complete by themselves, every condition passing (an atom
+#: once the mask holds what it needs: see :meth:`KernelProgram._node_bits`).
 _SURE = (K_EMPTY, K_ATOM, K_SEND, K_TEST)
 
 #: Decides a transition condition at run time (``True`` = passable).
@@ -141,20 +171,25 @@ class TraceCount(int):
 class KernelProgram:
     """A goal lowered to flat integer tables, plus its machine ops.
 
-    Build with :func:`lower_goal`. The tables are immutable and the ops
-    are pure functions of them (and of the optional ``test`` callback), so
-    a program carries no state between queries: the steps table that
-    memoizes derivation belongs to the query or the scheduler that passes
-    it in (see :meth:`_steps`).
+    Build with :func:`lower_goal`. Per node, ``kinds``/``args``/``lens``
+    and the ``children`` block give the structure, and ``needs`` and
+    ``gives`` the token masks of a guarded atom (0 elsewhere): the atom
+    steps only when the mask holds ``needs``, and its step adds
+    ``gives``. The tables are immutable and the ops are pure functions of
+    them (and of the optional ``test`` callback), so a program carries no
+    state between queries: the steps table that memoizes derivation
+    belongs to the query or the scheduler that passes it in (see
+    :meth:`_steps`).
     """
 
     __slots__ = (
         "events", "tokens", "tests", "kinds", "args", "lens", "children",
-        "root", "nullable", "nullable_from", "block_sends", "event_ids",
+        "needs", "gives", "root", "nullable", "nullable_from", "block_sends",
+        "event_ids",
     )
 
     def __init__(self, events, tokens, tests, kinds, args, lens, children,
-                 root):
+                 needs, gives, root):
         self.events = tuple(events)
         self.tokens = tuple(tokens)
         self.tests = tuple(tests)
@@ -162,6 +197,8 @@ class KernelProgram:
         self.args = tuple(args)
         self.lens = tuple(lens)
         self.children = tuple(children)
+        self.needs = tuple(needs)
+        self.gives = tuple(gives)
         self.root = root
         self.event_ids = {name: i for i, name in enumerate(self.events)}
         self.nullable, self.nullable_from = self._node_bits((K_EMPTY,))
@@ -171,7 +208,7 @@ class KernelProgram:
         self.block_sends = 0
         for i, kind in enumerate(self.kinds):
             off = self.args[i]
-            sends[i] = 1 << off if kind == K_SEND else 0
+            sends[i] = 1 << off if kind == K_SEND else self.gives[i]
             for j in range(self.lens[i]):
                 sends[i] |= sends[self.children[off + j]]
             if kind == K_ISOLATED:
@@ -181,7 +218,10 @@ class KernelProgram:
 
     @classmethod
     def from_goal(cls, goal: Goal) -> "KernelProgram":
-        """Lower ``goal`` to its flat table form (post-order, DAG-deduped)."""
+        """Lower ``goal`` to its flat table form (post-order, DAG-deduped),
+        with the ``receive(ξ)* ⊗ α ⊗ send(ζ)*`` runs of each serial fused
+        into guarded atoms (see :func:`_fused_parts`). Only nodes the root
+        reaches enter the table."""
         from .machine import Running, Tail
 
         events: dict[str, int] = {}
@@ -191,22 +231,49 @@ class KernelProgram:
         args: list[int] = []
         lens: list[int] = []
         children: list[int] = []
+        needs: list[int] = []
+        gives: list[int] = []
         index: dict[int, int] = {}
+        atoms: dict[tuple[int, int, int], int] = {}
+        fused: dict[int, list] = {}  # a serial's parts, runs fused
 
-        def leaf_code(node: Goal) -> tuple[int, int] | None:
+        def emit(kind: int, arg: int, size: int = 0, need: int = 0,
+                 give: int = 0) -> int:
+            kinds.append(kind)
+            args.append(arg)
+            lens.append(size)
+            needs.append(need)
+            gives.append(give)
+            return len(kinds) - 1
+
+        def mask(steps) -> int:
+            out = 0
+            for step in steps:
+                out |= 1 << tokens.setdefault(step.token, len(tokens))
+            return out
+
+        def atom(name: str, need: int = 0, give: int = 0) -> int:
+            event = events.setdefault(name, len(events))
+            node = atoms.get((event, need, give))
+            if node is None:
+                node = atoms[event, need, give] = emit(K_ATOM, event, 0, need,
+                                                       give)
+            return node
+
+        def leaf(node: Goal) -> int | None:
             if isinstance(node, Atom):
-                return K_ATOM, events.setdefault(node.name, len(events))
+                return atom(node.name)
             if isinstance(node, Send):
-                return K_SEND, tokens.setdefault(node.token, len(tokens))
+                return emit(K_SEND, tokens.setdefault(node.token, len(tokens)))
             if isinstance(node, Receive):
-                return K_RECV, tokens.setdefault(node.token, len(tokens))
+                return emit(K_RECV, tokens.setdefault(node.token, len(tokens)))
             if isinstance(node, Test):
                 tests.append(node)
-                return K_TEST, len(tests) - 1
+                return emit(K_TEST, len(tests) - 1)
             if isinstance(node, Empty):
-                return K_EMPTY, 0
+                return emit(K_EMPTY, 0)
             if isinstance(node, NegPath):
-                return K_NEGPATH, 0
+                return emit(K_NEGPATH, 0)
             return None
 
         stack: list[Goal] = [goal]
@@ -224,24 +291,24 @@ class KernelProgram:
                     "machine-internal residuals cannot be lowered; lower the "
                     "original compiled goal instead"
                 )
-            if isinstance(node, (Serial, Concurrent, Choice)):
-                kids: tuple[Goal, ...] = node.parts
+            if isinstance(node, Serial):
+                parts = fused.get(id(node))
+                if parts is None:
+                    parts = fused[id(node)] = _fused_parts(node.parts)
+                kids = [p for p in parts if isinstance(p, Goal)]
+            elif isinstance(node, (Concurrent, Choice)):
+                parts = kids = node.parts
             elif isinstance(node, (Isolated, Possibility)):
-                kids = (node.body,)
+                parts = kids = (node.body,)
             else:
-                kids = ()
+                parts = kids = ()
             pending = [c for c in kids if id(c) not in index]
             if pending:
                 stack.extend(pending)
                 continue
             stack.pop()
-            code = leaf_code(node)
-            if code is not None:
-                kind, arg = code
-                kinds.append(kind)
-                args.append(arg)
-                lens.append(0)
-            else:
+            code = leaf(node)
+            if code is None:
                 if isinstance(node, Serial):
                     kind = K_SERIAL
                 elif isinstance(node, Concurrent):
@@ -256,22 +323,35 @@ class KernelProgram:
                     raise SpecificationError(
                         f"cannot lower {type(node).__name__}"
                     )
-                kinds.append(kind)
-                args.append(len(children))
-                lens.append(len(kids))
-                children.extend(index[id(c)] for c in kids)
-            index[id(node)] = len(kinds) - 1
+                ids = [index[id(p)] if isinstance(p, Goal)
+                       else atom(p[0].name, mask(p[1]), mask(p[2]))
+                       for p in parts]
+                if kind == K_SERIAL and len(ids) == 1:
+                    code = ids[0]  # a serial of one child is that child
+                else:
+                    code = emit(kind, len(children), len(ids))
+                    children.extend(ids)
+            index[id(node)] = code
 
         return cls(events, tokens, tests, kinds, args, lens, children,
-                   index[id(goal)])
+                   needs, gives, index[id(goal)])
+
+    def digest(self) -> str:
+        """SHA-256 of the tables a residual's node ids index into (kinds,
+        args, lens, children, the token masks, root, events and tokens):
+        two programs with one digest give every state the same meaning."""
+        tables = (self.kinds, self.args, self.lens, self.children,
+                  self.needs, self.gives, self.root, self.events, self.tokens)
+        return hashlib.sha256(repr(tables).encode()).hexdigest()
 
     def _node_bits(self, leaves: tuple,
                    tokens: int = 0) -> tuple[bytes, tuple]:
         """A per-node bit (post-order pass): set on leaves whose kind is in
-        ``leaves`` and on receives whose token is in ``tokens``, on
-        serial, concurrent and ``⊙`` nodes whose children all have it,
-        and on choices where one child has it; and for each serial node
-        the first position from which every child has it.
+        ``leaves`` — on an atom only if ``tokens`` holds what it needs —
+        and on receives whose token is in ``tokens``, on serial,
+        concurrent and ``⊙`` nodes whose children all have it, and on
+        choices where one child has it; and for each serial node the first
+        position from which every child has it.
 
         ``nullable`` (can complete without any step) starts from
         ``K_EMPTY`` alone: ``K_TEST`` is a silent *step* (length-1 path),
@@ -280,8 +360,11 @@ class KernelProgram:
         """
         out = bytearray(len(self.kinds))
         since = [0] * len(self.kinds)
+        needs = self.needs
         for i, kind in enumerate(self.kinds):
-            if kind in leaves or kind == K_RECV and tokens >> self.args[i] & 1:
+            if kind in leaves:
+                out[i] = not needs[i] & ~tokens
+            elif kind == K_RECV and tokens >> self.args[i] & 1:
                 out[i] = 1
             elif kind in (K_SERIAL, K_CONCURRENT, K_CHOICE, K_ISOLATED):
                 off = self.args[i]
@@ -466,7 +549,9 @@ class KernelProgram:
         if isinstance(rem, int):
             kind = self.kinds[rem]
             if kind == K_ATOM:
-                return ((self.args[rem], DONE, tok),)
+                if self.needs[rem] & ~tok:
+                    return ()
+                return ((self.args[rem], DONE, tok | self.gives[rem]),)
             if kind == K_SEND:
                 return ((None, DONE, tok | (1 << self.args[rem])),)
             if kind == K_RECV:
@@ -709,7 +794,11 @@ class KernelProgram:
         return out, True
 
     def traces(self, max_traces: int = 200_000) -> frozenset[tuple[str, ...]]:
-        """All valid event sequences (names), by pruned machine search."""
+        """All valid event sequences (names), by pruned machine search.
+
+        ``max_traces`` bounds the ``(prefix, state)`` pairs explored; a
+        fused token step is no state of its own.
+        """
         out, exact = self._complete_prefixes(max_traces)
         if not exact:
             raise TooManyTracesError(max_traces)
@@ -720,15 +809,16 @@ class KernelProgram:
         """True iff the program has at least one valid execution.
 
         Short-circuits on the first completable state;
-        :class:`TooManyTracesError` only when the budget is exhausted with
-        no answer.
+        :class:`TooManyTracesError` only when the budget (states expanded,
+        fused token steps not among them) is exhausted with no answer.
         """
         return self.can_complete(self.root, 0, budget=max_traces)
 
     def count_traces(self, max_traces: int = 200_000) -> TraceCount:
         """Number of distinct valid event sequences, saturating at budget.
 
-        Past ``max_traces`` explored prefixes the count so far is returned
+        Past ``max_traces`` explored ``(prefix, state)`` pairs (a fused
+        token step is no state of its own) the count so far is returned
         as a lower bound (``TraceCount(n, exact=False)``), so the budget
         bounds *work* while still answering the question. An exact count
         equals the size of :func:`repro.ctr.machine.machine_traces`; a
@@ -736,6 +826,32 @@ class KernelProgram:
         """
         out, exact = self._complete_prefixes(max_traces)
         return TraceCount(len(out), exact=exact)
+
+
+def _fused_parts(parts: tuple[Goal, ...]) -> list:
+    """A serial's parts with each maximal run ``receive(ξ1) ⊗ … ⊗
+    receive(ξk) ⊗ α ⊗ send(ζ1) ⊗ … ⊗ send(ζm)`` (``k, m ≥ 0``, ``α`` an
+    atom) replaced by the triple ``(α, (receive(ξ1), …), (send(ζ1), …))``.
+
+    Receives before anything but an atom, a send before an atom and a
+    send after a receive stay parts of their own.
+    """
+    out: list = []
+    i, n = 0, len(parts)
+    while i < n:
+        j = i
+        while j < n and isinstance(parts[j], Receive):
+            j += 1
+        if j < n and isinstance(parts[j], Atom):
+            k = j + 1
+            while k < n and isinstance(parts[k], Send):
+                k += 1
+            out.append((parts[j], parts[i:j], parts[j + 1:k]))
+            i = k
+        else:
+            out.extend(parts[i:j + 1])
+            i = j + 1
+    return out
 
 
 def lower_goal(goal: Goal) -> KernelProgram:
@@ -747,7 +863,9 @@ def traces(goal: Goal, max_traces: int = 200_000) -> frozenset[tuple[str, ...]]:
     """All valid event sequences of ``goal``.
 
     ``max_traces`` bounds the ``(prefix, state)`` pairs the search
-    explores; past it :class:`~repro.errors.TooManyTracesError` is raised.
+    explores over the lowered program, whose token steps are fused into
+    the events they guard; past it
+    :class:`~repro.errors.TooManyTracesError` is raised.
 
     >>> from repro.ctr.parser import parse_goal
     >>> sorted(traces(parse_goal("a | b")))
@@ -762,7 +880,8 @@ def count_traces(goal: Goal, max_traces: int = 200_000) -> TraceCount:
     """Number of distinct valid event sequences of ``goal``.
 
     ``max_traces`` bounds the ``(prefix, state)`` pairs the search
-    explores; past it the count so far is returned as a lower bound,
+    explores over the lowered program (fused token steps are no states);
+    past it the count so far is returned as a lower bound,
     ``TraceCount(n, exact=False)``, rather than raising.
     """
     return lower_goal(goal).count_traces(max_traces)
@@ -771,8 +890,9 @@ def count_traces(goal: Goal, max_traces: int = 200_000) -> TraceCount:
 def is_executable(goal: Goal, max_traces: int = 200_000) -> bool:
     """True iff ``goal`` has at least one valid execution.
 
-    ``max_traces`` bounds the states the search expands. It stops at the
-    first state that completes, so a wide goal answers ``True`` at once;
+    ``max_traces`` bounds the states the search expands over the lowered
+    program (fused token steps are no states). It stops at the first
+    state that completes, so a wide goal answers ``True`` at once;
     :class:`~repro.errors.TooManyTracesError` is raised only when the
     budget runs out with no answer.
     """

@@ -2,6 +2,7 @@
 
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,6 +10,7 @@ from repro.constraints.algebra import order
 from repro.core.compiler import compile_workflow
 from repro.core.scheduler import Scheduler
 from repro.ctr.formulas import Isolated, atoms, event_names
+from repro.errors import SpecificationError
 from repro.graph.generators import serial_chain
 from tests.conftest import constraints_over, unique_event_goals
 
@@ -65,6 +67,22 @@ class TestSnapshotRestore:
         resumed = Scheduler(A >> B)
         resumed.restore(round_trip(scheduler.snapshot()))
         assert resumed.eligible() == {"a"}
+
+    def test_refuses_another_goal_over_the_same_events(self):
+        # Its states would name nodes of other tables: resumed, a * (b + c)
+        # * d would run a b c d, which is no execution of it.
+        scheduler = Scheduler(A >> (B | C) >> D)
+        scheduler.fire("a")
+        scheduler.fire("b")
+        snapshot = round_trip(scheduler.snapshot())
+        with pytest.raises(SpecificationError):
+            Scheduler(A >> (B + C) >> D).restore(snapshot)
+
+    def test_refuses_a_snapshot_without_a_digest(self):
+        snapshot = round_trip(Scheduler(A >> B).snapshot())
+        del snapshot["digest"]
+        with pytest.raises(SpecificationError):
+            Scheduler(A >> B).restore(snapshot)
 
 
 class TestEquivalenceProperty:

@@ -10,7 +10,9 @@
 * Theorem 5.9 as a checked relation: E5c's specs with an order
   disjunction and a property, run by ``tests/core/test_refutation.py``
   (seeds 0–499) and the E5f gate of ``benchmarks/bench_sat.py``
-  (0–9,999).
+  (0–9,999); and the cost of a witness, run by
+  ``tests/ctr/test_fusion.py`` and the K6 gate of
+  ``benchmarks/bench_kernel.py`` on S2's goal.
 """
 
 import random
@@ -182,8 +184,29 @@ def verification_faults(goal, constraints, prop) -> tuple[bool, bool, list[str]]
     if result.holds == compile_workflow(goal, violating).consistent:
         faults.append("verdict")
     if not result.holds:
-        if not validate_sequence(tuple(result.witness), violating):
-            faults.append("passive")
-        if not replays(expand_goal(goal), result.witness):
-            faults.append("machine")
+        faults += _witness_faults(goal, violating, result.witness)
     return result.holds, refutes(violating, goal), faults
+
+
+def _witness_faults(goal, violating, witness) -> list[str]:
+    faults = []
+    if not validate_sequence(tuple(witness), violating):
+        faults.append("passive")
+    if not replays(expand_goal(goal), witness):
+        faults.append("machine")
+    return faults
+
+
+def witness_cost(goal, constraints, prop):
+    """The default witness of a failing ``prop``, the
+    :class:`~repro.core.scheduler.SchedulerStats` of the run that extracts
+    it from the compile of ``G ∧ C ∧ ¬Φ``, and the checks it fails:
+    ``passive`` and ``machine`` as in :func:`verification_faults`,
+    ``verify`` when ``verify_property`` returns another witness."""
+    violating = list(constraints) + [negate(prop)]
+    scheduler = compile_workflow(goal, violating).scheduler()
+    witness = scheduler.run()
+    faults = _witness_faults(goal, violating, witness)
+    if verify_property(goal, constraints, prop).witness != witness:
+        faults.append("verify")
+    return witness, scheduler.stats, faults
